@@ -147,7 +147,7 @@ def run_bench() -> dict:
         # 4 shards beats 8 on one node now that admission is sort-free
         # (sorted-frontier invariant): per-round wave cost is dominated
         # by RPC/object-resolution fan-out, not shard compute, and the
-        # fused fetch tasks resolve one admit object per shard
+        # fetch-wave tasks resolve one admit object per shard
         # (round-4 A/B: 13.9s vs 14.9s crawl at 16 fenced CPUs)
         n_shards = 4
         n_fetchers = max(2, NUM_CPUS - 5)

@@ -30,16 +30,33 @@ Dataset pipelines would re-create pools each round):
   hash-partitioned host buckets"): each owns its hosts' frontier rows,
   seen set, robots rules and politeness clocks, and performs
   admission / dedup / min-depth merge locally and in parallel.
-- ``FetchParseActor`` pool, keyed by ``url_hash % P``: corpus-replay
+- A fetch actor pool keyed by ``url_hash % P`` (``FetchParseActor``
+  for corpus replay, ``fetch_real.RealFetchActor`` for live HTTP):
   fetch + parse + per-page scoring; page/edge Parquet shards are
-  persisted BY the actors — only (url, status) metadata and per-batch
-  pre-reduced expansion candidates return to the driver.
+  persisted BY the actors — only (url, status) metadata returns to the
+  driver, and expansion candidates go straight to their host shards.
 
-The driver's per-round work is O(admitted), not O(frontier): concat
-the shards' host-capped admissions, one global (priority, depth, host,
-url) sort, max_pages truncation, and routing of fetch results back to
-their host shards.  Full-corpus analytics (pipelines/graph.py) are
-pure ``ray.data`` Dataset pipelines.
+Every round, in every configuration, is one wave:
+
+1. each shard's ``admit`` returns its host-capped admitted table as an
+   ObjectRef, which goes straight to every fetcher's ``fetch_wave`` —
+   the admit→fetch dependency resolves in the Ray scheduler, with no
+   driver round trip between them;
+2. each fetcher concatenates the shards' tables, applies the global
+   (priority, depth, host, url) order and the ``max_pages`` cut
+   (``_wave_rows``), and fetches the robots-allowed rows it owns;
+3. meanwhile the driver computes the same order and cut from the same
+   tables, scatters the returned statuses back into it, and logs the
+   order and the retry demotions;
+4. after the settle barrier, one ``finish_round`` RPC per shard
+   returns the budget-rejected rows, marks the politeness clock and
+   merges the round's staged candidates; per-actor FIFO runs it before
+   the shard's checkpoint ``dump`` and its next ``admit``.
+
+The driver's per-round work is O(admitted), not O(frontier).  A round
+that admits nothing costs one empty wave (in wall-clock mode followed
+by the Crawl-delay sleep).  Full-corpus analytics (pipelines/graph.py)
+are pure ``ray.data`` Dataset pipelines.
 
 Checkpoints: after each round, ``checkpoint_dir/round=K/`` holds
 per-shard frontier/seen/clock dumps, order.parquet, the actors' pages/
@@ -216,29 +233,16 @@ def _split_corpus_file(path: str, num_shards: int) -> list[pa.Table]:
     return [t.filter(pa.array(shard_ids == s)) for s in range(num_shards)]
 
 
-def _write_page_edge_parts(
-    persist_dir: str, tag: str, pages: pa.Table, edges: pa.Table, alerts: pa.Table | None = None
-) -> None:
-    subs = [("pages", pages), ("edges", edges)]
-    if alerts is not None and alerts.num_rows:
-        subs.append(("alerts", alerts))
-    for sub, table in subs:
-        d = os.path.join(persist_dir, sub)
-        os.makedirs(d, exist_ok=True)
-        part = os.path.join(d, f"part-{tag}.parquet")
-        pq.write_table(table, part + ".tmp")
-        os.replace(part + ".tmp", part)
-
-
 class _PersistBuffer:
-    """Batches page/edge Parquet writes inside a fetch actor.
+    """The one page/edge Parquet writer of a fetch actor.
 
-    Checkpointed crawls need per-round deltas (lineage), but an
-    output-dir run paid one tiny Parquet file per actor per round —
-    at 190 politeness rounds × 27 actors that is ~5000 file creates of
-    mostly fixed cost.  The buffer accumulates rows per persist dir
-    and flushes at ``threshold`` rows, on a dir change, or on the
-    explicit end-of-crawl ``flush_persist`` RPC."""
+    An output-dir run would otherwise pay one tiny Parquet file per
+    actor per round — at 190 politeness rounds × 27 actors that is
+    ~5000 file creates of mostly fixed cost.  The buffer accumulates
+    rows per persist dir and flushes at ``threshold`` rows, on a dir
+    change, at the end of a wave whose dir is a checkpoint round dir
+    (the round's lineage must be on disk before its manifest), or on
+    the explicit end-of-crawl ``flush_persist`` RPC."""
 
     def __init__(self, threshold: int = 32_768):
         self.threshold = threshold
@@ -273,13 +277,15 @@ class _PersistBuffer:
     def flush(self) -> None:
         if not self._pages or self.dir is None:
             return
-        _write_page_edge_parts(
-            self.dir,
-            f"{self.tag}-{self._seq:05d}",
-            pa.concat_tables(self._pages),
-            pa.concat_tables(self._edges),
-            pa.concat_tables(self._alerts) if self._alerts else None,
-        )
+        subs = [("pages", self._pages), ("edges", self._edges)]
+        if any(t.num_rows for t in self._alerts):
+            subs.append(("alerts", self._alerts))
+        for sub, tables in subs:
+            d = os.path.join(self.dir, sub)
+            os.makedirs(d, exist_ok=True)
+            part = os.path.join(d, f"part-{self.tag}-{self._seq:05d}.parquet")
+            pq.write_table(pa.concat_tables(tables), part + ".tmp")
+            os.replace(part + ".tmp", part)
         self._seq += 1
         self._pages, self._edges, self._alerts, self._rows = [], [], [], 0
 
@@ -295,7 +301,7 @@ def _parse_and_emit(
     shard_tag,
     collect_edges,
     frontier_shards,
-    persister=None,
+    persister,
     latencies=None,
     ai_stage=None,
     alert_stage=None,
@@ -398,10 +404,7 @@ def _parse_and_emit(
         alerts = alert_stage(pages)
 
     if persist_dir is not None:
-        if persister is not None:
-            persister.add(persist_dir, shard_tag, pages, edges, alerts)
-        else:
-            _write_page_edge_parts(persist_dir, shard_tag, pages, edges, alerts)
+        persister.add(persist_dir, shard_tag, pages, edges, alerts)
 
     meta = pa.table(
         {
@@ -453,8 +456,8 @@ def _parse_and_emit(
             # actors' mailboxes put a full actor→actor RTT inside the
             # round's fetch barrier.  The refs travel back to the
             # driver, which settles them (in parallel with its order
-            # bookkeeping) before the next admit/flush RPC — the same
-            # happens-before, one fewer serial wave per round.
+            # bookkeeping) before the round's ``finish_round`` RPC —
+            # the same happens-before, one fewer serial wave per round.
             cand_out = None
         else:
             stage_refs = []
@@ -551,7 +554,6 @@ class FetchParseActor:
         self._attempted: set[str] = set()
         self.collisions = 0  # 64-bit hash collisions observed in probes
         self.busy_s = 0.0  # cumulative in-actor fetch_parse seconds (A8)
-        self.fused_s = 0.0  # cumulative fetch_parse_fused wall (incl. selection)
         self.persister = _PersistBuffer()
 
     def ready(self) -> int:
@@ -563,7 +565,6 @@ class FetchParseActor:
     def perf_stats(self) -> dict:
         return {
             "busy_s": self.busy_s,
-            "fused_s": self.fused_s,
             "collisions": self.collisions,
             "alerts_fired": self.alert_stage.fired_total if self.alert_stage else 0,
         }
@@ -574,9 +575,8 @@ class FetchParseActor:
         persist_dir: str | None = None,
         shard_tag: str = "0",
         collect_edges: bool = True,
-        buffered: bool = False,
-    ) -> tuple[pa.Table, pa.Table, pa.Table | None]:
-        """Frontier rows -> (meta, expansion candidates, edges|None).
+    ) -> tuple[pa.Table, pa.Table | None, pa.Table | None, list]:
+        """Frontier rows -> (meta, expansion candidates, edges|None, stage refs).
 
         The heavy page payloads (html, byte-identical text) and full
         edge rows are persisted to Parquet *by the actor* when
@@ -661,98 +661,91 @@ class FetchParseActor:
 
         out = _parse_and_emit(
             urls, depths, status, tss, htmls, langs,
-            persist_dir, shard_tag, collect_edges, self.frontier_shards,
-            persister=self.persister if buffered else None,
+            persist_dir, shard_tag, collect_edges, self.frontier_shards, self.persister,
             ai_stage=self.ai_stage,
             alert_stage=self.alert_stage,
         )
         self.busy_s += _time.perf_counter() - _t0
         return out
 
-    def fetch_parse_fused(
-        self,
-        fid: int,
-        nf: int,
-        batch_size: int,
-        persist_dir: str | None,
-        shard_tag: str,
-        collect_edges: bool,
-        buffered: bool,
-        *admit_tables: pa.Table,
-    ):
-        """Fused-wave entry: the driver passes every shard's admitted
-        table as an ObjectRef argument, so this task starts the moment
-        the LAST shard finishes admission — no driver round trip
-        between the admit and fetch waves.  Row selection replicates
-        the classic path exactly: global order = concat in shard order
-        → robots-allowed only → sort by (priority, depth, host, url);
-        this actor owns rows with ``url_hash % nf == fid`` (its corpus
-        replay slice), processed in global-sorted order so the driver
-        can scatter statuses back by position alone."""
-        import time as _time
+    def fetch_wave(self, *args):
+        """This actor's share of a round (see ``_fetch_wave``)."""
+        return _fetch_wave(self, *args)
 
-        _tf0 = _time.perf_counter()
-        parts = [t for t in admit_tables if t is not None and t.num_rows]
-        metas: list[pa.Table] = []
-        edges_out: list[pa.Table] = []
-        stage_refs: list = []
-        if parts:
-            cat = pa.concat_tables(parts)
-            allowed = cat.column("allowed").to_numpy(zero_copy_only=False)
-            h = cat.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-            own = np.flatnonzero(
-                allowed & ((h % np.uint64(nf)).astype(np.int64) == fid)
-            )
-            if len(own):
-                sub = cat.take(pa.array(own))
-                order = pc.sort_indices(
-                    sub,
-                    sort_keys=[
-                        ("priority", "ascending"),
-                        ("depth", "ascending"),
-                        ("host", "ascending"),
-                        ("url", "ascending"),
-                    ],
-                )
-                sub = sub.take(order)
-                tab = sub.select([f.name for f in schemas.FRONTIER]).cast(schemas.FRONTIER)
-                for start in range(0, tab.num_rows, batch_size):
-                    chunk = tab.slice(start, batch_size)
-                    m, _, e, refs = self.fetch_parse(
-                        chunk, persist_dir, shard_tag, collect_edges, buffered
-                    )
-                    metas.append(m)
-                    stage_refs.extend(refs)
-                    if e is not None and e.num_rows:
-                        edges_out.append(e)
-        meta = (
-            pa.concat_tables(metas)
-            if metas
-            else pa.table(
-                {
-                    "url": pa.array([], pa.string()),
-                    "status": pa.array([], pa.int16()),
-                    "latency": pa.array([], pa.float64()),
-                }
-            )
+
+_ROUND_ORDER = ["priority", "depth", "host", "url"]
+
+
+def _wave_rows(admit_tables, fid: int, nf: int, budget: int | None) -> pa.Table:
+    """The rows fetcher ``fid`` of ``nf`` fetches this round.
+
+    The round's global order is every shard's admitted table sorted by
+    (priority, depth, host, url).  ``budget`` (what is left of
+    ``max_pages``) cuts that order BEFORE the robots filter — a denied
+    URL still takes its slot, as in the oracle.  The fetcher keeps the
+    robots-allowed rows of the cut that it owns (``url_hash % nf`` —
+    its corpus replay slice), in global order, so the driver, which
+    computes the same order and cut, scatters statuses back by
+    position alone."""
+    parts = [t for t in admit_tables if t.num_rows]
+    if not parts:
+        return schemas.FRONTIER.empty_table()
+    cat = pa.concat_tables(parts)
+    keys = [(k, "ascending") for k in _ROUND_ORDER]
+    if budget is not None and cat.num_rows > budget:
+        cat = cat.take(pc.sort_indices(cat, keys)[:budget])
+    allowed = cat.column("allowed").to_numpy(zero_copy_only=False)
+    h = cat.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
+    sub = cat.filter(pa.array(allowed & ((h % np.uint64(nf)).astype(np.int64) == fid)))
+    sub = sub.take(pc.sort_indices(sub, keys))
+    return sub.select(schemas.FRONTIER.names).cast(schemas.FRONTIER)
+
+
+def _fetch_wave(
+    actor,
+    fid: int,
+    nf: int,
+    batch_size: int,
+    budget: int | None,
+    persist_dir: str | None,
+    shard_tag: str,
+    collect_edges: bool,
+    flush: bool,
+    *admit_tables: pa.Table,
+):
+    """One fetch actor's share of a round -> (meta, edges|None, stage refs).
+
+    The driver passes every shard's admitted table as an ObjectRef
+    argument, so this task starts the moment the LAST shard finishes
+    admission — no driver round trip between the admit and fetch
+    waves.  ``flush`` writes the persist buffer out at the end of the
+    wave (checkpoint round dirs)."""
+    rows = _wave_rows(admit_tables, fid, nf, budget)
+    metas: list[pa.Table] = []
+    edges_out: list[pa.Table] = []
+    stage_refs: list = []
+    for start in range(0, rows.num_rows, batch_size):
+        m, _, e, refs = actor.fetch_parse(
+            rows.slice(start, batch_size), persist_dir, shard_tag, collect_edges
         )
-        edges = pa.concat_tables(edges_out) if edges_out else None
-        self.fused_s += _time.perf_counter() - _tf0
-        return meta, None, edges, stage_refs
-
-
-def _route_chunks(table: pa.Table, num_shards: int, batch_size: int):
-    """Yield (shard_id, row_indices, sub_table) chunks routed by
-    url_hash % num_shards.  The row indices let the driver scatter each
-    chunk's fetch statuses straight back into admitted order — no
-    url-keyed join or dict merge per round."""
-    h = table.column("url_hash").to_numpy(zero_copy_only=False)
-    shard_ids = (h % np.uint64(num_shards)).astype(np.int64)
-    for s in range(num_shards):
-        idx = np.nonzero(shard_ids == s)[0]
-        for start in range(0, len(idx), batch_size):
-            sub = idx[start : start + batch_size]
-            yield s, sub, table.take(pa.array(sub))
+        metas.append(m)
+        stage_refs.extend(refs)
+        if e is not None and e.num_rows:
+            edges_out.append(e)
+    if flush:
+        actor.persister.flush()
+    meta = (
+        pa.concat_tables(metas)
+        if metas
+        else pa.table(
+            {
+                "url": pa.array([], pa.string()),
+                "status": pa.array([], pa.int16()),
+                "latency": pa.array([], pa.float64()),
+            }
+        )
+    )
+    return meta, (pa.concat_tables(edges_out) if edges_out else None), stage_refs
 
 
 class _Checkpointer:
@@ -777,36 +770,28 @@ class _Checkpointer:
         return max(rounds) if rounds else None
 
     def write_round(
-        self,
-        r: int,
-        frontier: "DistributedFrontier",
-        order_delta: pa.Table,
-        counters: dict,
-        with_state: bool = True,
+        self, r: int, order_delta: pa.Table, counters: dict, dumps: list | None = None
     ) -> None:
         """Per-round checkpoint.
 
         The order delta is written every round (cheap, append-only);
         the restartable STATE (per-shard frontier/seen/clock dumps +
-        manifest, manifest last via atomic rename) only when
-        ``with_state`` — governed by ``CrawlConfig.checkpoint_every``,
-        since a full seen-set dump per round is O(rounds × seen) at
-        10^10-URL scale.  Older rounds' state dumps are pruned after a
-        newer complete state lands; page/edge/order deltas are kept
-        (they are the lineage)."""
-        if not self.root:
-            return
+        manifest, manifest last via atomic rename) only when ``dumps``
+        — the shards' ``dump`` refs — is given, which
+        ``CrawlConfig.checkpoint_every`` governs, since a full seen-set
+        dump per round is O(rounds × seen) at 10^10-URL scale.  Older
+        rounds' state dumps are pruned after a newer complete state
+        lands; page/edge/order deltas are kept (they are the lineage)."""
         d = self.round_dir(r)
         os.makedirs(d, exist_ok=True)
-        if not with_state:
+        if dumps is None:
             pq.write_table(order_delta, os.path.join(d, "order.parquet"))
             return
         lineage = {"round": r, "inputs": [], "outputs": []}
         for sub in ("pages", "edges", "alerts"):
             for pth in sorted(glob.glob(os.path.join(d, sub, "*.parquet"))):
                 lineage["outputs"].append({"table": sub, "path": pth})
-        dumps = ray.get([s.dump.remote() for s in frontier.shards])
-        for i, (ftab, seen_arr, clock, brk, lim) in enumerate(dumps):
+        for i, (ftab, seen_arr, clock, brk, lim) in enumerate(ray.get(dumps)):
             pq.write_table(ftab, os.path.join(d, f"shard-{i}-frontier.parquet"))
             with open(os.path.join(d, f"shard-{i}-seen.npy.tmp"), "wb") as fh:
                 np.save(fh, seen_arr)
@@ -824,7 +809,7 @@ class _Checkpointer:
         manifest = {
             "round": r,
             "config_hash": self.cfg.config_hash(),
-            "num_shards": frontier.num_shards,
+            "num_shards": len(dumps),
             "counters": counters,
             "lineage": lineage,
             "complete": True,
@@ -963,7 +948,7 @@ class CrawlEngine:
                 )
                 for _ in range(nf)
             ]
-            ray.get([f.ready.remote() for f in self.fetchers])
+            ray.get([a.ready.remote() for a in self.fetchers + self.frontier.shards])
             return
         # one read of each corpus file, hash-partitioned into P shard refs
         split_refs = [
@@ -994,8 +979,9 @@ class CrawlEngine:
             )
             for s in range(nf)
         ]
-        # block until every actor finished building its index
-        ray.get([f.ready.remote() for f in self.fetchers])
+        # block until every actor is up: the fetchers have built their
+        # index, and the shards, started first, warmed up meanwhile
+        ray.get([a.ready.remote() for a in self.fetchers + self.frontier.shards])
 
     def shutdown(self):
         self.frontier.shutdown()
@@ -1019,11 +1005,11 @@ _STATS_TIMER_KEYS = ("t_admit", "t_fetch", "t_order", "t_expand", "t_checkpoint"
 
 
 def _absorb_discoveries(counters: dict, seen_urls: list, trailers) -> None:
-    """Fold shard flush/admit discovery trailers — (n_new, n_dup,
-    newly_seen_urls) triples — into the run's counters.  Every path
-    that drains staged candidates (eager flush, lazy admit trailer,
-    stop-round drain, end-of-run drain) accounts through HERE so a new
-    discovery counter can't silently miss one of them."""
+    """Fold the shards' ``finish_round`` discovery trailers — (n_new,
+    n_dup, newly_seen_urls) triples — into the run's counters.  Every
+    place that collects them (next round, checkpoint, last round)
+    accounts through HERE so a new discovery counter can't silently
+    miss one of them."""
     for n_new, n_dup, newly in trailers:
         counters["discovered"] += n_new + n_dup
         counters["dedup_hits"] += n_dup
@@ -1060,7 +1046,6 @@ def _run_prepared(engine: CrawlEngine) -> CrawlResult:
 
     counters = {
         "t_admit": 0.0,
-        "t_admit_rpc": 0.0,
         "t_fetch": 0.0,
         "t_expand": 0.0,
         "t_order": 0.0,
@@ -1084,11 +1069,6 @@ def _run_prepared(engine: CrawlEngine) -> CrawlResult:
     seen_urls: list[str] = []
     collect_seen = cfg.resolved_collect_seen()
     wall_clock = cfg.resolved_wall_clock()
-    # non-checkpoint runs merge staged candidates lazily inside the
-    # NEXT round's admit RPC (one fewer serial actor wave per round);
-    # checkpointed runs flush eagerly so each round's shard dump is
-    # self-contained
-    lazy_flush = cfg.checkpoint_dir is None
     breaker_dirty = False
     seq = 0
     start_round = 0
@@ -1191,333 +1171,104 @@ def _run_prepared(engine: CrawlEngine) -> CrawlResult:
         stats_prev = dict(counters)
 
     round_no = start_round
+    nf = cfg.num_fetchers
+    bs = max(512, cfg.fetch_batch_size)
+    # the (n_new, n_dup, newly_seen) trailers of the previous round's
+    # finish_round RPCs, collected one round later, off the critical
+    # path: the merge runs while the driver submits the next wave, and
+    # per-actor FIFO orders it before each shard's next admit
+    flush_refs: list = []
+    # every driver second of a round goes to exactly one of the
+    # _STATS_TIMER_KEYS: each lap closes the interval the last one opened
+    lap_t = _time.perf_counter()
 
-    # --- fused-wave fast path -------------------------------------------
-    # When no driver-side decision sits between admission and fetching
-    # (no global max_pages budget to truncate, no per-round checkpoint
-    # writes, logical clock, replay transport), each round's admit→fetch
-    # dependency can resolve entirely in the Ray scheduler: the shards'
-    # admitted tables are handed to the fetch tasks as ObjectRef
-    # arguments, the politeness clock self-confirms inside admission,
-    # and ALL driver bookkeeping (counters, order log, stats) runs
-    # while the actors execute.  This removes two driver round trips +
-    # ~10 ms of driver-side polars from every round's critical path —
-    # the politeness crawl is round-latency-bound (per-round admitted
-    # size is budget-capped, so rounds scale with corpus size and the
-    # per-round floor IS the throughput ceiling; round-4 stage-timer
-    # profile).  On a multi-node cluster this is also the correct
-    # topology: admitted rows flow shard→object store→fetcher without
-    # ever crossing the driver.
-    fused = (
-        cfg.max_pages is None
-        and cfg.checkpoint_dir is None
-        and not wall_clock
-        and cfg.fetch_mode != "real"
-    )
-    if fused:
-        nf = cfg.num_fetchers
-        persist_dir = cfg.output_dir
-        buffered = persist_dir is not None
-        bs = max(512, cfg.fetch_batch_size)
-        # candidate flushes are submitted fire-and-forget right after
-        # the settle barrier (per-actor FIFO orders them before the
-        # next admit on each shard) and their discovery counters are
-        # collected here, one round later, OFF the critical path — the
-        # merge itself ran while the driver was submitting this round's
-        # waves, so admission never waits on it
-        flush_refs: list = []
-        while True:
-            _t = _time.perf_counter()
-            admit_pairs = [
-                s.admit_fused.options(num_returns=2).remote(round_no, False)
-                for s in shards
-            ]
-            table_refs = [p[0] for p in admit_pairs]
-            fetch_futs = [
-                fetchers[f].fetch_parse_fused.remote(
-                    f,
-                    nf,
-                    bs,
-                    persist_dir,
-                    f"{f:03d}",
-                    cfg.collect_edges,
-                    buffered,
-                    *table_refs,
-                )
-                for f in range(nf)
-            ]
-            # everything below up to the fetch ray.get overlaps the
-            # actors' admit+fetch execution
-            if flush_refs:
-                _absorb_discoveries(counters, seen_urls, ray.get(flush_refs))
-                flush_refs = []
-            admit_meta = ray.get([p[1] for p in admit_pairs])
-            counters["t_admit_rpc"] += _time.perf_counter() - _t
-            _absorb_discoveries(counters, seen_urls, (m[3:] for m in admit_meta))
-            if stats_fh is not None and pending_stats_round is not None:
-                _emit_round_stats(stats_fh, pending_stats_round, counters, stats_prev)
-                stats_prev = dict(counters)
-            pending_stats_round = None
-            admit_tables = ray.get(table_refs)
-            admitted_parts = [t for t in admit_tables if t.num_rows]
-            rest_sizes = sum(fs for fs, *_ in admit_meta)
-            if not admitted_parts:
-                ray.get(fetch_futs)  # no-op wave (empty inputs)
-                if rest_sizes == 0:
-                    break
-                nxt = min(nr for (fs, nr, *_) in admit_meta if fs > 0)
-                round_no = max(round_no + 1, nxt)
-                if round_no - start_round > 10_000_000:
-                    raise RuntimeError("crawl failed to make progress")
-                continue
-            admitted = (
-                pl.from_arrow(pa.concat_tables(admitted_parts))
-                .sort(["priority", "depth", "host", "url"])
-            )
-            counters["frontier_ops"] += admitted.height
-            denied = int((~admitted.get_column("allowed")).sum())
-            counters["robots_denied"] += denied
-            admitted = admitted.filter(pl.col("allowed")).drop("allowed")
-            counters["t_admit"] += _time.perf_counter() - _t
-            if admitted.height == 0:
-                ray.get(fetch_futs)
-                counters["rounds"] += 1
-                pending_stats_round = round_no  # an all-denied round is still a round
-                round_no += 1
-                continue
-            n_adm = admitted.height
-            owner = (
-                admitted.get_column("url_hash").to_numpy().astype(np.uint64)
-                % np.uint64(nf)
-            ).astype(np.int64)
+    def lap(timer: str) -> None:
+        nonlocal lap_t
+        now = _time.perf_counter()
+        counters[timer] += now - lap_t
+        lap_t = now
 
-            _t = _time.perf_counter()
-            results = ray.get(fetch_futs)
-            counters["t_fetch"] += _time.perf_counter() - _t
-
-            _t = _time.perf_counter()
-            metas = [m for m, _, _, _ in results]
-            edges_list = [e for _, _, e, _ in results if e is not None and e.num_rows]
-            stage_refs = [r for _, _, _, refs in results for r in refs]
-            st_all = np.zeros(n_adm, dtype=np.int64)
-            lat_all = np.zeros(n_adm, dtype=np.float64)
-            for f in range(nf):
-                idx = np.flatnonzero(owner == f)
-                m = metas[f]
-                if m.num_rows != len(idx):  # invariant, never expected
-                    raise RuntimeError(
-                        f"fused scatter mismatch: fetcher {f} returned "
-                        f"{m.num_rows} rows for {len(idx)} admitted"
-                    )
-                if len(idx):
-                    st_all[idx] = m.column("status").to_numpy()
-                    lat_all[idx] = m.column("latency").to_numpy()
-            retryable = (st_all >= 500) | (st_all == 408)
-            counters["pages_fetched"] += int((~retryable).sum())
-            counters["fetch_misses"] += int((st_all == 404).sum())
-            counters["fetch_errors"] += int(retryable.sum())
-
-            joined = admitted.with_columns(
-                pl.Series("status", st_all, dtype=pl.Int16),
-                pl.Series("latency", lat_all, dtype=pl.Float64),
-            )
-            order_delta = pa.table(
-                {
-                    "seq": pa.array(range(seq, seq + n_adm), pa.int64()),
-                    "round": pa.array([round_no] * n_adm, pa.int32()),
-                    "url": joined.get_column("url").to_arrow(),
-                    "host": joined.get_column("host").to_arrow(),
-                    "depth": joined.get_column("depth").to_arrow(),
-                    "priority": joined.get_column("priority").to_arrow(),
-                    "status": joined.get_column("status").to_arrow(),
-                }
-            )
-            seq += n_adm
-            if cfg.resolved_collect_order():
-                order_parts.append(order_delta)
-            elif persist_dir is not None:
-                order_buf.append(order_delta)
-                order_buf_rows += n_adm
-                if order_buf_rows >= 32_768:
-                    os.makedirs(persist_dir, exist_ok=True)
-                    pq.write_table(
-                        pa.concat_tables(order_buf),
-                        os.path.join(persist_dir, f"order-{order_buf_seq:05d}.parquet"),
-                    )
-                    order_buf, order_buf_rows = [], 0
-                    order_buf_seq += 1
-
-            retry_futures = []
-            if bool(retryable.any()):
-                failed = joined.filter(
-                    (pl.col("status") >= 500) | (pl.col("status") == 408)
-                )
-                counters["dead_lettered"] += failed.filter(
-                    pl.col("retries") + 1 > cfg.max_retries
-                ).height
-                retry = (
-                    failed.filter(pl.col("retries") + 1 <= cfg.max_retries)
-                    .with_columns(
-                        pl.min_horizontal(
-                            pl.lit(schemas.PRIORITY_LOW), pl.col("priority") + 1
-                        ).cast(pl.Int8).alias("priority"),
-                        (pl.col("retries") + 1).cast(pl.Int8).alias("retries"),
-                    )
-                    .select(["url", "url_hash", "host", "priority", "depth", "retries"])
-                )
-                for sid, sub in frontier.route(retry, "host"):
-                    retry_futures.append(shards[sid].insert_retries.remote(sub.to_arrow()))
-            if cfg.breaker_enabled or cfg.politeness_mode == "adaptive":
-                breaker_dirty = breaker_dirty or bool(retryable.any())
-                if breaker_dirty or cfg.politeness_mode == "adaptive":
-                    for sid, sub in frontier.route(joined, "host"):
-                        retry_futures.append(
-                            shards[sid].record_outcomes.remote(
-                                round_no,
-                                sub.select(["host", "status", "latency"]).to_arrow(),
-                            )
-                        )
-            counters["t_order"] += _time.perf_counter() - _t
-
-            if edges_list:
-                edges_parts.extend(edges_list)
-
-            _t = _time.perf_counter()
-            ray.get(stage_refs + retry_futures)
-            counters["t_expand"] += _time.perf_counter() - _t
-            counters["rounds"] += 1
-            # all of this round's staged candidates have landed (stage
-            # barrier above); merge them into the frontiers NOW, in the
-            # shards, while the driver submits the next round — FIFO
-            # per actor pair guarantees the flush precedes next admit
-            flush_refs = [s.flush_candidates.remote() for s in shards]
-
-            will_stop = cfg.stop_after_round is not None and round_no >= cfg.stop_after_round
-            if will_stop:
-                _absorb_discoveries(counters, seen_urls, ray.get(flush_refs))
-                flush_refs = []
-                if stats_fh is not None:
-                    _emit_round_stats(stats_fh, round_no, counters, stats_prev)
-                    stats_prev = dict(counters)
-                break
-            pending_stats_round = round_no
-            round_no += 1
-
-    while not fused:
-        if cfg.max_pages is not None and counters["pages_fetched"] >= cfg.max_pages:
+    while True:
+        budget = None if cfg.max_pages is None else cfg.max_pages - counters["pages_fetched"]
+        if budget is not None and budget <= 0:
             break
-        remaining = (
-            None if cfg.max_pages is None else cfg.max_pages - counters["pages_fetched"]
-        )
-
-        # --- admission: all shards in parallel, then global order ----
-        # lazy_flush piggybacks the previous round's candidate merge on
-        # this admit RPC (non-checkpoint runs): one fewer serial actor
-        # wave per round.  Checkpointed runs flush eagerly in-round so
-        # the shard dumps already contain the round's discoveries.
-        _t = _time.perf_counter()
-        admit_out = ray.get([s.admit.remote(round_no, lazy_flush) for s in shards])
-        counters["t_admit_rpc"] += _time.perf_counter() - _t
-        _absorb_discoveries(counters, seen_urls, (m[4:] for m in admit_out))
-        # a round's stats row is emitted HERE, one admit later, because
-        # lazy mode attributes its discovery/dedup counters to the
-        # flush trailer of this admit — the row is complete only now
+        admit_pairs = [s.admit.remote(round_no) for s in shards]
+        table_refs = [p[0] for p in admit_pairs]
+        wave = [
+            fetchers[f].fetch_wave.remote(
+                f,
+                nf,
+                bs,
+                budget,
+                ckpt.round_dir(round_no) if cfg.checkpoint_dir else cfg.output_dir,
+                f"{f:03d}",
+                cfg.collect_edges,
+                cfg.checkpoint_dir is not None,
+                *table_refs,
+            )
+            for f in range(nf)
+        ]
+        # everything up to the wave's ray.get overlaps the actors'
+        # admit+fetch execution; a round's stats row goes out here, one
+        # round later, once its discovery trailers are in
+        _absorb_discoveries(counters, seen_urls, ray.get(flush_refs))
+        flush_refs = []
         if stats_fh is not None and pending_stats_round is not None:
             _emit_round_stats(stats_fh, pending_stats_round, counters, stats_prev)
             stats_prev = dict(counters)
         pending_stats_round = None
-        admitted_parts = [a for a, *_ in admit_out if a.num_rows]
-        rest_sizes = sum(fs for _, fs, *_ in admit_out)
+        admit_meta = ray.get([p[1] for p in admit_pairs])
+        admitted_parts = [t for t in ray.get(table_refs) if t.num_rows]
         if not admitted_parts:
-            if rest_sizes == 0:
+            ray.get(wave)  # an empty wave
+            if all(fs == 0 for fs, _, _ in admit_meta):
+                lap("t_admit")
                 break
             if wall_clock:
-                # real mode: sleep until the earliest host's Crawl-delay
+                # live mode: sleep until the earliest host's Crawl-delay
                 # (wall seconds) elapses instead of spinning rounds
-                waits = [ws for _, fs, _, ws, *_ in admit_out if fs > 0]
+                waits = [ws for fs, _, ws in admit_meta if fs > 0]
                 _time.sleep(min(max(w, 0.01) for w in waits) if waits else 0.01)
                 round_no += 1
             else:
-                nxt = min(nr for _, fs, nr, *_ in admit_out if fs > 0)
-                round_no = max(round_no + 1, nxt)
+                round_no = max(round_no + 1, min(nr for fs, nr, _ in admit_meta if fs > 0))
             if round_no - start_round > 10_000_000:
                 raise RuntimeError("crawl failed to make progress")
+            lap("t_admit")
             continue
-        admitted = (
-            pl.from_arrow(pa.concat_tables(admitted_parts))
-            .sort(["priority", "depth", "host", "url"])
-        )
+        admitted = pl.from_arrow(pa.concat_tables(admitted_parts)).sort(_ROUND_ORDER)
         counters["frontier_ops"] += admitted.height
-        rejected_by_shard: dict[int, pa.Table] = {}
-        if remaining is not None and admitted.height > remaining:
-            # budget truncation BEFORE the robots drop: a denied URL
-            # still consumed its admission slot (oracle discipline)
-            rejected = admitted.slice(remaining)
-            admitted = admitted.slice(0, remaining)
-            for sid, sub in frontier.route(rejected, "host"):
-                rejected_by_shard[sid] = sub.to_arrow()
-        confirm_futures = [
-            s.confirm.remote(round_no, rejected_by_shard.get(i))
-            for i, s in enumerate(shards)
-        ]
-        denied = int((~admitted.get_column("allowed")).sum())
-        counters["robots_denied"] += denied
+        rejected: list[pa.Table | None] = [None] * len(shards)
+        if budget is not None and admitted.height > budget:
+            # the cut every fetcher applied; the rows past it go back
+            # to their shards in finish_round
+            for sid, sub in frontier.route(admitted.slice(budget), "host"):
+                rejected[sid] = sub.to_arrow()
+            admitted = admitted.slice(0, budget)
+        counters["robots_denied"] += int((~admitted.get_column("allowed")).sum())
         admitted = admitted.filter(pl.col("allowed")).drop("allowed")
-        if admitted.height == 0:
-            ray.get(confirm_futures)
-            counters["rounds"] += 1
-            pending_stats_round = round_no  # an all-denied round is still a round
-            round_no += 1
-            continue
-        admitted_tab = admitted.to_arrow().cast(schemas.FRONTIER)
-        counters["t_admit"] += _time.perf_counter() - _t
+        n_adm = admitted.height  # 0 when every admitted row was robots-denied
+        lap("t_admit")
 
-        # --- fetch + parse via the persistent actor pool --------------
-        # heavy outputs are persisted by the actors; only (url, status)
-        # + pre-reduced expansion candidates come back
-        _t = _time.perf_counter()
-        if cfg.checkpoint_dir:
-            persist_dir = ckpt.round_dir(round_no)
-            buffered = False  # per-round deltas are the checkpoint lineage
-        elif cfg.output_dir:
-            # non-checkpoint runs buffer page/edge writes inside the
-            # actors (one file per ~32k rows instead of per round)
-            persist_dir = cfg.output_dir
-            buffered = True
-        else:
-            persist_dir = None
-            buffered = False
-        bs = max(512, min(cfg.fetch_batch_size, -(-admitted_tab.num_rows // cfg.num_fetchers)))
-        futures = []
-        chunk_idx: list[np.ndarray] = []
-        for i, (shard, sub_idx, chunk) in enumerate(
-            _route_chunks(admitted_tab, cfg.num_fetchers, bs)
-        ):
-            tag = f"{shard:03d}" if buffered else f"{shard:03d}-{i:04d}"
-            chunk_idx.append(sub_idx)
-            futures.append(
-                fetchers[shard].fetch_parse.remote(
-                    chunk, persist_dir, tag, cfg.collect_edges, buffered
-                )
-            )
-        results = ray.get(futures)
-        metas = [m for m, _, _, _ in results]
-        edges_list = [e for _, _, e, _ in results if e is not None and e.num_rows]
-        stage_refs = [r for _, _, _, refs in results for r in refs]
-        counters["t_fetch"] += _time.perf_counter() - _t
+        results = ray.get(wave)
+        lap("t_fetch")
 
-        _t = _time.perf_counter()
-        # admission/order log + O6 retry demotion: each chunk's statuses
-        # scatter straight back into admitted order via the row indices
-        # saved at routing time — a pure numpy scatter (the url-keyed
-        # dict this replaces was ~15 ms of serial driver Python per
-        # round; fetch actors preserve input row order in their meta)
-        n_adm = admitted.height
+        # each fetcher returns its own rows in global order, so statuses
+        # scatter back into admitted order by position alone
+        owner = (
+            admitted.get_column("url_hash").to_numpy().astype(np.uint64) % np.uint64(nf)
+        ).astype(np.int64)
         st_all = np.zeros(n_adm, dtype=np.int64)
         lat_all = np.zeros(n_adm, dtype=np.float64)
-        for sub_idx, m in zip(chunk_idx, metas):
-            st_all[sub_idx] = m.column("status").to_numpy()
-            lat_all[sub_idx] = m.column("latency").to_numpy()
+        for f, (m, _, _) in enumerate(results):
+            idx = np.flatnonzero(owner == f)
+            if m.num_rows != len(idx):  # invariant, never expected
+                raise RuntimeError(
+                    f"wave scatter mismatch: fetcher {f} returned "
+                    f"{m.num_rows} rows for {len(idx)} admitted"
+                )
+            st_all[idx] = m.column("status").to_numpy()
+            lat_all[idx] = m.column("latency").to_numpy()
         # retryable statuses per web_crawler.py:262-328: 408 + any 5xx
         retryable = (st_all >= 500) | (st_all == 408)
         counters["pages_fetched"] += int((~retryable).sum())
@@ -1542,27 +1293,27 @@ def _run_prepared(engine: CrawlEngine) -> CrawlResult:
         seq += n_adm
         if cfg.resolved_collect_order():
             order_parts.append(order_delta)
-        elif persist_dir is not None and not cfg.checkpoint_dir:
+        elif cfg.output_dir and not cfg.checkpoint_dir:
             # driver-RAM diet: the order log goes to the run's output
             # lineage instead of accumulating O(corpus) tables on the
             # driver (checkpoint runs write it in write_round) —
             # buffered to ~32k rows per file so a politeness crawl's
-            # ~190 rounds cost ~6 file creates, not 190 (the per-round
-            # write was a measured ~40% of t_order)
+            # ~190 rounds cost ~6 file creates, not 190
             order_buf.append(order_delta)
             order_buf_rows += n_adm
             if order_buf_rows >= 32_768:
-                os.makedirs(persist_dir, exist_ok=True)
+                os.makedirs(cfg.output_dir, exist_ok=True)
                 pq.write_table(
                     pa.concat_tables(order_buf),
-                    os.path.join(persist_dir, f"order-{order_buf_seq:05d}.parquet"),
+                    os.path.join(cfg.output_dir, f"order-{order_buf_seq:05d}.parquet"),
                 )
                 order_buf, order_buf_rows = [], 0
                 order_buf_seq += 1
+        edges_parts.extend(e for _, e, _ in results if e is not None)
 
-        failed = joined.filter((pl.col("status") >= 500) | (pl.col("status") == 408))
         retry_futures = []
-        if failed.height:
+        if bool(retryable.any()):
+            failed = joined.filter(pl.Series(retryable))
             counters["dead_lettered"] += failed.filter(
                 pl.col("retries") + 1 > cfg.max_retries
             ).height
@@ -1579,84 +1330,58 @@ def _run_prepared(engine: CrawlEngine) -> CrawlResult:
             for sid, sub in frontier.route(retry, "host"):
                 retry_futures.append(shards[sid].insert_retries.remote(sub.to_arrow()))
         # T5: feed per-URL outcomes (admitted order) to the hosts'
-        # breaker shards; must settle before the next round's admit.
-        # Fast path: recording an all-success round into an all-CLOSED
-        # breaker is a provable no-op (success only resets counters
-        # that are already zero), so skip the RPC fan-out until the
-        # first failure ever appears — a healthy crawl pays nothing.
-        if cfg.breaker_enabled or cfg.politeness_mode == "adaptive" or wall_clock:
-            breaker_dirty = breaker_dirty or failed.height > 0
-            if breaker_dirty or cfg.politeness_mode == "adaptive" or wall_clock:
-                for sid, sub in frontier.route(joined, "host"):
-                    retry_futures.append(
-                        shards[sid].record_outcomes.remote(
-                            round_no, sub.select(["host", "status", "latency"]).to_arrow()
-                        )
+        # breaker shards.  Recording an all-success round into an
+        # all-CLOSED breaker is a provable no-op (success only resets
+        # counters that are already zero), so the fan-out starts with
+        # the first failure ever seen — a healthy crawl pays nothing.
+        breaker_dirty = breaker_dirty or (cfg.breaker_enabled and bool(retryable.any()))
+        if breaker_dirty or cfg.politeness_mode == "adaptive":
+            for sid, sub in frontier.route(joined, "host"):
+                retry_futures.append(
+                    shards[sid].record_outcomes.remote(
+                        round_no, sub.select(["host", "status", "latency"]).to_arrow()
                     )
-        counters["t_order"] += _time.perf_counter() - _t
+                )
+        lap("t_order")
 
-        if edges_list:
-            edges_parts.extend(edges_list)
-
-        # --- settle: one barrier for everything the next round's admit
-        # depends on — staging acks (candidates buffered in their
-        # shards), confirms (politeness clocks), retries, outcome
-        # records (breaker/limiter).  All were launched earlier and
-        # ran while the driver did its order bookkeeping.
-        _t = _time.perf_counter()
-        ray.get(stage_refs + confirm_futures + retry_futures)
-        if not lazy_flush:
-            # checkpoint mode: eager flush so this round's shard dumps
-            # (write_round below) already contain its discoveries
-            _absorb_discoveries(
-                counters, seen_urls, ray.get([s.flush_candidates.remote() for s in shards])
-            )
-        counters["t_expand"] += _time.perf_counter() - _t
+        # settle: the staged candidates, retries and outcome records
+        # every shard must hold before its finish_round
+        ray.get([r for _, _, refs in results for r in refs] + retry_futures)
+        flush_refs = [s.finish_round.remote(round_no, rejected[i]) for i, s in enumerate(shards)]
         counters["rounds"] += 1
+        lap("t_expand")
 
-        _t = _time.perf_counter()
         if cfg.checkpoint_dir:
-            with_state = counters["rounds"] % max(1, cfg.checkpoint_every) == 0
+            dumps = None
+            if counters["rounds"] % max(1, cfg.checkpoint_every) == 0:
+                # each dump queues behind its shard's finish_round, so
+                # the state holds this round's discoveries; the manifest
+                # counters need them too
+                dumps = [s.dump.remote() for s in shards]
+                _absorb_discoveries(counters, seen_urls, ray.get(flush_refs))
+                flush_refs = []
             # manifest counters are O(1): no URL lists (the seen set is
             # derivable from seeds + edge lineage; shard dumps hold the
             # authoritative hash state)
-            ck_counters = dict(counters)
-            ck_counters["next_seq"] = seq
-            ck_counters["breaker_dirty"] = breaker_dirty
-            ckpt.write_round(round_no, frontier, order_delta, ck_counters, with_state=with_state)
+            ck_counters = dict(counters, next_seq=seq, breaker_dirty=breaker_dirty)
+            ckpt.write_round(round_no, order_delta, ck_counters, dumps)
             pages_paths.extend(
                 sorted(glob.glob(os.path.join(ckpt.round_dir(round_no), "pages", "*.parquet")))
             )
-        counters["t_checkpoint"] += _time.perf_counter() - _t
+            lap("t_checkpoint")
 
-        will_stop = (
-            cfg.max_pages is not None and counters["pages_fetched"] >= cfg.max_pages
-        ) or (cfg.stop_after_round is not None and round_no >= cfg.stop_after_round)
-        if will_stop and lazy_flush:
-            # this round is the run's last: drain its staged candidates
-            # NOW so the final stats row (and the run totals) include
-            # them — the next admit that would have flushed them never
-            # happens
-            _absorb_discoveries(
-                counters, seen_urls, ray.get([s.flush_candidates.remote() for s in shards])
-            )
-        if will_stop:
+        if (cfg.max_pages is not None and counters["pages_fetched"] >= cfg.max_pages) or (
+            cfg.stop_after_round is not None and round_no >= cfg.stop_after_round
+        ):
+            _absorb_discoveries(counters, seen_urls, ray.get(flush_refs))
             if stats_fh is not None:
                 _emit_round_stats(stats_fh, round_no, counters, stats_prev)
-                stats_prev = dict(counters)
+            lap("t_expand")
             break
         pending_stats_round = round_no
         round_no += 1
 
-    # drain candidates staged by the final fetched round (lazy mode
-    # exits before the next admit could flush them in some paths;
-    # eager mode already flushed — this is then a no-op)
-    _absorb_discoveries(
-        counters, seen_urls, ray.get([s.flush_candidates.remote() for s in shards])
-    )
     if stats_fh is not None:
-        if pending_stats_round is not None:
-            _emit_round_stats(stats_fh, pending_stats_round, counters, stats_prev)
         stats_fh.close()
     if cfg.output_dir and not cfg.checkpoint_dir:
         ray.get([f.flush_persist.remote() for f in fetchers])
@@ -1672,8 +1397,6 @@ def _run_prepared(engine: CrawlEngine) -> CrawlResult:
     # to look at when pages/sec drops (round-3 verdict item 1)
     fetch_perf = ray.get([f.perf_stats.remote() for f in fetchers])
     counters["fetch_busy_s"] = round(sum(p["busy_s"] for p in fetch_perf), 3)
-    counters["fetch_fused_s"] = round(sum(p.get("fused_s", 0.0) for p in fetch_perf), 3)
-    counters["fetch_fused_max_s"] = round(max(p.get("fused_s", 0.0) for p in fetch_perf), 3)
     counters["hash_collisions"] = sum(p["collisions"] for p in fetch_perf)
     counters["alerts_fired"] = sum(p.get("alerts_fired", 0) for p in fetch_perf)
     shard_sizes = ray.get([s.sizes.remote() for s in shards])

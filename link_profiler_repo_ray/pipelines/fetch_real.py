@@ -19,11 +19,12 @@ Semantics reproduced:
   retry-demotion + dead-letter path and the T5 circuit breaker treat
   them exactly like server 5xx failures
 
-Everything downstream of the transport — byte-identical text
-extraction, quality/SEO scoring, Parquet persistence by the actor,
-actor→actor candidate staging — is the SAME ``_parse_and_emit``
-pipeline the corpus-replay actor uses (pipelines/crawl.py), so the
-two modes are interchangeable under ``CrawlConfig.fetch_mode``.
+Everything around the transport — the round's row selection
+(``fetch_wave``), byte-identical text extraction, quality/SEO
+scoring, Parquet persistence by the actor, actor→actor candidate
+staging — is the SAME code the corpus-replay actor runs
+(pipelines/crawl.py), so the two modes are interchangeable under
+``CrawlConfig.fetch_mode``.
 """
 
 from __future__ import annotations
@@ -192,7 +193,6 @@ class RealFetchActor:
         persist_dir: str | None = None,
         shard_tag: str = "0",
         collect_edges: bool = True,
-        buffered: bool = False,
     ):
         import time as _time
 
@@ -222,10 +222,16 @@ class RealFetchActor:
             shard_tag,
             collect_edges,
             self.frontier_shards,
-            persister=self.persister if buffered else None,
+            self.persister,
             latencies=lats,
             ai_stage=self.ai_stage,
             alert_stage=self.alert_stage,
         )
         self.busy_s += _time.perf_counter() - _t0
         return out
+
+    def fetch_wave(self, *args):
+        """This actor's share of a round (see ``crawl._fetch_wave``)."""
+        from .crawl import _fetch_wave
+
+        return _fetch_wave(self, *args)

@@ -15,10 +15,11 @@ shard can independently and deterministically perform, for its hosts:
   coordination),
 - logical-clock Crawl-delay bookkeeping.
 
-The driver only concatenates the shards' admitted sets (already
-host-capped), applies the global (priority, depth, host, url) sort +
-max_pages truncation, and routes fetch results back — O(admitted) per
-round instead of O(frontier).  At 10^10 URLs the shard count scales
+The fetch actors and the driver only concatenate the shards' admitted
+sets (already host-capped) and apply the global (priority, depth, host,
+url) sort + max_pages cut; the driver routes fetch results and
+budget-rejected rows back — O(admitted) per round instead of
+O(frontier).  At 10^10 URLs the shard count scales
 the frontier horizontally; shard state (polars frontier + uint64 seen
 set + clock dict) serializes to the checkpoint.
 """
@@ -216,6 +217,10 @@ class FrontierShard:
         robots_ttl_rounds: int = 10_000,
         wall_clock: bool = False,
     ):
+        # a worker's first Arrow table argument makes Ray import its
+        # tensor-extension types (~0.8 s); take that in engine prep,
+        # not in the crawl's first seed insert
+        ray.get(ray.put(pa.table({"warm": [0]})))
         self.shard_id = shard_id
         # wall-clock politeness (real-fetch mode): Crawl-delay N means N
         # SECONDS between same-host fetches (web_crawler.py:68-98,
@@ -267,7 +272,7 @@ class FrontierShard:
             self.limiter = AdaptiveRateLimiter()
         else:
             self.limiter = None
-        self._pending: pl.DataFrame | None = None  # admitted, awaiting confirm
+        self._pending: pl.DataFrame | None = None  # admitted, awaiting finish_round
         self._staged: list[pa.Table] = []  # candidate tables pushed by fetch actors
         # in-actor seconds per admit segment (A8 fleet-stats shape; the
         # admit wave is the crawl's per-round serial floor, so knowing
@@ -292,7 +297,7 @@ class FrontierShard:
         at all times, so admission — the crawl's per-round serial floor
         — never sorts: eligibility filtering and per-host capping are
         order-preserving scans.  The O(F log F) work happens HERE, at
-        insertion, which the fused driver loop overlaps with its own
+        insertion, which the driver loop overlaps with its own
         submission bookkeeping (and which amortizes per discovered row
         instead of recurring every round over the whole frontier — at
         10^10-URL shards a per-round full sort was the scale defect).
@@ -334,24 +339,23 @@ class FrontierShard:
 
         Fetch actors push their per-batch (target_url, host, depth)
         candidates here directly (actor→actor) — the driver never
-        touches expansion data.  The buffered tables are merged either
-        by an explicit ``flush_candidates`` (checkpointed runs: the
-        shard dump must already contain the round's discoveries) or
-        lazily by the NEXT round's ``admit(flush=True)`` — both flush
-        ALL of a round's candidates in one batch before any of them can
-        be admitted, which keeps the min-depth merge deterministic
-        (exactly as the oracle does).  The driver guarantees the
-        happens-before: it waits on the staging ObjectRefs returned by
-        the fetch actors before sending the next admit/flush RPC.
+        touches expansion data.  The round's ``finish_round`` merges
+        ALL of its candidates in one batch before any of them can be
+        admitted, which keeps the min-depth merge deterministic
+        (exactly as the oracle does), and before the round's checkpoint
+        ``dump``, so the dump holds the round's discoveries.  The
+        driver guarantees the happens-before: it waits on the staging
+        ObjectRefs returned by the fetch actors before sending
+        ``finish_round``.
 
         Staged tables are opportunistically PRE-REDUCED here (distinct
-        target_url, min depth) while the round's other fetch chunks are
-        still executing — this actor is otherwise idle during the fetch
-        wave, and the admit-time flush (which gates the NEXT round's
-        fetch start in the fused loop) then touches an already-small
-        table.  Safe because min-depth is associative/commutative and
-        host is a pure function of target_url, so incremental reduction
-        commutes with the batch reduction the flush performs.
+        target_url, min depth) while the round's other fetch batches
+        are still executing — this actor is otherwise idle during the
+        fetch wave, and the merge (which the NEXT round's admit queues
+        behind) then touches an already-small table.  Safe because
+        min-depth is associative/commutative and host is a pure function
+        of target_url, so incremental reduction commutes with the batch
+        reduction the merge performs.
         """
         self._staged.append(table)
         if len(self._staged) >= 4:
@@ -362,13 +366,6 @@ class FrontierShard:
                 .agg(pl.col("host").first(), pl.col("depth").min())
             )
             self._staged = [red.to_arrow().cast(merged.schema)]
-
-    def flush_candidates(self) -> tuple[int, int, list[str]]:
-        staged = self._staged
-        self._staged = []
-        if not staged:
-            return 0, 0, []
-        return self.insert_candidates(pa.concat_tables(staged))
 
     def insert_candidates(self, table: pa.Table) -> tuple[int, int, list[str]]:
         """Discovered (target_url, host, depth) for this shard's hosts.
@@ -413,45 +410,28 @@ class FrontierShard:
 
     # --- admission -------------------------------------------------------
 
-    def admit(
-        self, round_no: int, flush: bool = False
-    ) -> tuple[pa.Table, int, int, float, int, int, list[str]]:
+    @ray.method(num_returns=2)
+    def admit(self, round_no: int) -> tuple[pa.Table, tuple[int, int, float]]:
         """Per-host-capped admission for this round.
 
-        Returns (admitted_with_allowed_col, frontier_size,
-        next_eligible_round, wait_s, n_new, n_dup, newly_seen).
-        ``wait_s`` is only nonzero in wall-clock mode: the seconds
-        until this shard's earliest host becomes Crawl-delay-eligible
-        (the driver sleeps the minimum across shards when a round
-        admits nothing).  Robots is evaluated here (parallel across
-        shards) but only ANNOTATED — denial must still consume a global
-        max_pages budget slot (§3.1 discipline), so the driver
-        truncates before dropping denied rows.  Clock marks happen at
-        ``confirm``.
-
-        ``flush=True`` merges the previous round's staged candidates
-        first (one RPC instead of a separate flush wave — the per-round
-        barrier count bounds a politeness-bound crawl's throughput);
-        the (n_new, n_dup, newly_seen) trailer reports that merge.
+        Returns the admitted table as its OWN return value, so the
+        driver hands that ObjectRef straight to the fetch actors, and
+        (frontier_size, next_eligible_round, wait_s).  ``wait_s`` is
+        only nonzero in wall-clock mode: the seconds until this shard's
+        earliest host becomes Crawl-delay-eligible (the driver sleeps
+        the minimum across shards when a round admits nothing).
+        Robots is evaluated here (parallel across shards) but only
+        ANNOTATED — denial must still consume a global max_pages budget
+        slot (§3.1 discipline), so the cut comes before the robots
+        filter.  Clock marks and budget rejections happen at
+        ``finish_round``.
         """
-        n_new = n_dup = 0
-        newly: list[str] = []
-        _t0 = time.perf_counter()
-        if flush:
-            n_new, n_dup, newly = self.flush_candidates()
         _t1 = time.perf_counter()
-        self.perf["t_flush"] += _t1 - _t0
         f = self.frontier
         if f.height == 0:
-            return (
-                _empty_frontier_df().with_columns(pl.lit(True).alias("allowed")).to_arrow(),
-                0,
-                round_no + 1,
-                0.0,
-                n_new,
-                n_dup,
-                newly,
-            )
+            empty = _empty_frontier_df().with_columns(pl.lit(True).alias("allowed"))
+            self._pending = empty
+            return empty.to_arrow(), (0, round_no + 1, 0.0)
         hosts = f.get_column("host").unique().to_list()
         # T5 gate: hosts with an OPEN breaker are withheld entirely
         # (their rows stay in the frontier) until the recovery window
@@ -585,39 +565,18 @@ class FrontierShard:
         admitted = admitted.with_columns(pl.Series("allowed", np.asarray(mask, dtype=bool)))
         self._pending = admitted
         self.perf["t_robots"] += time.perf_counter() - _t3
-        return (
-            admitted.to_arrow(),
-            self.frontier.height,
-            max(next_round, round_no + 1),
-            wait_s,
-            n_new,
-            n_dup,
-            newly,
-        )
+        return admitted.to_arrow(), (self.frontier.height, max(next_round, round_no + 1), wait_s)
 
-    def admit_fused(self, round_no: int, flush: bool = False):
-        """Admission for the driver's fused-wave loop (num_returns=2).
+    def finish_round(
+        self, round_no: int, rejected: pa.Table | None = None
+    ) -> tuple[int, int, list[str]]:
+        """Close this shard's round after the fetch wave has settled.
 
-        Returns the admitted table as its OWN return value so the
-        driver can hand the ObjectRef straight to the fetch actors —
-        the round's admit→fetch dependency resolves in the Ray
-        scheduler, never round-tripping through the driver.  Because
-        the fused loop runs only when there is no global ``max_pages``
-        budget (no driver-side truncation can reject rows after the
-        fact), the politeness clock is confirmed HERE, atomically with
-        admission — the separate ``confirm`` RPC disappears from the
-        round's critical path.
-        """
-        out = self.admit(round_no, flush)
-        self.confirm(round_no, None)
-        return out[0], out[1:]
-
-    def confirm(self, round_no: int, rejected: pa.Table | None = None) -> None:
-        """Finalize the round: reinsert budget-rejected rows, mark the
-
-        politeness clock for hosts that actually fetched (admitted,
-        not budget-rejected, robots-allowed)."""
-        pending = self._pending if self._pending is not None else _empty_frontier_df().with_columns(pl.lit(True).alias("allowed"))
+        Reinserts the rows the ``max_pages`` cut rejected, marks the
+        politeness clock for hosts that actually fetched (admitted, not
+        budget-rejected, robots-allowed) and merges the round's staged
+        candidates.  Returns the merge's (n_new, n_dup, newly_seen)."""
+        pending = self._pending
         self._pending = None
         rejected_urls: set[str] = set()
         if rejected is not None and rejected.num_rows:
@@ -634,9 +593,16 @@ class FrontierShard:
             for h in fetched.get_column("host").unique().to_list():
                 self.last_crawl_round[h] = round_no
                 if self.wall_clock:
-                    # spacing is measured between same-host request
-                    # starts (DomainBucket.record_request semantics)
+                    # marked after the wave settled, so the Crawl-delay
+                    # spacing counts from fetch completion — at least
+                    # the spacing between same-host request starts
+                    # (DomainBucket.record_request semantics)
                     self.last_fetch_wall[h] = now
+        _t0 = time.perf_counter()
+        staged, self._staged = self._staged, []
+        out = self.insert_candidates(pa.concat_tables(staged)) if staged else (0, 0, [])
+        self.perf["t_flush"] += time.perf_counter() - _t0
+        return out
 
     def record_outcomes(self, round_no: int, table: pa.Table) -> None:
         """Feed per-URL fetch outcomes (host, status, latency) — in
@@ -644,17 +610,7 @@ class FrontierShard:
         success = any served response below 500 except 408 (a 404 is a
         served response; 408/5xx/timeouts trip the breaker,
         web_crawler.py:262-328 retry statuses)."""
-        if table.num_rows == 0:
-            return
-        if self.wall_clock:
-            # re-mark the politeness floor at fetch COMPLETION (the
-            # confirm-time mark precedes the actual request by the
-            # dispatch latency; Crawl-delay must hold between real
-            # request times, so the later timestamp wins)
-            now = time.monotonic()
-            for h in set(table.column("host").to_pylist()):
-                self.last_fetch_wall[h] = now
-        if self.breaker is None and self.limiter is None:
+        if table.num_rows == 0 or (self.breaker is None and self.limiter is None):
             return
         lats = (
             table.column("latency").to_pylist()
@@ -756,7 +712,8 @@ class FrontierShard:
 
 
 class DistributedFrontier:
-    """Driver-side facade over the shard pool."""
+    """Driver-side facade over the shard pool (call each shard's
+    ``ready`` before using it)."""
 
     def __init__(
         self,
@@ -801,7 +758,8 @@ class DistributedFrontier:
             )
             for s in range(num_shards)
         ]
-        ray.get([s.ready.remote() for s in self.shards])
+        # not awaited here: the engine waits on ``ready`` once the fetch
+        # pool is up, so the shards start (and warm) alongside it
 
     def shard_of(self, hosts) -> np.ndarray:
         return (can.url_hash64(hosts) % np.uint64(self.num_shards)).astype(np.int64)

@@ -18,17 +18,17 @@ Wall-clock gating is not reproducible, so the rebuild defines the
 This makes crawl ordering a pure function of (seed list, corpus,
 robots, budget) — the determinism contract BASELINE.json requires.
 
-Host state is a tiny table (O(#hosts), ≪ frontier) kept by the driver
-and broadcast into admission tasks; at 10^10-URL scale (#hosts ~10^7)
-it still fits in one object-store blob, and the same class can run
-inside host-bucket actors unchanged.
+The per-host round clock lives in each host's owning
+``state.frontier.FrontierShard``, next to its frontier rows; this
+module holds the robots rules that the shards and the sequential
+oracle both read.
 """
 
 from __future__ import annotations
 
 from urllib.robotparser import RobotFileParser
 
-__all__ = ["RobotsIndex", "HostClock", "DEFAULT_MAX_PER_HOST_PER_ROUND"]
+__all__ = ["RobotsIndex", "DEFAULT_MAX_PER_HOST_PER_ROUND"]
 
 DEFAULT_MAX_PER_HOST_PER_ROUND = 2  # smart_crawler_queue.py:122 domain_max_concurrent
 USER_AGENT = "LinkProfilerRay/1.0"
@@ -103,26 +103,3 @@ class RobotsIndex:
     def crawl_delay_rounds(self, host: str) -> int:
         return self._delays.get(host, 1)
 
-
-class HostClock:
-    """Logical-clock eligibility per host (DomainBucket.can_crawl_now analogue)."""
-
-    def __init__(self, robots: RobotsIndex, max_per_round: int = DEFAULT_MAX_PER_HOST_PER_ROUND):
-        self.robots = robots
-        self.max_per_round = max_per_round
-        self.last_crawl_round: dict[str, int] = {}
-
-    def eligible(self, host: str, round_no: int) -> bool:
-        last = self.last_crawl_round.get(host)
-        if last is None:
-            return True
-        return round_no >= last + self.robots.crawl_delay_rounds(host)
-
-    def mark_crawled(self, host: str, round_no: int) -> None:
-        self.last_crawl_round[host] = round_no
-
-    def state_rows(self) -> list[dict]:
-        return [{"host": h, "last_crawl_round": r} for h, r in sorted(self.last_crawl_round.items())]
-
-    def load_state(self, rows) -> None:
-        self.last_crawl_round = {r["host"]: int(r["last_crawl_round"]) for r in rows}

@@ -33,12 +33,46 @@ class TestCrawl:
         assert _order_pairs(res) == ora["order"]
         assert set(res.counters["seen_urls"]) == ora["seen"]
 
-    def test_max_pages_budget(self):
-        cfg = CrawlConfig(max_pages=30, num_seen_shards=2, num_fetchers=2)
+    @pytest.mark.parametrize("checkpoint", [False, True], ids=["nockpt", "ckpt"])
+    @pytest.mark.parametrize("politeness", [True, False], ids=["polite", "bfs"])
+    def test_max_pages_budget(self, tmp_path, politeness, checkpoint):
+        """At 30 pages the cut round keeps robots-denied rows inside the
+        budget (round 1 with politeness, round 0 without), so the crawl
+        fetches fewer than 30 there and must go on past the cut with
+        the rejected rows back in the frontier."""
+        cfg = CrawlConfig(
+            max_pages=30,
+            politeness=politeness,
+            num_seen_shards=2,
+            num_fetchers=2,
+            checkpoint_dir=str(tmp_path / "ck") if checkpoint else None,
+        )
         res = run_crawl(SF, cfg)
         ora = oracle_crawl(SF, cfg)
         assert res.counters["pages_fetched"] == 30
         assert _order_pairs(res) == ora["order"]
+        assert set(res.counters["seen_urls"]) == ora["seen"]
+        # the cut round fetched fewer than its budget share
+        assert res.order.column("round").to_pylist()[-1] > (1 if politeness else 0)
+
+    def test_budgeted_resume_equals_uninterrupted(self, tmp_path):
+        """Stop a budgeted, checkpointed crawl at its cut round (round 2
+        at 45 pages: two of its 12 in-budget rows are robots-denied, so
+        the crawl continues) and resume: the shard dumps must hold the
+        rejected rows, and the result must equal the uninterrupted run."""
+        base = dict(max_pages=45, num_seen_shards=2, num_fetchers=2)
+        full = run_crawl(SF, CrawlConfig(**base))
+        ck = str(tmp_path / "ck")
+        run_crawl(SF, CrawlConfig(**base, checkpoint_dir=ck, stop_after_round=2))
+        resumed = run_crawl(SF, CrawlConfig(**base, checkpoint_dir=ck, resume=True))
+        assert _order_pairs(resumed) == _order_pairs(full)
+        assert resumed.counters["seen_urls"] == full.counters["seen_urls"]
+        assert resumed.counters["pages_fetched"] == full.counters["pages_fetched"] == 45
+        assert resumed.order.column("round").to_pylist()[-1] == 3
+        # the shard state itself: the rejected rows and the cut round's
+        # discoveries must have reached the dump
+        for key in ("seen_total", "frontier_remaining", "discovered"):
+            assert resumed.counters[key] == full.counters[key], key
 
     def test_robots_denied_counted(self):
         cfg = CrawlConfig(num_seen_shards=2, num_fetchers=2)
@@ -285,31 +319,18 @@ def test_cuckoo_seen_overflow_spills_exactly():
     assert not fresh.contains_and_insert(keys[:500]).any()
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_seen_shards_batch_semantics():
-    from link_profiler_repo_ray.state.seen import SeenSet
+@pytest.mark.parametrize("backend", ["exact", "cuckoo"])
+def test_seen_batch_semantics(backend):
+    """First sighting within a batch wins; later batches see earlier ones."""
+    from link_profiler_repo_ray.state.frontier import _CuckooSeen, _ExactSeen
 
-    s = SeenSet(2)
-    h = np.array([1, 2, 3, 2, 1], dtype=np.uint64)
-    mask = s.filter_new(h)
+    seen = _ExactSeen() if backend == "exact" else _CuckooSeen(capacity=1 << 10)
+    key = np.uint64(0x9E3779B97F4A7C15)
+    mask = seen.contains_and_insert(np.array([1, 2, 3, 2, 1], dtype=np.uint64) * key)
     assert mask.tolist() == [True, True, True, False, False]
-    mask2 = s.filter_new(np.array([3, 4], dtype=np.uint64))
+    mask2 = seen.contains_and_insert(np.array([3, 4], dtype=np.uint64) * key)
     assert mask2.tolist() == [False, True]
-    assert s.size() == 4
-    s.shutdown()
-
-
-def test_politeness_logical_clock():
-    from link_profiler_repo_ray.state.politeness import HostClock, RobotsIndex
-
-    robots = RobotsIndex({"a.com": "User-agent: *\nCrawl-delay: 2\n", "b.com": ""})
-    clock = HostClock(robots)
-    assert clock.eligible("a.com", 0)
-    clock.mark_crawled("a.com", 0)
-    assert not clock.eligible("a.com", 1)
-    assert clock.eligible("a.com", 2)
-    clock.mark_crawled("b.com", 0)
-    assert clock.eligible("b.com", 1)  # default delay 1 round
+    assert len(seen) == 4
 
 
 def test_robots_rules():
@@ -404,23 +425,34 @@ def test_buffered_output_keeps_full_order_log(tmp_path):
     assert got == ora["order"]
 
 
+@pytest.mark.usefixtures("ray_session")
 def test_record_outcomes_408_trips_breaker():
     """Review regression: 408 is a RETRYABLE status (web_crawler.py
-    retry set) and must count as a breaker failure, matching the
-    driver's retry/dead-letter classification."""
+    retry set) and must count as a breaker failure in the shard,
+    matching the driver's retry/dead-letter classification."""
     import pyarrow as pa
+    import ray
 
-    from link_profiler_repo_ray.state.breaker import CircuitBreaker, OPEN
+    from link_profiler_repo_ray.state.breaker import CLOSED, OPEN
+    from link_profiler_repo_ray.state.frontier import FrontierShard
 
-    b = CircuitBreaker(failure_threshold=3)
-    for _ in range(3):
-        b.record("t.com", False, 0)  # sanity: plain failures trip
-    assert b.state_of("t.com") == OPEN
+    shard = FrontierShard.remote(
+        0, {}, 2, True, 3, False, breaker_cfg={"failure_threshold": 3}
+    )
 
-    # through the shard path: simulate via the same ok-predicate
-    ok = lambda st: st is not None and 0 <= st < 500 and st != 408
-    assert not ok(408) and not ok(503) and not ok(599)
-    assert ok(200) and ok(404)
+    def feed(round_no, statuses):
+        rows = pa.table(
+            {"host": ["t.com"] * len(statuses), "status": pa.array(statuses, pa.int16())}
+        )
+        ray.get(shard.record_outcomes.remote(round_no, rows))
+        return ray.get(shard.breaker_state_of.remote("t.com"))
+
+    try:
+        assert feed(0, [200, 404]) == CLOSED  # served responses are successes
+        assert feed(1, [408, 408]) == CLOSED  # below the threshold
+        assert feed(2, [408]) == OPEN
+    finally:
+        ray.kill(shard)
 
 
 def test_output_dir_is_a_perf_knob():

@@ -323,7 +323,7 @@ def test_real_mode_crawl_delay_is_wall_clock_seconds():
         assert len(page_times) == 5
         gaps = [b - a for a, b in zip(page_times, page_times[1:])]
         # every same-host gap honors the 1 s Crawl-delay (scheduling
-        # jitter tolerance: the clock marks at admission confirm)
+        # jitter tolerance: the clock marks when the round finishes)
         assert all(g >= 0.85 for g in gaps), gaps
     finally:
         srv.shutdown()
@@ -474,7 +474,7 @@ def test_real_fetch_proxy_rotation_and_demotion(site):
         )
         urls = [base + "/", base + "/a.html", base + "/b.html"] * 4
         batch = pa.table({"url": pa.array(urls), "depth": pa.array([0] * len(urls), pa.int16())})
-        meta, _, _, _ = ray.get(actor.fetch_parse.remote(batch, None, "0", False, False))
+        meta, _, _, _ = ray.get(actor.fetch_parse.remote(batch, None, "0", False))
         stats = ray.get(actor.proxy_stats.remote())
         status = meta.column("status").to_pylist()
         assert status.count(200) >= 5  # good-proxy fetches succeeded

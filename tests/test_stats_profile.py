@@ -69,12 +69,14 @@ def test_stats_off_by_default_without_lineage_dir():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_scale_profile_identical_analytics(tmp_path):
+@pytest.mark.parametrize("target", ["output_dir", "checkpoint_dir"])
+def test_scale_profile_identical_analytics(tmp_path, target):
     """CrawlConfig.scale() must change WHERE output lands, never WHAT
     the crawl computes: order lineage read back from parquet equals the
-    sequential oracle, and the driver holds nothing."""
+    sequential oracle, and the driver holds nothing.  The checkpoint
+    case is the benchmark's shape (a checkpoint every round)."""
     out = str(tmp_path / "scale_out")
-    cfg = CrawlConfig.scale(num_seen_shards=2, num_fetchers=2, output_dir=out)
+    cfg = CrawlConfig.scale(num_seen_shards=2, num_fetchers=2, **{target: out})
     assert cfg.seen_backend == "cuckoo"
     assert not cfg.collect_edges and not cfg.resolved_collect_order()
     res = run_crawl(SF, cfg)
@@ -83,14 +85,16 @@ def test_scale_profile_identical_analytics(tmp_path):
     assert res.edges.num_rows == 0
     assert "seen_urls" not in res.counters or res.counters["seen_urls"] == []
     # analytics from the persisted lineage match the oracle exactly
-    files = sorted(glob.glob(os.path.join(out, "order-*.parquet")))
+    lineage = out if target == "output_dir" else os.path.join(out, "round=*")
+    order_glob = "order-*.parquet" if target == "output_dir" else "order.parquet"
+    files = sorted(glob.glob(os.path.join(lineage, order_glob)))
     order = pa.concat_tables(pq.read_table(f) for f in files).sort_by("seq")
     ora = oracle_crawl(SF, cfg)
     got = list(zip(order.column("url").to_pylist(), order.column("depth").to_pylist()))
     assert got == ora["order"]
     assert res.counters["seen_total"] == len(ora["seen"])
     # pages persisted by the fetch actors, not returned
-    assert glob.glob(os.path.join(out, "pages", "part-*.parquet"))
+    assert glob.glob(os.path.join(lineage, "pages", "part-*.parquet"))
 
 
 def test_scale_profile_override_wins():
