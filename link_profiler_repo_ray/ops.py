@@ -25,22 +25,39 @@ in this engine therefore goes through these primitives:
 Both preserve Ray Data streaming/backpressure semantics end to end:
 they are compositions of ``map_batches`` + ``groupby().map_groups``
 only, no driver materialization.
+
+``dense_graph`` / ``superstep``
+    Iterative graph algorithms (BSP vertex programs).  ``dense_graph``
+    numbers the vertices of an edge Dataset once — int64 id = rank in
+    name order, range-partitioned — and keeps one numpy edge layout
+    per partition as an ObjectRef.  ``superstep`` is then two waves of
+    plain Ray tasks (scatter, gather) with no Ray Data execution, so
+    an iteration costs two task round trips instead of several
+    sort-shuffles.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 import polars as pl
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 __all__ = [
     "hash_aggregate",
     "hash_group_apply",
     "tagged_union_join",
+    "DenseGraph",
+    "dense_graph",
+    "reverse_graph",
+    "superstep",
+    "segment_sum",
     "cluster_cpus",
     "auto_concurrency",
     "default_partitions",
@@ -155,11 +172,14 @@ def materialize_cut(ds: rd.Dataset) -> rd.Dataset:
 
     Ray Data (2.49) chains ``DatasetStats.parents`` across
     ``materialize()`` boundaries, and ``to_summary()`` walks that chain
-    recursively — an iterative algorithm (PageRank / HITS / label
-    propagation / k-core) that materializes per iteration accumulates
-    one stats frame per stage per iteration and eventually dies with
-    ``RecursionError`` when the executor summarizes stats (observed:
-    ``host_hits`` at 20 iterations ≈ 6 stages/iter).  Depth grows with
+    recursively — an iterative algorithm that materializes per
+    iteration (the HyperBall sweeps of ``graph.host_harmonic_centrality``
+    and the min-label loop of ``textdata.near_dup_survivors``)
+    accumulates one stats frame per stage per iteration and eventually
+    dies with ``RecursionError`` when the executor summarizes stats
+    (observed: a Dataset-exchange HITS loop at 20 iterations ≈ 6
+    stages/iter).  Loops on :func:`superstep` run no Ray Data stages
+    and need no cut.  Depth grows with
     ITERATION COUNT, not data size, so cutting the parent chain after
     each materialize bounds it regardless of scale.  The mutation is a
     best-effort touch of a pinned-version internal; the recursion-limit
@@ -367,3 +387,228 @@ def tagged_union_join(
         return out.to_arrow()
 
     return lt.union(rt).groupby(_PART_COL).map_groups(join_part, batch_format="pyarrow")
+
+
+# --- superstep: BSP rounds over dense int64 vertex ids ----------------------
+#
+# A partition's layout is a dict: ``names`` (its vertices' names, sorted,
+# as a pyarrow array), ``base`` (the id of its first vertex), ``n``, and
+# its out-edges ``src`` (local index), ``dst`` (global id) and ``w``,
+# sorted by (dst, src).  Algorithms may add per-vertex or per-edge
+# arrays of their own with :meth:`DenseGraph.map`.
+
+# sampled names per build chunk for the range boundaries; the driver
+# holds at most this many names per partition
+_BOUND_SAMPLES = 64
+
+
+@ray.remote
+def _call(fn, *args):
+    return fn(*args)
+
+
+def _wave(fn, arg_lists, num_returns: int = 1) -> list:
+    """One wave of Ray tasks, ``fn(*args)`` per entry of ``arg_lists``;
+    per task one ref, or a list of refs when ``num_returns`` > 1."""
+    return [_call.options(num_returns=num_returns).remote(fn, *args) for args in arg_lists]
+
+
+@dataclass(frozen=True)
+class DenseGraph:
+    """Driver handle of a :func:`dense_graph`: P + 1 id offsets (partition
+    q owns ids ``[offsets[q], offsets[q + 1])``) and one layout ObjectRef
+    per partition.  Nothing O(vertices) lives on the driver."""
+
+    offsets: np.ndarray
+    parts: list
+
+    @property
+    def num_vertices(self) -> int:
+        return int(self.offsets[-1])
+
+    def map(self, fn, *args, per_part: tuple = (), num_returns: int = 1) -> list:
+        """One wave of P tasks, ``fn(part, *per-partition items, *args)``;
+        ``per_part`` holds lists of per-partition refs (states)."""
+        return _wave(
+            fn,
+            [(part, *(pp[q] for pp in per_part), *args) for q, part in enumerate(self.parts)],
+            num_returns,
+        )
+
+
+def _split_sorted(df: pl.DataFrame, keys: np.ndarray, bounds: np.ndarray) -> list[pl.DataFrame]:
+    """Slices of ``df`` (sorted by ``keys``) between consecutive ``bounds``."""
+    cuts = np.searchsorted(keys, bounds)
+    return [df.slice(int(a), int(b - a)) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _route(df: pl.DataFrame, part: np.ndarray, num_partitions: int) -> list[pl.DataFrame]:
+    """Cut ``df`` into ``num_partitions`` pieces by the int column ``part``."""
+    order = np.argsort(part, kind="stable")
+    return _split_sorted(df[order], part[order], np.arange(num_partitions + 1))
+
+
+def _build_edges(src, dst, weight, undirected, *tables):
+    """Build wave 1: one chunk of input blocks → (s, d, w) edge frame,
+    its sorted distinct vertex names and an even sample of them."""
+    cols = [src, dst] + ([weight] if weight else [])
+    frames = [pl.from_arrow(t.select(cols)) for t in tables if t.num_rows]
+    if frames:
+        df = pl.concat(frames).select(
+            pl.col(src).alias("s"),
+            pl.col(dst).alias("d"),
+            (pl.col(weight) if weight else pl.lit(1, pl.Int64)).alias("w"),
+        )
+    else:
+        df = pl.DataFrame(schema={"s": pl.Utf8, "d": pl.Utf8, "w": pl.Int64})
+    if undirected:
+        df = pl.concat([df, df.select(pl.col("d").alias("s"), pl.col("s").alias("d"), "w")])
+    names = pl.concat([df["s"], df["d"]]).unique().sort()
+    pick = np.unique(np.linspace(0, len(names) - 1, min(len(names), _BOUND_SAMPLES)).astype(np.int64))
+    return df, names, names.gather(pick)
+
+
+def _build_route_dst(bounds, num_partitions, df, names):
+    """Build wave 2: names and edges (by dst name) to their range owner."""
+    cuts = np.concatenate([[0], names.search_sorted(bounds, "left").to_numpy(), [len(names)]])
+    name_parts = [names.slice(int(a), int(b - a)) for a, b in zip(cuts[:-1], cuts[1:])]
+    owner = bounds.search_sorted(df["d"], "right").to_numpy().astype(np.int64)
+    return (*name_parts, *_route(df, owner, num_partitions))
+
+
+def _build_own(bounds, q, n_chunks, *pieces):
+    """Build wave 3 (partition q): its sorted names; dst names → local
+    index; edges re-routed by src name."""
+    names = pl.concat(pieces[:n_chunks]).unique().sort()
+    df = pl.concat(pieces[n_chunks:])
+    df = df.select(
+        "s",
+        pl.lit(q, pl.Int64).alias("dq"),
+        names.search_sorted(df["d"], "left").cast(pl.Int64).alias("dl"),
+        "w",
+    )
+    owner = bounds.search_sorted(df["s"], "right").to_numpy().astype(np.int64)
+    return (names, len(names), *_route(df, owner, len(bounds) + 1))
+
+
+def _layout(names: pa.Array, base: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> dict:
+    order = np.lexsort((src, dst))
+    return {"names": names, "base": base, "n": len(names),
+            "src": src[order], "dst": dst[order], "w": w[order]}
+
+
+def _build_layout(offsets, p, names, *pieces):
+    """Build wave 4 (partition p): src names → local index; the push layout."""
+    df = pl.concat(pieces)
+    src = names.search_sorted(df["s"], "left").to_numpy().astype(np.int64)
+    dst = offsets[df["dq"].to_numpy()] + df["dl"].to_numpy()
+    return _layout(names.to_arrow(), int(offsets[p]), src, dst, df["w"].to_numpy())
+
+
+def dense_graph(
+    ds: rd.Dataset,
+    src: str,
+    dst: str,
+    weight: str | None = None,
+    undirected: bool = False,
+    num_partitions: int | None = None,
+) -> DenseGraph:
+    """Number the vertices of an edge Dataset and lay its edges out for
+    :func:`superstep`.
+
+    The vertex set is every ``src``/``dst`` name.  Names are sorted and
+    cut into ``num_partitions`` (default: cluster CPUs) ranges at
+    boundaries sampled from the data; a vertex's id is its rank in name
+    order, so "smallest id" is "smallest name".  Two routed exchanges of
+    plain Ray tasks attach the dst id and then the src id, leaving each
+    edge at its source's partition.  Parallel edges stay separate (a
+    combine sums them); ``undirected`` adds every edge reversed, a
+    self-loop included.  The driver holds only the P − 1 boundary names
+    and the P + 1 offsets.
+    """
+    P = num_partitions or cluster_cpus()
+    # materialize first: on a lazy Dataset ``to_arrow_refs`` runs the
+    # pipeline twice (once for the blocks, once more for the schema)
+    blocks = ds.materialize().to_arrow_refs()
+    chunks = [blocks[i::P] for i in range(max(1, min(P, len(blocks))))]
+    built = _wave(_build_edges, [(src, dst, weight, undirected, *c) for c in chunks], 3)
+    sample = pl.concat(ray.get([b[2] for b in built])).unique().sort()
+    if len(sample) == 0:
+        sample = pl.Series("s", [""], pl.Utf8)
+    bounds = sample.gather([i * len(sample) // P for i in range(1, P)])
+    routed = _wave(_build_route_dst, [(bounds, P, b[0], b[1]) for b in built], 2 * P)
+    C = len(chunks)
+    owned = _wave(
+        _build_own,
+        [(bounds, q, C, *(r[q] for r in routed), *(r[P + q] for r in routed)) for q in range(P)],
+        P + 2,
+    )
+    offsets = np.concatenate([[0], np.cumsum(ray.get([o[1] for o in owned]))]).astype(np.int64)
+    parts = _wave(_build_layout, [(offsets, p, owned[p][0], *(o[2 + p] for o in owned)) for p in range(P)])
+    return DenseGraph(offsets, parts)
+
+
+def segment_sum(dst: np.ndarray, vals: np.ndarray) -> pl.DataFrame:
+    """Sender-side combine of per-edge values sorted by ``dst``: one
+    ``(dst, v)`` message per distinct destination."""
+    if len(dst) == 0:
+        return pl.DataFrame({"dst": dst, "v": vals.astype(np.float64)})
+    starts = np.flatnonzero(np.diff(dst, prepend=dst[0] - 1))
+    return pl.DataFrame({"dst": dst[starts], "v": np.add.reduceat(vals, starts)})
+
+
+def _scatter(fn, offsets, part, state, *scalars):
+    msgs = fn(part, state, scalars)
+    pieces = _split_sorted(msgs, msgs["dst"].to_numpy(), offsets)
+    pieces = [m.with_columns(pl.col("dst") - int(offsets[q])) for q, m in enumerate(pieces)]
+    return pieces if len(pieces) > 1 else pieces[0]
+
+
+def _gather(fn, n_scalars, part, state, *rest):
+    return fn(part, state, pl.concat(rest[n_scalars:]), rest[:n_scalars])
+
+
+def superstep(g: DenseGraph, state: list, scatter, gather, *scalars) -> tuple[list, list]:
+    """One BSP superstep: two waves of P Ray tasks, no Ray Data execution.
+
+    - scatter, per partition p: ``scatter(part, state_p, scalars)``
+      returns a polars frame of messages whose ``dst`` column holds
+      global ids in ascending order (combined by the sender, e.g. with
+      :func:`segment_sum` or a group-by); it is cut into one piece per
+      destination partition with ``dst`` made partition-local.
+    - gather, per partition q: ``gather(part, state_q, msgs, scalars)``
+      gets every piece for q concatenated and returns ``(new_state_q,
+      scalar_q)``.
+
+    ``scalars`` (refs of the previous step's per-partition scalars, e.g.
+    dangling mass or a squared norm) go to both waves without the
+    driver waiting on them.  Returns the new state refs and the scalar
+    refs; only a convergence test needs ``ray.get`` on the P scalars.
+    """
+    P = len(g.parts)
+    msgs = _wave(_scatter, [(scatter, g.offsets, g.parts[p], state[p], *scalars) for p in range(P)], P)
+    if P == 1:
+        msgs = [[m] for m in msgs]
+    out = _wave(
+        _gather,
+        [(gather, len(scalars), g.parts[q], state[q], *scalars, *(m[q] for m in msgs))
+         for q in range(P)],
+        2,
+    )
+    return [o[0] for o in out], [o[1] for o in out]
+
+
+def _reverse_scatter(part, _state, _scalars):
+    return pl.DataFrame({"dst": part["dst"], "src": part["src"] + part["base"], "w": part["w"]})
+
+
+def _reverse_gather(part, _state, msgs, _scalars):
+    return _layout(part["names"], part["base"], msgs["dst"].to_numpy(),
+                   msgs["src"].to_numpy(), msgs["w"].to_numpy()), None
+
+
+def reverse_graph(g: DenseGraph) -> DenseGraph:
+    """The transposed graph (every edge reversed) as one superstep that
+    moves each edge to its target's partition."""
+    layouts, _ = superstep(g, [None] * len(g.parts), _reverse_scatter, _reverse_gather)
+    return DenseGraph(g.offsets, layouts)

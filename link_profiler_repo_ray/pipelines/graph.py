@@ -1,24 +1,41 @@
 """Backlink-graph analytics: pure ``ray.data`` Dataset pipelines.
 
-Operators covered (SURVEY.md §2): A1 link profiles, A4 referring-domain
-cardinality (exact + HyperLogLog), A6 link velocity, D1 edge dedup,
-J2 link intersect, plus the salted (source_host, target_host) edge
-rollup the BASELINE north-star names explicitly.
+Operators covered (SURVEY.md §2): A1 link profiles, A3 intrinsic
+authority (host PageRank / personalized PageRank / HITS), A4
+referring-domain cardinality (exact + HyperLogLog), A6 link velocity,
+D1 edge dedup, J2 link intersect, host communities, components,
+k-core, triangles and centralities, plus the salted (source_host,
+target_host) edge rollup the BASELINE north-star names explicitly.
 
 Shuffle discipline (SURVEY.md §7.4): every aggregation goes through
 ``ops.hash_aggregate`` — a per-block vectorized combiner (which bounds
 hub-key skew: a hot host contributes one partial row per block, the
 combiner IS the salt) followed by a hash-partition exchange and a
 vectorized per-partition merge.  Raw edges are never shuffled.
+
+Iterative host-graph algorithms (PageRank, personalized PageRank,
+HITS, label-propagation communities, k-core) are vertex programs on
+``ops.superstep``: the host table is numbered once (int64 id = rank in
+host-name order, range-partitioned over the cluster's CPUs), each
+partition keeps its out-edges as numpy arrays in the object store,
+and an iteration is a scatter wave and a gather wave of plain Ray
+tasks that exchange combined per-target messages — no Ray Data
+exchange and no driver collection inside the loop.  Harmonic
+centrality / effective diameter (HyperBall) and components (the
+min-label loop shared with ``textdata.near_dup_survivors``) still
+iterate over Dataset exchanges.
 """
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 
+import numpy as np
 import polars as pl
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 from ..functions.sketches import HyperLogLog, token_hashes
@@ -217,6 +234,63 @@ def host_graph(sf_dir: str, multiplier: int = 1, edges: rd.Dataset | None = None
     )
 
 
+# --- vertex programs on ops.superstep: per-partition task bodies ----------
+# (``part`` is a partition layout of ``ops.dense_graph``)
+
+
+def _host_names(part: dict) -> pl.Series:
+    return pl.from_arrow(part["names"]).alias("host")
+
+
+def _pagerank_prepare(part: dict, n: int, seeds: tuple | None):
+    """Edge weights n_links / out_total, the teleport vector, the
+    dangling mask, the start vector (= teleport) and its dangling mass."""
+    out_total = np.bincount(part["src"], weights=part["w"], minlength=part["n"])
+    if seeds is None:
+        t = np.full(part["n"], 1.0 / max(n, 1))
+    else:
+        t = np.where(_host_names(part).is_in(list(seeds)).to_numpy(), 1.0 / len(seeds), 0.0)
+    dangling = out_total == 0
+    part = {**part, "w": part["w"] / out_total[part["src"]], "t": t, "dangling": dangling}
+    return part, t, t[dangling].sum()
+
+
+def _pagerank_scatter(part: dict, rank: np.ndarray, _scalars) -> pl.DataFrame:
+    return ops.segment_sum(part["dst"], part["w"] * rank[part["src"]])
+
+
+def _pagerank_gather(damping: float, part: dict, rank, msgs: pl.DataFrame, dangling):
+    """r = (1−d)·t + d·(push + dangling·t); returns r and its dangling mass."""
+    push = np.bincount(msgs["dst"].to_numpy(), weights=msgs["v"].to_numpy(), minlength=part["n"])
+    t = part["t"]
+    new = (1.0 - damping) * t + damping * (push + sum(dangling) * t)
+    return new, new[part["dangling"]].sum()
+
+
+def _rank_table(part: dict, rank: np.ndarray) -> pa.Table:
+    return pl.DataFrame([_host_names(part), pl.Series("rank", rank).round(8)]).to_arrow()
+
+
+def _pagerank(
+    sf_dir: str,
+    multiplier: int,
+    damping: float,
+    iters: int,
+    edges: rd.Dataset | None,
+    seeds: tuple | None = None,
+) -> rd.Dataset:
+    """The one PageRank body: uniform teleport, or uniform over ``seeds``."""
+    hg = host_graph(sf_dir, multiplier, edges=edges)
+    g = ops.dense_graph(hg, "source_host", "target_host", "n_links")
+    prep = g.map(_pagerank_prepare, g.num_vertices, seeds, num_returns=3)
+    g = ops.DenseGraph(g.offsets, [p[0] for p in prep])
+    rank, dangling = [p[1] for p in prep], [p[2] for p in prep]
+    gather = functools.partial(_pagerank_gather, damping)
+    for _ in range(iters):
+        rank, dangling = ops.superstep(g, rank, _pagerank_scatter, gather, *dangling)
+    return rd.from_arrow_refs(g.map(_rank_table, per_part=(rank,)))
+
+
 def host_pagerank(
     sf_dir: str,
     multiplier: int = 1,
@@ -228,137 +302,61 @@ def host_pagerank(
 
     The reference attaches an externally-sourced ``authority_score``
     per domain (core/models.py:255-297); this computes an intrinsic
-    link-graph authority instead — the canonical iterative-algorithm
-    shape on this engine.  Per iteration: one partitioned join of the
-    (materialized-once) weighted host-pair table against the current
-    rank vector, one hash aggregate of the pushed contributions, and a
-    left-join back onto the full host list; dangling-host mass is the
-    only driver-side scalar per iteration.  Edge weight = n_links /
-    total outbound links of the source host.
+    link-graph authority instead.  Edge weight = n_links / total
+    outbound links of the source host; the rank held by hosts with no
+    out-links (dangling mass) is spread uniformly.
+
+    Scale shape: ``host_graph`` and ``ops.dense_graph`` run once; each
+    iteration is one ``ops.superstep``.  Scatter pushes w·rank along
+    each partition's out-edges and sums per target (``segment_sum``);
+    gather applies the update and returns the partition's dangling
+    mass, which the next gather reads as a ref — the driver waits on
+    nothing until the output Dataset.
     """
-    from ..ops import tagged_union_join
+    return _pagerank(sf_dir, multiplier, damping, iters, edges)
 
-    hg = host_graph(sf_dir, multiplier, edges=edges).materialize()
-    outw = hash_aggregate(
-        hg,
-        ["source_host"],
-        combine=[pl.col("n_links").sum().alias("out_total")],
-        merge=[pl.col("out_total").sum()],
-    )
-    hg_schema = pa.schema(
-        [("source_host", pa.string()), ("target_host", pa.string()), ("n_links", pa.int64())]
-    )
-    outw_schema = pa.schema([("source_host", pa.string()), ("out_total", pa.int64())])
-    weighted = tagged_union_join(
-        hg, outw, "source_host", "source_host",
-        left_schema=hg_schema, right_schema=outw_schema,
-    ).map_batches(
-        lambda b: pl.from_arrow(b)
-        .select(
-            "source_host",
-            "target_host",
-            (pl.col("n_links") / pl.col("out_total")).alias("w"),
-        )
-        .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
 
-    # the node set = every host appearing on either side
-    def hosts_of(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return pl.concat(
-            [
-                df.select(pl.col("source_host").alias("host")),
-                df.select(pl.col("target_host").alias("host")),
-            ]
-        ).unique().to_arrow()
+def host_pagerank_personalized(
+    sf_dir: str,
+    seeds: tuple = ("h0.example.com",),
+    multiplier: int = 1,
+    damping: float = 0.85,
+    iters: int = 20,
+    edges: rd.Dataset | None = None,
+) -> rd.Dataset:
+    """Personalized PageRank: teleport restricted to a seed host set —
+    the topic/spam-biased authority variant (a link-spam analyst seeds
+    known-good hosts and reads off how much authority flows to a
+    candidate; TrustRank's propagation shape).  Update per iteration:
+    ``r = (1−d)·t + d·(push + dangling·t)`` with ``t`` uniform over
+    ``seeds`` and zero elsewhere — the :func:`host_pagerank` body and
+    superstep, only the teleport vector differs.
+    """
+    return _pagerank(sf_dir, multiplier, damping, iters, edges, seeds=tuple(seeds))
 
-    all_hosts = hash_group_apply(
-        hg.map_batches(hosts_of, batch_format="pyarrow", zero_copy_batch=True),
-        ["host"],
-        lambda df: df.unique(),
-    ).materialize()
-    n_hosts = all_hosts.count()
-    outw = outw.materialize()
 
-    ranks = all_hosts.map_batches(
-        lambda b: pl.from_arrow(b)
-        .with_columns(pl.lit(1.0 / n_hosts).alias("rank"))
-        .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-    ranks_schema = pa.schema([("host", pa.string()), ("rank", pa.float64())])
-    w_schema = pa.schema(
-        [("source_host", pa.string()), ("target_host", pa.string()), ("w", pa.float64())]
-    )
-    hosts_schema = pa.schema([("host", pa.string())])
+def _l2(sq) -> float:
+    """The norm of a vector from its partitions' squared norms (1.0 for
+    a zero vector or the unnormalized all-ones start)."""
+    s = sum(sq)
+    return s ** 0.5 if s > 0 else 1.0
 
-    outw_schema2 = pa.schema([("source_host", pa.string()), ("out_total", pa.int64())])
-    for _ in range(iters):
-        # dangling mass: rank held by hosts with no outlinks — a
-        # DISTRIBUTED left join + scalar sum (no rank-vector
-        # materialization on the driver; the rank table is O(hosts))
-        dangling = (
-            tagged_union_join(
-                ranks, outw, "host", "source_host", how="left",
-                left_schema=ranks_schema, right_schema=outw_schema2,
-            )
-            .map_batches(
-                lambda b: pl.from_arrow(b)
-                .filter(pl.col("out_total").is_null())
-                .select("rank")
-                .to_arrow(),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            .sum("rank")
-            or 0.0
-        )
-        contrib = tagged_union_join(
-            weighted, ranks, "source_host", "host",
-            left_schema=w_schema, right_schema=ranks_schema,
-        ).map_batches(
-            lambda b: pl.from_arrow(b)
-            .select(
-                pl.col("target_host").alias("host"),
-                (pl.col("w") * pl.col("rank")).alias("push"),
-            )
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        sums = hash_aggregate(
-            contrib,
-            ["host"],
-            combine=[pl.col("push").sum().alias("push")],
-            merge=[pl.col("push").sum()],
-        )
-        base = (1.0 - damping) / n_hosts + damping * dangling / n_hosts
-        sums_schema = pa.schema([("host", pa.string()), ("push", pa.float64())])
-        ranks = tagged_union_join(
-            all_hosts, sums, "host", "host", how="left",
-            left_schema=hosts_schema, right_schema=sums_schema,
-        ).map_batches(
-            lambda b, base=base: pl.from_arrow(b)
-            .select(
-                "host",
-                (base + damping * pl.col("push").fill_null(0.0)).alias("rank"),
-            )
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        ranks = ops.materialize_cut(ranks)
 
-    return ranks.map_batches(
-        lambda b: pl.from_arrow(b)
-        .select("host", pl.col("rank").round(8))
-        .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+def _hits_scatter(part: dict, raw: np.ndarray, sq) -> pl.DataFrame:
+    return ops.segment_sum(part["dst"], part["w"] * (raw[part["src"]] / _l2(sq)))
+
+
+def _hits_gather(part: dict, _raw, msgs: pl.DataFrame, _sq):
+    raw = np.bincount(msgs["dst"].to_numpy(), weights=msgs["v"].to_numpy(), minlength=part["n"])
+    return raw, (raw ** 2).sum()
+
+
+def _hits_table(part: dict, auth, hub, n_auth: int, *sq) -> pa.Table:
+    return pl.DataFrame([
+        _host_names(part),
+        pl.Series("authority", auth / _l2(sq[:n_auth])).round(8),
+        pl.Series("hub", hub / _l2(sq[n_auth:])).round(8),
+    ]).to_arrow()
 
 
 def host_hits(
@@ -372,118 +370,27 @@ def host_hits(
     measure next to :func:`host_pagerank` (the reference's
     ``authority_score`` per domain, core/models.py:255-297, is an
     external feed; PageRank and HITS are the standard intrinsic
-    replacements).
+    replacements).  auth(v) = Σ_{u→v} n_links·hub(u), then normalize;
+    hub(u) = Σ_{u→v} n_links·auth(v), then normalize — hosts without
+    in-links (out-links) keep authority (hub) exactly 0.0.
 
-    Same distributed iteration shape as PageRank: the weighted pair
-    table is materialized ONCE; each half-step is one partitioned join
-    of edges against the current score vector plus one thin hash
-    aggregate, and the only driver-side value per half-step is the L2
-    norm (a scalar ``sum``).  auth(v) = Σ_{u→v} w·hub(u), then
-    normalize; hub(u) = Σ_{u→v} w·auth(v), then normalize — hosts
-    without in-links (out-links) keep authority (hub) exactly 0.0 via
-    the left-join fill.
+    Scale shape: one ``ops.dense_graph`` plus its transpose
+    (``ops.reverse_graph``), built once; each half-step is one
+    ``ops.superstep`` along one of them.  Gather keeps the unnormalized
+    sums and returns the partition's squared L2 norm; the next scatter
+    (and the final table) divides by the norm of those P refs, so the
+    driver never waits inside the loop.
     """
-    from ..ops import tagged_union_join
-
-    hg = host_graph(sf_dir, multiplier, edges=edges).materialize()
-    hg_schema = pa.schema(
-        [("source_host", pa.string()), ("target_host", pa.string()), ("n_links", pa.int64())]
-    )
-
-    def hosts_of(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return pl.concat(
-            [
-                df.select(pl.col("source_host").alias("host")),
-                df.select(pl.col("target_host").alias("host")),
-            ]
-        ).unique().to_arrow()
-
-    all_hosts = hash_group_apply(
-        hg.map_batches(hosts_of, batch_format="pyarrow", zero_copy_batch=True),
-        ["host"],
-        lambda df: df.unique(),
-    ).materialize()
-    hosts_schema = pa.schema([("host", pa.string())])
-    score_schema = pa.schema([("host", pa.string()), ("score", pa.float64())])
-    sums_schema = pa.schema([("host", pa.string()), ("push", pa.float64())])
-
-    def _init(b: pa.Table) -> pa.Table:
-        return pl.from_arrow(b).with_columns(pl.lit(1.0).alias("score")).to_arrow()
-
-    hubs = all_hosts.map_batches(_init, batch_format="pyarrow", zero_copy_batch=True).materialize()
-    auths = hubs
-
-    def _half_step(scores: rd.Dataset, src_key: str, dst_key: str) -> rd.Dataset:
-        """One HITS half-step: push w·score along edges from src_key
-        to dst_key, aggregate, L2-normalize, re-attach to all hosts."""
-        pushed = tagged_union_join(
-            hg, scores, src_key, "host",
-            left_schema=hg_schema, right_schema=score_schema,
-        ).map_batches(
-            lambda b, dst=dst_key: pl.from_arrow(b)
-            .select(
-                pl.col(dst).alias("host"),
-                (pl.col("n_links") * pl.col("score")).alias("push"),
-            )
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        sums = ops.materialize_cut(
-            hash_aggregate(
-                pushed,
-                ["host"],
-                combine=[pl.col("push").sum().alias("push")],
-                merge=[pl.col("push").sum()],
-            )
-        )
-        sumsq = (
-            sums.map_batches(
-                lambda b: pl.from_arrow(b).select((pl.col("push") ** 2).alias("sq")).to_arrow(),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ).sum("sq")
-            or 0.0
-        )
-        norm = sumsq ** 0.5 if sumsq > 0 else 1.0
-        return ops.materialize_cut(
-            tagged_union_join(
-                all_hosts, sums, "host", "host", how="left",
-                left_schema=hosts_schema, right_schema=sums_schema,
-            ).map_batches(
-                lambda b, norm=norm: pl.from_arrow(b)
-                .select("host", (pl.col("push").fill_null(0.0) / norm).alias("score"))
-                .to_arrow(),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        )
-
+    g = ops.dense_graph(host_graph(sf_dir, multiplier, edges=edges),
+                        "source_host", "target_host", "n_links")
+    rg = ops.reverse_graph(g)
+    hub = auth = g.map(lambda part: np.ones(part["n"]))
+    hub_sq = auth_sq = []
     for _ in range(iters):
-        auths = _half_step(hubs, "source_host", "target_host")
-        hubs = _half_step(auths, "target_host", "source_host")
-
-    joined = tagged_union_join(
-        auths.map_batches(
-            lambda b: pl.from_arrow(b).rename({"score": "authority"}).to_arrow(),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ),
-        hubs.map_batches(
-            lambda b: pl.from_arrow(b).rename({"score": "hub"}).to_arrow(),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ),
-        "host", "host",
-        left_schema=pa.schema([("host", pa.string()), ("authority", pa.float64())]),
-        right_schema=pa.schema([("host", pa.string()), ("hub", pa.float64())]),
-    )
-    return joined.map_batches(
-        lambda b: pl.from_arrow(b)
-        .select("host", pl.col("authority").round(8), pl.col("hub").round(8))
-        .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+        auth, auth_sq = ops.superstep(g, hub, _hits_scatter, _hits_gather, *hub_sq)
+        hub, hub_sq = ops.superstep(rg, auth, _hits_scatter, _hits_gather, *auth_sq)
+    return rd.from_arrow_refs(
+        g.map(_hits_table, len(auth_sq), *auth_sq, *hub_sq, per_part=(auth, hub)))
 
 
 def host_components(
@@ -1021,6 +928,35 @@ def host_clustering(
     return joined.map_batches(coeff, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _kcore_scatter(part: dict, val: np.ndarray, _scalars) -> pl.DataFrame:
+    """Per target: a histogram of its neighbors' current values."""
+    return (
+        pl.DataFrame({"dst": part["dst"], "val": val[part["src"]]})
+        .group_by("dst", "val")
+        .agg(pl.len().cast(pl.Int64).alias("c"))
+        .sort("dst")
+    )
+
+
+def _kcore_gather(part: dict, val: np.ndarray, msgs: pl.DataFrame, _scalars):
+    """H-index of the neighbor histogram: with values sorted descending,
+    max over values of min(value, #neighbors at or above it)."""
+    h = (
+        msgs.group_by("dst", "val")
+        .agg(pl.col("c").sum())
+        .sort(["dst", "val"], descending=[False, True])
+        .group_by("dst", maintain_order=True)
+        .agg(pl.min_horizontal("val", pl.col("c").cum_sum()).max().alias("h"))
+    )
+    new = val.copy()
+    new[h["dst"].to_numpy()] = h["h"].to_numpy()
+    return new, int((new != val).sum())
+
+
+def _coreness_table(part: dict, val: np.ndarray) -> pa.Table:
+    return pl.DataFrame([_host_names(part), pl.Series("coreness", val, pl.Int64)]).to_arrow()
+
+
 def host_kcore(
     sf_dir: str,
     multiplier: int = 1,
@@ -1047,86 +983,20 @@ def host_kcore(
     a handful).  Raises loudly on non-convergence like the other
     iterative operators rather than returning a wrong fixed point.
 
-    Per iteration: ONE partitioned join (both-direction pair table ×
-    current labels, keyed src), ONE hash group-apply keyed host for
-    the vectorized H-index (rank-over + filter + max), and ONE join +
-    sum for the distributed convergence check.  Nothing is broadcast;
-    the label table is O(hosts), the exchanged rows O(pairs).
+    Scale shape: ``undirected_host_pairs`` and an undirected
+    ``ops.dense_graph`` run once; each sweep is one ``ops.superstep``
+    whose scatter sends per-target (value, count) histograms and whose
+    gather returns the partition's changed count — the one place in
+    the host-graph family where the driver waits, on P ints per sweep.
     """
-    from ..ops import tagged_union_join
-
     if edges is None:
         edges = edges_dataset(sf_dir, multiplier)
-
-    und = undirected_host_pairs(edges)
-
-    # both directions once: (src, dst) for each undirected pair
-    def to_dir(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return pl.concat(
-            [
-                df.select(pl.col("a").alias("src"), pl.col("b").alias("dst")),
-                df.select(pl.col("b").alias("src"), pl.col("a").alias("dst")),
-            ]
-        ).to_arrow()
-
-    dir_pairs = und.map_batches(
-        to_dir, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    labels = undirected_degrees(und).map_batches(
-        lambda t: pl.from_arrow(t).select("host", pl.col("deg").alias("val")).to_arrow(),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
-
-    dir_schema = pa.schema([("src", pa.string()), ("dst", pa.string())])
-    lab_schema = pa.schema([("host", pa.string()), ("val", pa.int64())])
-
-    def hindex(df: pl.DataFrame) -> pl.DataFrame:
-        return (
-            df.with_columns(
-                rank=pl.col("nbr_val").rank("ordinal", descending=True).over("host")
-            )
-            .filter(pl.col("nbr_val") >= pl.col("rank"))
-            .group_by("host")
-            .agg(pl.col("rank").max().cast(pl.Int64).alias("val"))
-        )
-
+    g = ops.dense_graph(undirected_host_pairs(edges), "a", "b", undirected=True)
+    val = g.map(lambda part: np.bincount(part["src"], minlength=part["n"]))
     for _ in range(max_iters):
-        nbr_vals = tagged_union_join(
-            dir_pairs, labels, "src", "host",
-            left_schema=dir_schema, right_schema=lab_schema,
-        ).map_batches(
-            lambda t: pl.from_arrow(t)
-            .select(pl.col("dst").alias("host"), pl.col("val").alias("nbr_val"))
-            .to_arrow(),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        new_labels = ops.materialize_cut(hash_group_apply(nbr_vals, ["host"], hindex))
-
-        changed = tagged_union_join(
-            labels,
-            new_labels.map_batches(
-                lambda t: pl.from_arrow(t).rename({"val": "new_val"}).to_arrow(),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ),
-            "host", "host",
-            left_schema=lab_schema,
-            right_schema=pa.schema([("host", pa.string()), ("new_val", pa.int64())]),
-        ).map_batches(
-            lambda t: pl.from_arrow(t)
-            .select((pl.col("val") != pl.col("new_val")).cast(pl.Int64).alias("changed"))
-            .to_arrow(),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ).sum("changed")
-        labels = new_labels
-        if not changed:
-            return labels.map_batches(
-                lambda t: pl.from_arrow(t)
-                .select("host", pl.col("val").alias("coreness"))
-                .to_arrow(),
-                batch_format="pyarrow", zero_copy_batch=True,
-            )
+        val, changed = ops.superstep(g, val, _kcore_scatter, _kcore_gather)
+        if not sum(ray.get(changed)):
+            return rd.from_arrow_refs(g.map(_coreness_table, per_part=(val,)))
     raise RuntimeError(
         f"host_kcore did not converge in {max_iters} H-index sweeps — "
         "raise max_iters (sweeps scale with the graph's peel depth)"
@@ -1644,149 +1514,38 @@ def host_effective_diameter(
     )
 
 
-def host_pagerank_personalized(
-    sf_dir: str,
-    seeds: tuple = ("h0.example.com",),
-    multiplier: int = 1,
-    damping: float = 0.85,
-    iters: int = 20,
-    edges: rd.Dataset | None = None,
-) -> rd.Dataset:
-    """Personalized PageRank: teleport restricted to a seed host set —
-    the topic/spam-biased authority variant (a link-spam analyst seeds
-    known-good hosts and reads off how much authority flows to a
-    candidate; TrustRank's propagation shape).  Update per iteration:
-    ``r = (1−d)·t + d·(push + dangling·t)`` with ``t`` uniform over
-    ``seeds`` and zero elsewhere — identical exchange structure to
-    :func:`host_pagerank` (one partitioned join + one hash aggregate +
-    one left join per iteration; the dangling mass is the only
-    driver-side scalar), only the teleport vector differs.
-    """
-    from ..ops import tagged_union_join
-
-    hg = host_graph(sf_dir, multiplier, edges=edges).materialize()
-    outw = hash_aggregate(
-        hg,
-        ["source_host"],
-        combine=[pl.col("n_links").sum().alias("out_total")],
-        merge=[pl.col("out_total").sum()],
+def _lpa_scatter(part: dict, label: np.ndarray, _scalars) -> pl.DataFrame:
+    """Per target: the total edge weight behind each neighbor label."""
+    return (
+        pl.DataFrame({"dst": part["dst"], "label": label[part["src"]], "w": part["w"]})
+        .group_by("dst", "label")
+        .agg(pl.col("w").sum())
+        .sort("dst")
     )
-    hg_schema = pa.schema(
-        [("source_host", pa.string()), ("target_host", pa.string()), ("n_links", pa.int64())]
+
+
+def _lpa_gather(part: dict, label: np.ndarray, msgs: pl.DataFrame, _scalars):
+    """Heaviest label per host, ties to the smallest id (= smallest name)."""
+    best = (
+        msgs.group_by("dst", "label")
+        .agg(pl.col("w").sum())
+        .sort(["dst", "w", "label"], descending=[False, True, False])
+        .group_by("dst", maintain_order=True)
+        .first()
     )
-    outw_schema = pa.schema([("source_host", pa.string()), ("out_total", pa.int64())])
-    weighted = tagged_union_join(
-        hg, outw, "source_host", "source_host",
-        left_schema=hg_schema, right_schema=outw_schema,
-    ).map_batches(
-        lambda b: pl.from_arrow(b)
-        .select(
-            "source_host",
-            "target_host",
-            (pl.col("n_links") / pl.col("out_total")).alias("w"),
-        )
-        .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
+    new = label.copy()
+    new[best["dst"].to_numpy()] = best["label"].to_numpy()
+    return new, None
 
-    def hosts_of(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return pl.concat(
-            [
-                df.select(pl.col("source_host").alias("host")),
-                df.select(pl.col("target_host").alias("host")),
-            ]
-        ).unique().to_arrow()
 
-    seed_list = list(seeds)
-    t_seed = 1.0 / len(seed_list)
-    all_hosts = hash_group_apply(
-        hg.map_batches(hosts_of, batch_format="pyarrow", zero_copy_batch=True),
-        ["host"],
-        lambda df: df.unique(subset=["host"]).with_columns(
-            pl.when(pl.col("host").is_in(seed_list))
-            .then(t_seed)
-            .otherwise(0.0)
-            .alias("t")
-        ),
-    ).materialize()
-    outw = outw.materialize()
+def _label_scatter(part: dict, label: np.ndarray, _scalars) -> pl.DataFrame:
+    """Each host to the partition that owns its label's name."""
+    return pl.DataFrame({"dst": label, "host": _host_names(part)}).sort("dst")
 
-    ranks = all_hosts.map_batches(
-        lambda b: pl.from_arrow(b).select("host", pl.col("t").alias("rank")).to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-    ranks_schema = pa.schema([("host", pa.string()), ("rank", pa.float64())])
-    w_schema = pa.schema(
-        [("source_host", pa.string()), ("target_host", pa.string()), ("w", pa.float64())]
-    )
-    hosts_t_schema = pa.schema([("host", pa.string()), ("t", pa.float64())])
-    outw_schema2 = pa.schema([("source_host", pa.string()), ("out_total", pa.int64())])
 
-    for _ in range(iters):
-        dangling = (
-            tagged_union_join(
-                ranks, outw, "host", "source_host", how="left",
-                left_schema=ranks_schema, right_schema=outw_schema2,
-            )
-            .map_batches(
-                lambda b: pl.from_arrow(b)
-                .filter(pl.col("out_total").is_null())
-                .select("rank")
-                .to_arrow(),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            .sum("rank")
-            or 0.0
-        )
-        contrib = tagged_union_join(
-            weighted, ranks, "source_host", "host",
-            left_schema=w_schema, right_schema=ranks_schema,
-        ).map_batches(
-            lambda b: pl.from_arrow(b)
-            .select(
-                pl.col("target_host").alias("host"),
-                (pl.col("w") * pl.col("rank")).alias("push"),
-            )
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        sums = hash_aggregate(
-            contrib,
-            ["host"],
-            combine=[pl.col("push").sum().alias("push")],
-            merge=[pl.col("push").sum()],
-        )
-        sums_schema = pa.schema([("host", pa.string()), ("push", pa.float64())])
-        ranks = tagged_union_join(
-            all_hosts, sums, "host", "host", how="left",
-            left_schema=hosts_t_schema, right_schema=sums_schema,
-        ).map_batches(
-            lambda b, dang=dangling: pl.from_arrow(b)
-            .select(
-                "host",
-                (
-                    (1.0 - damping) * pl.col("t")
-                    + damping * (pl.col("push").fill_null(0.0) + dang * pl.col("t"))
-                ).alias("rank"),
-            )
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        ranks = ops.materialize_cut(ranks)
-
-    return ranks.map_batches(
-        lambda b: pl.from_arrow(b)
-        .select("host", pl.col("rank").round(8))
-        .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+def _label_gather(part: dict, _label, msgs: pl.DataFrame, _scalars):
+    community = _host_names(part).gather(msgs["dst"]).alias("community")
+    return pl.DataFrame([msgs["host"], community]).to_arrow(), None
 
 
 def host_communities(
@@ -1811,85 +1570,21 @@ def host_communities(
     community follows weight density (a weakly-attached bridge host
     joins the side that links to it more).
 
-    Scale shape per round: ONE partitioned join (labels onto edge
-    targets — ``tagged_union_join``, both sides stay partitioned) and
-    ONE ``hash_aggregate`` of integer (host, label) weights followed
-    by a per-host argmax inside the partition.  Labels materialize
-    each round (O(hosts) rows), edges materialize once.
+    Scale shape: ``host_graph`` and an undirected ``ops.dense_graph``
+    (every pair in both directions, so a pair linked both ways weighs
+    the sum) run once.  Labels are int64 host ids, so the tie rule is
+    "smallest id".  Each round is one ``ops.superstep``: scatter sums
+    weight per (target, label), gather takes the per-host argmax.  One
+    last superstep routes each host to its label's owner, which turns
+    the id back into a host name.
     """
-    from ..ops import tagged_union_join
-
     hg = host_graph(sf_dir, multiplier, edges=edges)
-
-    # undirected: symmetrize, summing directed weights
-    def sym(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return pl.concat(
-            [
-                df.select(
-                    pl.col("source_host").alias("u"),
-                    pl.col("target_host").alias("v"),
-                    pl.col("n_links").alias("w"),
-                ),
-                df.select(
-                    pl.col("target_host").alias("u"),
-                    pl.col("source_host").alias("v"),
-                    pl.col("n_links").alias("w"),
-                ),
-            ]
-        ).to_arrow()
-
-    und = hash_aggregate(
-        hg.map_batches(sym, batch_format="pyarrow", zero_copy_batch=True),
-        ["u", "v"],
-        combine=[pl.col("w").sum()],
-        merge=[pl.col("w").sum()],
-    ).materialize()
-
-    labels = hash_group_apply(
-        und.map_batches(
-            lambda b: pl.from_arrow(b).select(pl.col("u").alias("host")).to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        ["host"],
-        lambda df: df.unique(),
-    ).map_batches(
-        lambda b: pl.from_arrow(b)
-        .with_columns(pl.col("host").alias("community"))
-        .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-
-    und_schema = pa.schema([("u", pa.string()), ("v", pa.string()), ("w", pa.int64())])
-    lbl_schema = pa.schema([("host", pa.string()), ("community", pa.string())])
-
+    g = ops.dense_graph(hg, "source_host", "target_host", "n_links", undirected=True)
+    labels = g.map(lambda part: part["base"] + np.arange(part["n"]))
     for _ in range(rounds):
-        # label of each edge's far end, delivered to the near end
-        j = tagged_union_join(
-            und, labels, "v", "host",
-            left_schema=und_schema, right_schema=lbl_schema,
-        ).map_batches(
-            lambda b: pl.from_arrow(b).select("u", "community", "w").to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        freq = hash_aggregate(
-            j, ["u", "community"], combine=[pl.col("w").sum()], merge=[pl.col("w").sum()]
-        )
-
-        def pick(df: pl.DataFrame) -> pl.DataFrame:
-            return (
-                df.sort(["u", "w", "community"], descending=[False, True, False])
-                .group_by("u", maintain_order=True)
-                .first()
-                .select(pl.col("u").alias("host"), pl.col("community"))
-            )
-
-        labels = hash_group_apply(freq, ["u"], pick).materialize()
-
-    return labels
+        labels, _ = ops.superstep(g, labels, _lpa_scatter, _lpa_gather)
+    tables, _ = ops.superstep(g, labels, _label_scatter, _label_gather)
+    return rd.from_arrow_refs(tables)
 
 
 def link_overlap_hll(

@@ -16,7 +16,7 @@ import ray
 import ray.data as rd
 
 from .. import ops
-from ..ops import hash_aggregate, hash_group_apply
+from ..ops import hash_aggregate, hash_group_apply, tagged_union_join
 from ..stages import SeoStage
 from . import graph
 
@@ -927,31 +927,35 @@ def recrawl_schedule(
       n_revisits = horizon // interval,  n_changes = horizon // period,
       captured   = min(n_changes, n_revisits),  missed = rest
 
-    Scale shape: :func:`crawl_tier_assignment`'s per-host table is the
-    SMALL side (one row per host) — broadcast once via ``ray.put`` and
-    looked up inside the page map (no shuffle join); pages not in the
-    backlink graph default to tier 2 (weekly).  The per-page pass
-    pre-aggregates to per-(tier, interval) partials inside each batch,
-    so the only exchange is a ≤3-group ``hash_aggregate``.
+    Scale shape: :func:`crawl_tier_assignment`'s per-host table (one
+    row per host, so it grows with the corpus) meets the pages in one
+    partitioned left join keyed by host (``tagged_union_join``);
+    nothing is collected on the driver.  Pages not in the backlink
+    graph default to tier 2 (weekly).  The per-page pass pre-aggregates
+    to per-(tier, interval) partials inside each batch, so the only
+    other exchange is a ≤3-group ``hash_aggregate``.
     """
-    tiers = crawl_tier_assignment(sf_dir, multiplier)
-    # bounded take_all: one row per host (the small broadcast side)
-    tier_rows = tiers.select_columns(["host", "tier"]).take_all()
-    tier_ref = ray.put({r["host"]: r["tier"] for r in tier_rows})
+    tiers = crawl_tier_assignment(sf_dir, multiplier).select_columns(["host", "tier"])
     intervals = {0: 6, 1: 24, 2: 168}
 
+    def page_host(batch: pa.Table) -> pa.Table:
+        return pl.from_arrow(batch).select(
+            pl.col("url").str.extract(r"/doc/(\d+)$", 1).cast(pl.Int64).alias("doc_id"),
+            pl.col("url").str.extract(r"^https://([^/]+)/", 1).alias("host"),
+        ).to_arrow()
+
+    pages = graph.pages_dataset(sf_dir, multiplier, columns=["url"]).map_batches(
+        page_host, batch_format="pyarrow", zero_copy_batch=True
+    )
+    with_tier = tagged_union_join(
+        pages, tiers, "host", "host", how="left",
+        left_schema=pa.schema([("doc_id", pa.int64()), ("host", pa.string())]),
+        right_schema=pa.schema([("host", pa.string()), ("tier", pa.int64())]),
+    )
+
     def per_page(batch: pa.Table) -> pa.Table:
-        tmap = ray.get(tier_ref)
-        df = pl.from_arrow(batch)
-        doc_id = pl.col("url").str.extract(r"/doc/(\d+)$", 1).cast(pl.Int64)
-        host = pl.col("url").str.extract(r"^https://([^/]+)/", 1)
-        df = df.select(doc_id.alias("doc_id"), host.alias("host"))
-        tier = (
-            pl.col("host")
-            .replace_strict(tmap, default=2, return_dtype=pl.Int64)
-            .alias("tier")
-        )
-        df = df.with_columns(
+        tier = pl.col("tier").fill_null(2)
+        df = pl.from_arrow(batch).with_columns(
             tier,
             tier.replace_strict(intervals, return_dtype=pl.Int64).alias(
                 "recrawl_interval_hours"
@@ -977,9 +981,7 @@ def recrawl_schedule(
             .to_arrow()
         )
 
-    partials = graph.pages_dataset(sf_dir, multiplier, columns=["url"]).map_batches(
-        per_page, batch_format="pyarrow", zero_copy_batch=True
-    )
+    partials = with_tier.map_batches(per_page, batch_format="pyarrow", zero_copy_batch=True)
     sums = [
         pl.col(c).sum()
         for c in ("n_pages", "total_revisits", "total_changes", "total_missed")

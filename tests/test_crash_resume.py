@@ -30,9 +30,18 @@ ray.shutdown()
 """
 
 
-def _run_driver(ck: str, resume: bool, kill_when_checkpointed: bool = False):
+def _complete_round_then_later(ck: str) -> bool:
     import glob
 
+    rounds = {
+        int(d.rsplit("=", 1)[1]): os.path.exists(os.path.join(d, "manifest.json"))
+        for d in glob.glob(os.path.join(ck, "round=*"))
+    }
+    done = [r for r, complete in rounds.items() if complete]
+    return bool(done) and max(rounds) > max(done)
+
+
+def _run_driver(ck: str, resume: bool, kill_when_checkpointed: bool = False):
     code = _DRIVER.format(repo="/root/repo", ck=ck, resume=resume, sf=SF)
     proc = subprocess.Popen(
         [sys.executable, "-c", code],
@@ -41,12 +50,14 @@ def _run_driver(ck: str, resume: bool, kill_when_checkpointed: bool = False):
         text=True,
     )
     if kill_when_checkpointed:
-        # kill the instant the run has produced >= 2 complete rounds —
-        # lands mid-crawl at any machine speed (or the process finishes
-        # first and the caller skips)
+        # kill the instant one round is complete (its manifest exists)
+        # and a later round has started writing — lands mid-crawl at any
+        # machine speed (or the process finishes first and the caller
+        # skips).  Two manifests are rarely seen together: each new one
+        # prunes the older.
         deadline = time.time() + 120
         while time.time() < deadline and proc.poll() is None:
-            if len(glob.glob(os.path.join(ck, "round=*", "manifest.json"))) >= 2:
+            if _complete_round_then_later(ck):
                 proc.send_signal(signal.SIGKILL)
                 proc.wait()
                 return None

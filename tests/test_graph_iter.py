@@ -807,3 +807,149 @@ def test_host_communities_random_graphs(seed, n, m, rounds):
     assert got.height == len(want)
     for h, c in zip(got.get_column("host"), got.get_column("community")):
         assert c == want[h], (seed, h)
+
+
+def _planted_multigraph(seed: int, n: int, m: int) -> list[tuple[str, str]]:
+    """Random directed multigraph over n hosts: self-loops and duplicate
+    pairs from the draw (plus five repeated rows), a sink with in-links
+    and no out-links, and a host whose only edge is a self-loop."""
+    rng = np.random.default_rng(seed)
+    hosts = [f"m{i:02d}.test" for i in range(n)]
+    sink, loner = hosts[n - 2], hosts[n - 1]
+    pairs = [(hosts[int(a)], hosts[int(b)]) for a, b in rng.integers(0, n - 2, size=(m, 2))]
+    pairs += pairs[:5] + [(hosts[0], sink), (hosts[1], sink), (loner, loner)]
+    return pairs
+
+
+def _ref_coreness(und: set) -> dict:
+    """Exact min-degree peeling over distinct undirected pairs."""
+    adj: dict = {}
+    for a, b in und:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    deg = {v: len(a) for v, a in adj.items()}
+    remaining, out, k = set(adj), {}, 0
+    while remaining:
+        v = min(remaining, key=lambda x: (deg[x], x))
+        k = max(k, deg[v])
+        out[v] = k
+        remaining.remove(v)
+        for u in adj[v]:
+            if u in remaining:
+                deg[u] -= 1
+    return out
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("seed,n,m", [(21, 18, 60), (22, 40, 70)])
+def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypatch):
+    """Every op on ops.superstep, with the kernel cut into 1, 2 and 5
+    partitions (5 on a 4-CPU session leaves partitions empty), equals
+    the dense/sequential oracles and is identical across the cuts."""
+    import collections
+    import functools
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from link_profiler_repo_ray import ops
+    from link_profiler_repo_ray.pipelines import graph
+
+    pairs = _planted_multigraph(seed, n, m)
+    counts = collections.Counter(pairs)
+    hg = pl.DataFrame(
+        [(s, t, c) for (s, t), c in counts.items()],
+        schema=["source_host", "target_host", "n_links"], orient="row",
+    )
+    und = {(min(s, t), max(s, t)) for s, t in pairs if s != t}
+    seeds = (pairs[0][0], f"m{n - 2:02d}.test")
+    want = {
+        "pagerank": _ref_pagerank(hg, 0.85, 9),
+        "ppr": _ref_ppr(hg, seeds, 0.85, 9),
+        "hits": _ref_hits(hg, 7),
+        "lpa": _ref_lpa(hg, 5),
+        "kcore": _ref_coreness(und),
+    }
+    edges = rd.from_arrow(
+        pa.table({"source_host": [s for s, _ in pairs], "target_host": [t for _, t in pairs]})
+    )
+    dense_graph = ops.dense_graph
+    outputs = []
+    for p in (1, 2, 5):
+        monkeypatch.setattr(ops, "dense_graph", functools.partial(dense_graph, num_partitions=p))
+        got = {
+            "pagerank": graph.host_pagerank("", iters=9, edges=edges),
+            "ppr": graph.host_pagerank_personalized("", seeds=seeds, iters=9, edges=edges),
+            "hits": graph.host_hits("", iters=7, edges=edges),
+            "lpa": graph.host_communities("", rounds=5, edges=edges),
+            "kcore": graph.host_kcore("", edges=edges),
+        }
+        got = {k: pl.from_pandas(ds.to_pandas()).sort("host") for k, ds in got.items()}
+        outputs.append(got)
+
+        rank = dict(got["pagerank"].select("host", "rank").iter_rows())
+        assert rank.keys() == want["pagerank"].keys()
+        assert all(abs(rank[h] - r) < 1e-8 for h, r in want["pagerank"].items()), p
+        ppr = dict(got["ppr"].select("host", "rank").iter_rows())
+        assert all(abs(ppr[h] - r) < 1e-8 for h, r in want["ppr"].items()), p
+        want_a, want_h = want["hits"]
+        assert got["hits"].height == len(want_a)
+        for h, a, hub in got["hits"].select("host", "authority", "hub").iter_rows():
+            assert abs(a - want_a[h]) < 1e-6 and abs(hub - want_h[h]) < 1e-6, (p, h)
+        assert dict(got["lpa"].iter_rows()) == want["lpa"], p
+        assert dict(got["kcore"].iter_rows()) == want["kcore"], p
+    for other in outputs[1:]:
+        for k, df in outputs[0].items():
+            assert other[k].equals(df), k
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("num_partitions", [1, 2, 5])
+def test_superstep_primitive_degrees_and_ids(num_partitions):
+    """The primitive itself: ids are ranks in name order, one superstep
+    counts in-degree (parallel edges counted), the transpose counts
+    out-degree, and an empty edge set builds an empty graph."""
+    import collections
+
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from link_profiler_repo_ray import ops
+
+    pairs = _planted_multigraph(5, 12, 30)
+    table = pa.table({"s": [s for s, _ in pairs], "t": [t for _, t in pairs]})
+    # three input blocks, so build chunks each hold only part of the names
+    edges = rd.from_arrow([table.slice(0, 9), table.slice(9, 11), table.slice(20)])
+    g = ops.dense_graph(edges, "s", "t", num_partitions=num_partitions)
+    hosts = sorted({h for pr in pairs for h in pr})
+    assert len(g.parts) == num_partitions and g.num_vertices == len(hosts)
+
+    def count(part, _state, _scalars):
+        return ops.segment_sum(part["dst"], part["w"].astype(np.float64))
+
+    def gather(part, _state, msgs, _scalars):
+        deg = np.bincount(msgs["dst"].to_numpy(), weights=msgs["v"].to_numpy(),
+                          minlength=part["n"])
+        return deg, int(deg.sum())
+
+    def table(part, deg):
+        names = pl.from_arrow(part["names"]).to_list()
+        ids = list(range(part["base"], part["base"] + part["n"]))
+        return pa.table({"host": names, "id": ids, "deg": deg.astype(np.int64)})
+
+    for graph_, key in ((g, 1), (ops.reverse_graph(g), 0)):
+        none = [None] * num_partitions
+        deg, totals = ops.superstep(graph_, none, count, gather)
+        assert sum(ray.get(totals)) == len(pairs)
+        got = pl.from_pandas(
+            rd.from_arrow_refs(graph_.map(table, per_part=(deg,))).to_pandas()
+        )
+        assert got.get_column("host").to_list() == hosts
+        assert got.get_column("id").to_list() == list(range(len(hosts)))
+        want = collections.Counter(pr[key] for pr in pairs)
+        assert dict(zip(got["host"], got["deg"])) == {h: want.get(h, 0) for h in hosts}
+
+    empty = rd.from_arrow(pa.table({"s": pa.array([], pa.string()), "t": pa.array([], pa.string())}))
+    e = ops.dense_graph(empty, "s", "t", num_partitions=num_partitions)
+    assert e.num_vertices == 0 and len(e.parts) == num_partitions
