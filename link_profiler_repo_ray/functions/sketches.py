@@ -23,6 +23,8 @@ __all__ = [
     "band_hashes",
     "simhash64",
     "HyperLogLog",
+    "hll_bucket_rank",
+    "hll_estimate",
     "cms_cells",
     "stride_summary",
     "weighted_quantile",
@@ -100,6 +102,38 @@ def simhash64(hashes: np.ndarray) -> np.uint64:
     return out
 
 
+def hll_bucket_rank(h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """HyperLogLog register update per uint64 hash for 2^p registers:
+    bucket = the top p bits (int64), rank = leading zeros of the
+    remaining bits + 1, capped at 64 - p + 1 (uint8)."""
+    h = h.astype(np.uint64)
+    idx = (h >> np.uint64(64 - p)).astype(np.int64)
+    rest = h << np.uint64(p)
+    rank = np.full(h.shape, 64 - p + 1, dtype=np.uint8)
+    nz = rest != 0
+    if nz.any():
+        # floor(log2(rest)) by binary search over the shift widths
+        r = rest[nz]
+        log2 = np.zeros(r.shape, dtype=np.int64)
+        for shift in (32, 16, 8, 4, 2, 1):
+            ge = r >= (np.uint64(1) << np.uint64(shift))
+            log2 += np.where(ge, shift, 0)
+            r = np.where(ge, r >> np.uint64(shift), r)
+        rank[nz] = np.minimum(64 - log2, 64 - p + 1)
+    return idx, rank
+
+
+def hll_estimate(registers: np.ndarray) -> np.ndarray:
+    """Row-wise HyperLogLog estimate of an (n, m) uint8 register matrix,
+    with the small-range linear-counting correction."""
+    m = float(registers.shape[1])
+    alpha = 0.7213 / (1 + 1.079 / m)
+    e = alpha * m * m / np.sum(2.0 ** (-registers.astype(np.float64)), axis=1)
+    zeros = np.count_nonzero(registers == 0, axis=1)
+    lc = m * np.log(m / np.maximum(zeros, 1))
+    return np.where((e <= 2.5 * m) & (zeros > 0), lc, e)
+
+
 class HyperLogLog:
     """Dense HyperLogLog with 2^p registers (default p=12, ~1.6% error).
 
@@ -119,23 +153,7 @@ class HyperLogLog:
     def add_hashes(self, h: np.ndarray) -> "HyperLogLog":
         if h.size == 0:
             return self
-        h = h.astype(np.uint64)
-        idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
-        rest = (h << np.uint64(self.p)).astype(np.uint64)
-        # rank = leading zeros of `rest` + 1, capped at 64 - p + 1
-        rank = np.full(h.shape, 64 - self.p + 1, dtype=np.uint8)
-        nz = rest != 0
-        if nz.any():
-            # count leading zeros via bit length
-            bl = np.zeros(h.shape, dtype=np.int64)
-            r = rest[nz]
-            for shift in (32, 16, 8, 4, 2, 1):
-                ge = r >= (np.uint64(1) << np.uint64(shift))
-                bl[nz] = bl[nz] + np.where(ge, shift, 0)
-                r = np.where(ge, r >> np.uint64(shift), r)
-            bl[nz] += 1  # bit length
-            rank_nz = (64 - bl[nz] + 1).astype(np.uint8)
-            rank[nz] = np.minimum(rank_nz, 64 - self.p + 1)
+        idx, rank = hll_bucket_rank(h, self.p)
         np.maximum.at(self.registers, idx, rank)
         return self
 
@@ -144,15 +162,7 @@ class HyperLogLog:
         return self
 
     def estimate(self) -> float:
-        m = float(self.m)
-        alpha = 0.7213 / (1 + 1.079 / m)
-        inv_sum = np.sum(2.0 ** (-self.registers.astype(np.float64)))
-        e = alpha * m * m / inv_sum
-        if e <= 2.5 * m:
-            zeros = int(np.count_nonzero(self.registers == 0))
-            if zeros:
-                e = m * np.log(m / zeros)
-        return float(e)
+        return float(hll_estimate(self.registers[None, :])[0])
 
     def to_bytes(self) -> bytes:
         return self.registers.tobytes()

@@ -27,19 +27,20 @@ they are compositions of ``map_batches`` + ``groupby().map_groups``
 only, no driver materialization.
 
 ``dense_graph`` / ``superstep``
-    Iterative graph algorithms (BSP vertex programs).  ``dense_graph``
-    numbers the vertices of an edge Dataset once — int64 id = rank in
-    name order, range-partitioned — and keeps one numpy edge layout
+    Every iterative graph algorithm of the engine (BSP vertex
+    programs: PageRank, HITS, label propagation, k-core, HyperBall,
+    min-label components).  ``dense_graph`` numbers the vertices of an
+    edge Dataset once — int64 id = rank in key order (string or
+    integer keys), range-partitioned — and keeps one numpy edge layout
     per partition as an ObjectRef.  ``superstep`` is then two waves of
     plain Ray tasks (scatter, gather) with no Ray Data execution, so
     an iteration costs two task round trips instead of several
-    sort-shuffles.
+    sort-shuffles, and no loop materializes a Dataset per iteration.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,7 +58,7 @@ __all__ = [
     "dense_graph",
     "reverse_graph",
     "superstep",
-    "segment_sum",
+    "segment_reduce",
     "cluster_cpus",
     "auto_concurrency",
     "default_partitions",
@@ -165,36 +166,6 @@ def int_range(n: int, column: str) -> rd.Dataset:
         return pa.table({column: batch.column("id")})
 
     return rd.range(n).map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def materialize_cut(ds: rd.Dataset) -> rd.Dataset:
-    """``materialize()`` that also severs the dataset's STATS lineage.
-
-    Ray Data (2.49) chains ``DatasetStats.parents`` across
-    ``materialize()`` boundaries, and ``to_summary()`` walks that chain
-    recursively — an iterative algorithm that materializes per
-    iteration (the HyperBall sweeps of ``graph.host_harmonic_centrality``
-    and the min-label loop of ``textdata.near_dup_survivors``)
-    accumulates one stats frame per stage per iteration and eventually
-    dies with ``RecursionError`` when the executor summarizes stats
-    (observed: a Dataset-exchange HITS loop at 20 iterations ≈ 6
-    stages/iter).  Loops on :func:`superstep` run no Ray Data stages
-    and need no cut.  Depth grows with
-    ITERATION COUNT, not data size, so cutting the parent chain after
-    each materialize bounds it regardless of scale.  The mutation is a
-    best-effort touch of a pinned-version internal; the recursion-limit
-    floor below is the version-proof fallback.
-    """
-    out = ds.materialize()
-    try:
-        stats = out._plan._snapshot_stats
-        if stats is not None and stats.parents:
-            stats.parents = []
-    except Exception:
-        pass
-    if sys.getrecursionlimit() < 10_000:
-        sys.setrecursionlimit(10_000)
-    return out
 
 
 def cluster_cpus() -> int:
@@ -391,11 +362,13 @@ def tagged_union_join(
 
 # --- superstep: BSP rounds over dense int64 vertex ids ----------------------
 #
-# A partition's layout is a dict: ``names`` (its vertices' names, sorted,
-# as a pyarrow array), ``base`` (the id of its first vertex), ``n``, and
-# its out-edges ``src`` (local index), ``dst`` (global id) and ``w``,
-# sorted by (dst, src).  Algorithms may add per-vertex or per-edge
-# arrays of their own with :meth:`DenseGraph.map`.
+# A partition's layout is a dict: ``names`` (its vertices' keys, sorted,
+# as a pyarrow array of the input's key type), ``base`` (the id of its
+# first vertex), ``n``, and its out-edges ``src`` (local index), ``dst``
+# (global id) and ``w``, sorted by (dst, src).  Algorithms may add
+# per-vertex or per-edge arrays of their own with :meth:`DenseGraph.map`;
+# per-vertex state may be any picklable value (an array, a dict of
+# arrays such as HyperBall's counter matrix and its sums).
 
 # sampled names per build chunk for the range boundaries; the driver
 # holds at most this many names per partition
@@ -448,7 +421,7 @@ def _route(df: pl.DataFrame, part: np.ndarray, num_partitions: int) -> list[pl.D
     return _split_sorted(df[order], part[order], np.arange(num_partitions + 1))
 
 
-def _build_edges(src, dst, weight, undirected, *tables):
+def _build_edges(src, dst, weight, undirected, key_type, *tables):
     """Build wave 1: one chunk of input blocks → (s, d, w) edge frame,
     its sorted distinct vertex names and an even sample of them."""
     cols = [src, dst] + ([weight] if weight else [])
@@ -460,7 +433,7 @@ def _build_edges(src, dst, weight, undirected, *tables):
             (pl.col(weight) if weight else pl.lit(1, pl.Int64)).alias("w"),
         )
     else:
-        df = pl.DataFrame(schema={"s": pl.Utf8, "d": pl.Utf8, "w": pl.Int64})
+        df = pl.DataFrame(schema={"s": key_type, "d": key_type, "w": pl.Int64})
     if undirected:
         df = pl.concat([df, df.select(pl.col("d").alias("s"), pl.col("s").alias("d"), "w")])
     names = pl.concat([df["s"], df["d"]]).unique().sort()
@@ -516,7 +489,8 @@ def dense_graph(
     """Number the vertices of an edge Dataset and lay its edges out for
     :func:`superstep`.
 
-    The vertex set is every ``src``/``dst`` name.  Names are sorted and
+    The vertex set is every ``src``/``dst`` name (strings or integers, one
+    dtype for both columns).  Names are sorted and
     cut into ``num_partitions`` (default: cluster CPUs) ranges at
     boundaries sampled from the data; a vertex's id is its rank in name
     order, so "smallest id" is "smallest name".  Two routed exchanges of
@@ -529,12 +503,17 @@ def dense_graph(
     P = num_partitions or cluster_cpus()
     # materialize first: on a lazy Dataset ``to_arrow_refs`` runs the
     # pipeline twice (once for the blocks, once more for the schema)
-    blocks = ds.materialize().to_arrow_refs()
+    ds = ds.materialize()
+    blocks = ds.to_arrow_refs()
+    schema = ds.schema()
+    key_type = (pl.from_arrow(schema.base_schema.empty_table()).schema[src]
+                if schema is not None else pl.Utf8)
     chunks = [blocks[i::P] for i in range(max(1, min(P, len(blocks))))]
-    built = _wave(_build_edges, [(src, dst, weight, undirected, *c) for c in chunks], 3)
+    built = _wave(_build_edges, [(src, dst, weight, undirected, key_type, *c) for c in chunks], 3)
     sample = pl.concat(ray.get([b[2] for b in built])).unique().sort()
     if len(sample) == 0:
-        sample = pl.Series("s", [""], pl.Utf8)
+        # no vertices: the bounds are never compared with a name
+        sample = sample.clear(1)
     bounds = sample.gather([i * len(sample) // P for i in range(1, P)])
     routed = _wave(_build_route_dst, [(bounds, P, b[0], b[1]) for b in built], 2 * P)
     C = len(chunks)
@@ -548,13 +527,15 @@ def dense_graph(
     return DenseGraph(offsets, parts)
 
 
-def segment_sum(dst: np.ndarray, vals: np.ndarray) -> pl.DataFrame:
+def segment_reduce(dst: np.ndarray, vals: np.ndarray, ufunc=np.add) -> pl.DataFrame:
     """Sender-side combine of per-edge values sorted by ``dst``: one
-    ``(dst, v)`` message per distinct destination."""
+    ``(dst, v)`` message per distinct destination, ``v`` the ``ufunc``
+    reduction of its run.  ``vals`` may be 2-D (one fixed-width row per
+    edge, e.g. a counter); ``v`` is then a polars Array column."""
     if len(dst) == 0:
-        return pl.DataFrame({"dst": dst, "v": vals.astype(np.float64)})
+        return pl.DataFrame({"dst": dst, "v": vals})
     starts = np.flatnonzero(np.diff(dst, prepend=dst[0] - 1))
-    return pl.DataFrame({"dst": dst[starts], "v": np.add.reduceat(vals, starts)})
+    return pl.DataFrame({"dst": dst[starts], "v": ufunc.reduceat(vals, starts)})
 
 
 def _scatter(fn, offsets, part, state, *scalars):
@@ -574,7 +555,7 @@ def superstep(g: DenseGraph, state: list, scatter, gather, *scalars) -> tuple[li
     - scatter, per partition p: ``scatter(part, state_p, scalars)``
       returns a polars frame of messages whose ``dst`` column holds
       global ids in ascending order (combined by the sender, e.g. with
-      :func:`segment_sum` or a group-by); it is cut into one piece per
+      :func:`segment_reduce` or a group-by); it is cut into one piece per
       destination partition with ``dst`` made partition-local.
     - gather, per partition q: ``gather(part, state_q, msgs, scalars)``
       gets every piece for q concatenated and returns ``(new_state_q,

@@ -13,17 +13,16 @@ hub-key skew: a hot host contributes one partial row per block, the
 combiner IS the salt) followed by a hash-partition exchange and a
 vectorized per-partition merge.  Raw edges are never shuffled.
 
-Iterative host-graph algorithms (PageRank, personalized PageRank,
-HITS, label-propagation communities, k-core) are vertex programs on
-``ops.superstep``: the host table is numbered once (int64 id = rank in
-host-name order, range-partitioned over the cluster's CPUs), each
-partition keeps its out-edges as numpy arrays in the object store,
-and an iteration is a scatter wave and a gather wave of plain Ray
-tasks that exchange combined per-target messages — no Ray Data
-exchange and no driver collection inside the loop.  Harmonic
-centrality / effective diameter (HyperBall) and components (the
-min-label loop shared with ``textdata.near_dup_survivors``) still
-iterate over Dataset exchanges.
+Iterative graph algorithms — PageRank, personalized PageRank, HITS,
+label-propagation communities, k-core, HyperBall (harmonic centrality,
+effective diameter) and min-label components (host components and
+``textdata.near_dup_survivors``) — are vertex programs on
+``ops.superstep``: the vertex set is numbered once (int64 id = rank in
+name order, range-partitioned over the cluster's CPUs), each partition
+keeps its out-edges as numpy arrays in the object store, and an
+iteration is a scatter wave and a gather wave of plain Ray tasks that
+exchange combined per-target messages — no Ray Data exchange and no
+driver collection inside the loop.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..functions.sketches import HyperLogLog, token_hashes
+from ..functions.sketches import hll_bucket_rank, hll_estimate, token_hashes
 from .. import ops
-from ..ops import hash_aggregate, hash_group_apply
+from ..ops import hash_aggregate, hash_group_apply, tagged_union_join
 from ..sources import corpus as corpus_mod
 from ..stages import ExtractLinksStage
 
@@ -137,6 +136,14 @@ def link_profiles(sf_dir: str, multiplier: int = 1, edges: rd.Dataset | None = N
     return hash_group_apply(edges, ["target_url"], profile, pre=pre)
 
 
+def _count_anchor_rows(df: pl.DataFrame) -> pl.DataFrame:
+    """Per-block combiner of the anchor top-k ops: one row per distinct
+    (target_url, anchor_text, source_host) with its count ``cnt``."""
+    return df.group_by(["target_url", "anchor_text", "source_host"]).agg(
+        pl.len().cast(pl.Int64).alias("cnt")
+    )
+
+
 def top_anchor_profiles(sf_dir: str, multiplier: int = 1, k: int = 10) -> rd.Dataset:
     """Top-k anchor texts + referring domains per target (O3).
 
@@ -165,13 +172,7 @@ def top_anchor_profiles(sf_dir: str, multiplier: int = 1, k: int = 10) -> rd.Dat
         d = top_map(df, "source_host")
         return a.join(d, on="target_url", how="full", coalesce=True)
 
-    def pre(df: pl.DataFrame) -> pl.DataFrame:
-        return (
-            df.group_by(["target_url", "anchor_text", "source_host"])
-            .agg(pl.len().cast(pl.Int64).alias("cnt"))
-        )
-
-    return hash_group_apply(edges, ["target_url"], topk, pre=pre)
+    return hash_group_apply(edges, ["target_url"], topk, pre=_count_anchor_rows)
 
 
 def top_anchors_referrers(sf_dir: str, multiplier: int = 1, k: int = 10) -> rd.Dataset:
@@ -185,11 +186,6 @@ def top_anchors_referrers(sf_dir: str, multiplier: int = 1, k: int = 10) -> rd.D
     edges = edges_dataset(sf_dir, multiplier).select_columns(
         ["target_url", "anchor_text", "source_host"]
     )
-
-    def pre(df: pl.DataFrame) -> pl.DataFrame:
-        return df.group_by(["target_url", "anchor_text", "source_host"]).agg(
-            pl.len().cast(pl.Int64).alias("cnt")
-        )
 
     def topk(df: pl.DataFrame) -> pl.DataFrame:
         outs = []
@@ -212,7 +208,7 @@ def top_anchors_referrers(sf_dir: str, multiplier: int = 1, k: int = 10) -> rd.D
             )
         return pl.concat(outs)
 
-    return hash_group_apply(edges, ["target_url"], topk, pre=pre)
+    return hash_group_apply(edges, ["target_url"], topk, pre=_count_anchor_rows)
 
 
 # --- host-pair rollup (the salted groupby of the north star) -------------
@@ -256,7 +252,7 @@ def _pagerank_prepare(part: dict, n: int, seeds: tuple | None):
 
 
 def _pagerank_scatter(part: dict, rank: np.ndarray, _scalars) -> pl.DataFrame:
-    return ops.segment_sum(part["dst"], part["w"] * rank[part["src"]])
+    return ops.segment_reduce(part["dst"], part["w"] * rank[part["src"]])
 
 
 def _pagerank_gather(damping: float, part: dict, rank, msgs: pl.DataFrame, dangling):
@@ -308,7 +304,7 @@ def host_pagerank(
 
     Scale shape: ``host_graph`` and ``ops.dense_graph`` run once; each
     iteration is one ``ops.superstep``.  Scatter pushes w·rank along
-    each partition's out-edges and sums per target (``segment_sum``);
+    each partition's out-edges and sums per target (``segment_reduce``);
     gather applies the update and returns the partition's dangling
     mass, which the next gather reads as a ref — the driver waits on
     nothing until the output Dataset.
@@ -343,7 +339,7 @@ def _l2(sq) -> float:
 
 
 def _hits_scatter(part: dict, raw: np.ndarray, sq) -> pl.DataFrame:
-    return ops.segment_sum(part["dst"], part["w"] * (raw[part["src"]] / _l2(sq)))
+    return ops.segment_reduce(part["dst"], part["w"] * (raw[part["src"]] / _l2(sq)))
 
 
 def _hits_gather(part: dict, _raw, msgs: pl.DataFrame, _sq):
@@ -393,6 +389,60 @@ def host_hits(
         g.map(_hits_table, len(auth_sq), *auth_sq, *hub_sq, per_part=(auth, hub)))
 
 
+def _min_label_scatter(part: dict, label: np.ndarray, _scalars) -> pl.DataFrame:
+    """Per target: the smallest label among its neighbors."""
+    return ops.segment_reduce(part["dst"], label[part["src"]], np.minimum)
+
+
+def _min_label_gather(part: dict, label: np.ndarray, msgs: pl.DataFrame, _scalars):
+    new = label.copy()
+    np.minimum.at(new, msgs["dst"].to_numpy(), msgs["v"].to_numpy())
+    return new, int((new != label).sum())
+
+
+def _label_scatter(part: dict, label: np.ndarray, _scalars) -> pl.DataFrame:
+    """Each vertex to the partition that owns its label's name."""
+    return pl.DataFrame({"dst": label, "name": pl.from_arrow(part["names"])}).sort("dst")
+
+
+def _label_gather(cols: tuple, part: dict, _label, msgs: pl.DataFrame, _scalars):
+    label = pl.from_arrow(part["names"]).gather(msgs["dst"])
+    return pl.DataFrame([msgs["name"].alias(cols[0]), label.alias(cols[1])]).to_arrow(), None
+
+
+def _named_labels(g: ops.DenseGraph, labels: list, cols: tuple) -> rd.Dataset:
+    """``cols`` = (vertex name, its label's name) rows: one superstep
+    routes each vertex to the partition that owns its label."""
+    tables, _ = ops.superstep(g, labels, _label_scatter, functools.partial(_label_gather, cols))
+    return rd.from_arrow_refs(tables)
+
+
+def min_label_components(ds: rd.Dataset, a: str, b: str, cols: tuple, max_iters: int) -> rd.Dataset:
+    """Connected components of the undirected graph on ``ds``'s (a, b)
+    pairs → ``cols`` = (vertex, root) rows, root = the component's
+    smallest vertex (string or integer keys).
+
+    Min-label propagation on ``ops.superstep``: every vertex starts with
+    its own dense id (its rank in key order) as label; each sweep's
+    scatter sends every target the ``np.minimum.reduceat`` of its
+    neighbors' labels and the gather keeps the min of its own label and
+    the messages, returning the changed count — the driver waits on P
+    ints per sweep.  Converges in component-diameter + 1 sweeps; raises
+    loudly past ``max_iters``, since a truncated propagation would
+    split components.
+    """
+    g = ops.dense_graph(ds, a, b, undirected=True)
+    labels = g.map(lambda part: part["base"] + np.arange(part["n"]))
+    for _ in range(max_iters):
+        labels, changed = ops.superstep(g, labels, _min_label_scatter, _min_label_gather)
+        if not sum(ray.get(changed)):
+            return _named_labels(g, labels, cols)
+    raise RuntimeError(
+        f"min-label components did not converge in {max_iters} sweeps "
+        "(a component's diameter exceeds max_iters; raise it)"
+    )
+
+
 def host_components(
     sf_dir: str,
     multiplier: int = 1,
@@ -406,79 +456,14 @@ def host_components(
     services/competitive_analysis_service.py; components are the
     graph-native version of that grouping).
 
-    Reuses the SAME distributed min-label propagation as MinHash dedup
-    survivor selection (textdata.near_dup_survivors: one exchange per
-    iteration, loud failure on non-convergence) over 64-bit host
-    hashes; two partitioned joins then re-attach host names, so the
-    component id is a host NAME (the member with the minimum hash),
-    not an opaque integer.  Nothing is broadcast; hash collisions
-    would only ever MERGE two components (never split), with
-    probability ~n²/2⁶⁴.
+    :func:`min_label_components` over ``host_graph`` — the same vertex
+    program as MinHash dedup survivor selection
+    (``textdata.near_dup_survivors``).  ``root_host`` is the
+    component's smallest host name, the "smallest id" rule of
+    :func:`host_communities`.
     """
-    from ..ops import tagged_union_join
-    from .textdata import near_dup_survivors
-
-    hg = host_graph(sf_dir, multiplier, edges=edges).materialize()
-
-    def to_pairs(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .select(
-                pl.col("source_host").hash(seed=0).reinterpret(signed=True).alias("doc_a"),
-                pl.col("target_host").hash(seed=0).reinterpret(signed=True).alias("doc_b"),
-            )
-            .to_arrow()
-        )
-
-    labels = near_dup_survivors(
-        sf_dir,
-        max_iters=max_iters,
-        pairs=hg.map_batches(to_pairs, batch_format="pyarrow", zero_copy_batch=True),
-    )
-
-    def to_names(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return (
-            pl.concat(
-                [
-                    df.select(pl.col("source_host").alias("host")),
-                    df.select(pl.col("target_host").alias("host")),
-                ]
-            )
-            .unique()
-            .with_columns(pl.col("host").hash(seed=0).reinterpret(signed=True).alias("h"))
-            .to_arrow()
-        )
-
-    names = hash_group_apply(
-        hg.map_batches(to_names, batch_format="pyarrow", zero_copy_batch=True),
-        ["host"],
-        lambda df: df.unique(subset=["host"]),
-    ).materialize()
-
-    names_schema = pa.schema([("host", pa.string()), ("h", pa.int64())])
-    labels_schema = pa.schema([("doc_id", pa.int64()), ("survivor_id", pa.int64())])
-    with_host = tagged_union_join(
-        labels, names, "doc_id", "h",
-        left_schema=labels_schema, right_schema=names_schema,
-    ).map_batches(
-        lambda b: pl.from_arrow(b).select("host", "survivor_id").to_arrow(),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    rooted = tagged_union_join(
-        with_host,
-        names.map_batches(
-            lambda b: pl.from_arrow(b).rename({"host": "root_host"}).to_arrow(),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ),
-        "survivor_id", "h",
-        left_schema=pa.schema([("host", pa.string()), ("survivor_id", pa.int64())]),
-        right_schema=pa.schema([("root_host", pa.string()), ("h", pa.int64())]),
-    )
-    return rooted.map_batches(
-        lambda b: pl.from_arrow(b).select("host", "root_host").to_arrow(),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    hg = host_graph(sf_dir, multiplier, edges=edges)
+    return min_label_components(hg, "source_host", "target_host", ("host", "root_host"), max_iters)
 
 
 def undirected_host_pairs(edges: rd.Dataset) -> rd.Dataset:
@@ -520,6 +505,23 @@ def undirected_degrees(und: rd.Dataset) -> rd.Dataset:
         combine=[pl.len().cast(pl.Int64).alias("deg")],
         merge=[pl.col("deg").sum()],
     ).materialize()
+
+
+def _with_endpoint_degrees(und: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
+    """(a, b, deg_a, deg): each undirected pair with the degree of both
+    endpoints (``deg`` is b's), by two partitioned joins."""
+    und_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
+    deg_schema = pa.schema([("host", pa.string()), ("deg", pa.int64())])
+    with_da = tagged_union_join(
+        und, deg, "a", "host", left_schema=und_schema, right_schema=deg_schema
+    ).map_batches(
+        lambda t: pl.from_arrow(t).select("a", "b", pl.col("deg").alias("deg_a")).to_arrow(),
+        batch_format="pyarrow", zero_copy_batch=True,
+    )
+    da_schema = pa.schema([("a", pa.string()), ("b", pa.string()), ("deg_a", pa.int64())])
+    return tagged_union_join(
+        with_da, deg, "b", "host", left_schema=da_schema, right_schema=deg_schema
+    )
 
 
 def host_triangles(
@@ -568,8 +570,6 @@ def host_triangle_counts(
     one partitioned join keyed on the (x,y) closing pair — nothing is
     broadcast and no stage holds more than one partition's candidates.
     """
-    from ..ops import tagged_union_join
-
     if und is None:
         if edges is None:
             edges = edges_dataset(sf_dir, multiplier)
@@ -577,19 +577,8 @@ def host_triangle_counts(
     if deg is None:
         deg = undirected_degrees(und)
 
-    # attach both endpoint degrees (two partitioned joins), then orient
-    und_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
-    deg_schema = pa.schema([("host", pa.string()), ("deg", pa.int64())])
-    with_da = tagged_union_join(
-        und, deg, "a", "host", left_schema=und_schema, right_schema=deg_schema
-    ).map_batches(
-        lambda t: pl.from_arrow(t).select("a", "b", pl.col("deg").alias("deg_a")).to_arrow(),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    da_schema = pa.schema([("a", pa.string()), ("b", pa.string()), ("deg_a", pa.int64())])
-    oriented = tagged_union_join(
-        with_da, deg, "b", "host", left_schema=da_schema, right_schema=deg_schema
-    ).map_batches(
+    # attach both endpoint degrees, then orient
+    oriented = _with_endpoint_degrees(und, deg).map_batches(
         lambda t: pl.from_arrow(t)
         .select("a", "b", "deg_a", pl.col("deg").alias("deg_b"))
         .with_columns(
@@ -825,25 +814,12 @@ def host_degree_assortativity(
     integer micro-units ``floor(r·1e6 + 0.5)`` (0 when the
     denominator is exactly 0: regular graphs).
     """
-    from ..ops import tagged_union_join
-
     if edges is None:
         edges = edges_dataset(sf_dir, multiplier)
     und = undirected_host_pairs(edges)
     deg = undirected_degrees(und)
 
-    und_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
-    deg_schema = pa.schema([("host", pa.string()), ("deg", pa.int64())])
-    with_da = tagged_union_join(
-        und, deg, "a", "host", left_schema=und_schema, right_schema=deg_schema
-    ).map_batches(
-        lambda t: pl.from_arrow(t).select("a", "b", pl.col("deg").alias("deg_a")).to_arrow(),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    da_schema = pa.schema([("a", pa.string()), ("b", pa.string()), ("deg_a", pa.int64())])
-    both = tagged_union_join(
-        with_da, deg, "b", "host", left_schema=da_schema, right_schema=deg_schema
-    )
+    both = _with_endpoint_degrees(und, deg)
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
@@ -895,8 +871,6 @@ def host_clustering(
     order and rounded to 6 decimals so the DuckDB oracle reproduces
     it bit-identically (libm is shared).
     """
-    from ..ops import tagged_union_join
-
     if edges is None:
         edges = edges_dataset(sf_dir, multiplier)
     und = undirected_host_pairs(edges)
@@ -1030,37 +1004,30 @@ def referring_domains_exact(sf_dir: str, multiplier: int = 1, edges: rd.Dataset 
     )
 
 
+def _target_groups(df: pl.DataFrame) -> tuple[np.ndarray, list]:
+    """Per row, the group index of its target_host, and the hosts in
+    group order (categorical physical codes are in first-appearance
+    order, as is ``unique(maintain_order=True)``)."""
+    hosts = df.get_column("target_host")
+    return hosts.cast(pl.Categorical).to_physical().to_numpy(), hosts.unique(maintain_order=True).to_list()
+
+
 def _hll_sparse_partial(p: int):
     """Factory: the sparse-HLL per-block partial used by
     referring_domains_hll and link_overlap_hll — one (target_host,
     packed (bucket<<6|rank) uint32 blob) row per (host, block)."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
         df = pl.from_arrow(batch)
         # one vectorized register update across ALL groups in the batch:
         # flat register index = group_index * 2^p + bucket
-        gid = df.get_column("target_host").cast(pl.Categorical).to_physical().to_numpy()
-        n_groups = int(gid.max()) + 1 if len(gid) else 0
+        gid, hosts_in_order = _target_groups(df)
+        n_groups = len(hosts_in_order)
         if n_groups == 0:
             return pa.table(
                 {"target_host": pa.array([], pa.string()), "sketch": pa.array([], pa.binary())}
             )
-        h = token_hashes(df.get_column("source_host").to_list())
-        m = 1 << p
-        idx = (h >> np.uint64(64 - p)).astype(np.int64)
-        rest = (h << np.uint64(p)).astype(np.uint64)
-        rank = np.full(h.shape, 64 - p + 1, dtype=np.int64)
-        nz = rest != 0
-        if nz.any():
-            bl = np.zeros(int(nz.sum()), dtype=np.int64)
-            r = rest[nz]
-            for shift in (32, 16, 8, 4, 2, 1):
-                ge = r >= (np.uint64(1) << np.uint64(shift))
-                bl += np.where(ge, shift, 0)
-                r = np.where(ge, r >> np.uint64(shift), r)
-            rank[nz] = np.minimum(64 - (bl + 1) + 1, 64 - p + 1)
+        idx, rank = hll_bucket_rank(token_hashes(df.get_column("source_host").to_list()), p)
         # SPARSE sketch rows: pack (bucket, rank) as uint32 (idx<<6|rank),
         # dedup per (group, bucket) keeping max rank — a partial for a
         # small group costs O(distinct) bytes, not 2^p (dense 4 KiB
@@ -1077,11 +1044,6 @@ def _hll_sparse_partial(p: int):
         packed = packed[last]
         grp = (packed >> np.uint64(32)).astype(np.int64)
         entries = (packed & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        # group id → host name (categorical physical codes are in first-
-        # appearance order; recover via unique(maintain_order=True))
-        hosts_in_order = (
-            df.select(pl.col("target_host")).unique(maintain_order=True).get_column("target_host")
-        ).to_list()
         bounds = np.searchsorted(grp, np.arange(n_groups + 1))
         blobs = [entries[bounds[g] : bounds[g + 1]].tobytes() for g in range(n_groups)]
         return pa.table(
@@ -1104,18 +1066,10 @@ def referring_domains_hll(sf_dir: str, multiplier: int = 1, p: int = 12, edges: 
     partial = _hll_sparse_partial(p)
 
     def merge(df: pl.DataFrame) -> pl.DataFrame:
-        import numpy as np
-
         m = 1 << p
         # one vectorized register-merge + estimate across ALL hosts in
         # the partition: flat register index = host_gid * m + bucket
-        # (matches HyperLogLog.estimate()'s math row-wise)
-        hosts = df.get_column("target_host")
-        gid = hosts.cast(pl.Categorical).to_physical().to_numpy()
-        hosts_in_order = (
-            df.select(pl.col("target_host")).unique(maintain_order=True)
-            .get_column("target_host").to_list()
-        )
+        gid, hosts_in_order = _target_groups(df)
         n_hosts = len(hosts_in_order)
         if n_hosts == 0:
             return pl.DataFrame(
@@ -1131,14 +1085,7 @@ def referring_domains_hll(sf_dir: str, multiplier: int = 1, p: int = 12, edges: 
             entry_gid * m + (entries >> 6),
             (entries & 63).astype(np.uint8),
         )
-        reg = dense.reshape(n_hosts, m)
-        mf = float(m)
-        alpha = 0.7213 / (1 + 1.079 / mf)
-        est = alpha * mf * mf / np.sum(2.0 ** (-reg.astype(np.float64)), axis=1)
-        zeros = np.count_nonzero(reg == 0, axis=1)
-        small = (est <= 2.5 * mf) & (zeros > 0)
-        if small.any():
-            est[small] = mf * np.log(mf / zeros[small])
+        est = hll_estimate(dense.reshape(n_hosts, m))
         return pl.DataFrame(
             {"target_host": hosts_in_order, "referring_domains_est": est}
         )
@@ -1211,18 +1158,79 @@ def link_velocity(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     )
 
 
-def _hll_estimate_rows(arr, m: int):
-    """Row-wise HyperLogLog estimate over an (n, m) uint8 register
-    matrix — HyperLogLog.estimate() vectorized across hosts, same
-    small-range linear-counting correction."""
-    import numpy as np
+def _ball_sizes(mode: str, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per counter row: its mass (set bits or register sum, monotone
+    under union) and its ball-size estimate."""
+    if mode == "bitset":
+        mass = np.unpackbits(c, axis=1).sum(axis=1, dtype=np.int64)
+        return mass, mass.astype(np.float64)
+    return c.sum(axis=1, dtype=np.int64), hll_estimate(c)
 
-    inv = np.power(2.0, -arr.astype(np.float64)).sum(axis=1)
-    alpha = 0.7213 / (1 + 1.079 / m)
-    e = alpha * m * m / inv
-    zeros = (arr == 0).sum(axis=1)
-    lc = np.where(zeros > 0, m * np.log(m / np.maximum(zeros, 1)), e)
-    return np.where(e <= 2.5 * m, lc, e)
+
+def _hyperball_init(part: dict, mode: str, p: int, width: int) -> dict:
+    """Every ball starts as {v}: bit v set, or v's HLL register."""
+    n = part["n"]
+    c = np.zeros((n, width), dtype=np.uint8)
+    if mode == "bitset":
+        ids = part["base"] + np.arange(n)
+        c[np.arange(n), ids >> 3] = np.uint8(1) << (ids & 7).astype(np.uint8)
+    else:
+        idx, rank = hll_bucket_rank(token_hashes(part["names"].to_pylist()), p)
+        c[np.arange(n), idx] = rank
+    mass, cnt = _ball_sizes(mode, c)
+    return {"c": c, "mass": mass, "cnt": cnt, "harmonic": np.zeros(n), "sum_dist": np.zeros(n)}
+
+
+def _hyperball_scatter(union, part: dict, state: dict, _scalars) -> pl.DataFrame:
+    return ops.segment_reduce(part["dst"], state["c"][part["src"]], union)
+
+
+def _hyperball_gather(mode: str, union, r: int, part: dict, state: dict, msgs: pl.DataFrame,
+                      _scalars):
+    """ball_r = ball_{r-1} ∪ messages; H += Δ/r, sum_dist += Δ·r; returns
+    (mass delta, Σ ball sizes) of the partition."""
+    c = state["c"].copy()
+    union.at(c, msgs["dst"].to_numpy(), msgs["v"].to_numpy())
+    mass, cnt = _ball_sizes(mode, c)
+    grown = cnt - state["cnt"]
+    new = {"c": c, "mass": mass, "cnt": cnt,
+           "harmonic": state["harmonic"] + grown / float(r),
+           "sum_dist": state["sum_dist"] + grown * float(r)}
+    return new, (int((mass - state["mass"]).sum()), float(cnt.sum()))
+
+
+def _hyperball(sf_dir, multiplier, edges, mode, p, max_iters):
+    """HyperBall to convergence → (graph, per-partition state refs,
+    ``[N(1), N(2), …]`` with ``N(r) = Σ_v |ball_r(v)|``)."""
+    if mode not in ("bitset", "hll"):
+        raise ValueError(f"unknown mode {mode!r}")
+    g = ops.dense_graph(host_graph(sf_dir, multiplier, edges=edges), "source_host", "target_host")
+    width = (g.num_vertices + 7) // 8 if mode == "bitset" else 1 << p
+    union = np.bitwise_or if mode == "bitset" else np.maximum
+    state = g.map(_hyperball_init, mode, p, width)
+    scatter = functools.partial(_hyperball_scatter, union)
+    totals = []
+    for r in range(1, max_iters + 1):
+        gather = functools.partial(_hyperball_gather, mode, union, r)
+        state, out = ops.superstep(g, state, scatter, gather)
+        out = ray.get(out)
+        totals.append(sum(n for _, n in out))
+        if not sum(delta for delta, _ in out):
+            return g, state, totals
+    raise RuntimeError(f"host_harmonic_centrality did not converge in {max_iters} rounds")
+
+
+def _harmonic_table(part: dict, state: dict) -> pa.Table:
+    cnt, sd = state["cnt"], state["sum_dist"]
+    # Bavelas closeness restricted to the in-ball (the standard
+    # disconnected-graph convention): (reachable-1)/sum-of-dists
+    closeness = np.where(sd > 0, (cnt - 1) / np.where(sd > 0, sd, 1.0), 0.0)
+    return pl.DataFrame([
+        _host_names(part),
+        pl.Series("n_reachable", cnt),
+        pl.Series("harmonic", state["harmonic"]),
+        pl.Series("closeness", closeness),
+    ]).to_arrow()
 
 
 def host_harmonic_centrality(
@@ -1232,7 +1240,6 @@ def host_harmonic_centrality(
     mode: str = "bitset",
     p: int = 10,
     max_iters: int = 64,
-    round_totals: list | None = None,
 ) -> rd.Dataset:
     """Harmonic centrality of every host — HyperBall (Boldi & Vigna
     2013), THE neighborhood-function algorithm for web-scale graphs:
@@ -1245,221 +1252,28 @@ def host_harmonic_centrality(
     Two interchangeable counter families behind one iteration:
 
     - ``mode="bitset"`` — EXACT: each host carries an n-bit bitmap
-      (one bit per host, id map broadcast once).  O(n²) bits total, so
-      this is the verification mode — the pytest oracle is per-node
-      BFS.  Ball union is a vectorized ``np.bitwise_or.reduceat``.
+      whose bit v is host v's dense id.  O(n²) bits total, so this is
+      the verification mode — the pytest oracle is per-node BFS.  Ball
+      union is ``np.bitwise_or``.
     - ``mode="hll"`` — the 10^10-host scale path: 2^p one-byte
       registers per host (HyperBall proper; the repo's
       :class:`~..functions.sketches.HyperLogLog` discipline), union =
-      ``np.maximum.reduceat``, size estimates via the same
-      small-range-corrected formula.  No id map, no broadcast;
-      state is O(n·2^p) bytes sharded across partitions.
+      ``np.maximum``, size estimates via the same
+      small-range-corrected formula.  State is O(n·2^p) bytes sharded
+      across partitions.
 
-    Per round: ONE partitioned join pushes each source's counter along
-    its out-edges, one host-keyed exchange merges contributions with
-    the previous state (counters only — host names and blobs, never
-    edges re-shuffled), and the only driver-side value is the integer
-    convergence delta (register/popcount mass is monotone, so delta==0
-    is exact).  Rounds = graph diameter; loud failure past
-    ``max_iters`` like the label-propagation family.
+    Per round: one ``ops.superstep`` over the host graph's
+    ``ops.dense_graph``.  Scatter unions each partition's counters per
+    target (``union.reduceat`` over its out-edges, one fixed-width
+    counter per target); gather unions them into the target's own
+    counter and returns the partition's mass delta and ball-size sum —
+    the driver ``ray.get``s P small tuples per round.  Counter mass is
+    monotone, so delta == 0 is exact convergence.  Rounds = graph
+    diameter + 1; loud failure past ``max_iters`` like the min-label
+    family.
     """
-    import numpy as np
-
-    from ..ops import tagged_union_join
-
-    if mode not in ("bitset", "hll"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    hg = host_graph(sf_dir, multiplier, edges=edges)
-    pairs = hg.map_batches(
-        lambda b: pl.from_arrow(b).select("source_host", "target_host").to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-
-    def hosts_of(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return pl.concat(
-            [
-                df.select(pl.col("source_host").alias("host")),
-                df.select(pl.col("target_host").alias("host")),
-            ]
-        ).unique().to_arrow()
-
-    all_hosts = hash_group_apply(
-        pairs.map_batches(hosts_of, batch_format="pyarrow", zero_copy_batch=True),
-        ["host"],
-        lambda df: df.unique(subset=["host"]),
-    ).materialize()
-
-    m = 1 << p
-    if mode == "bitset":
-        # exact/verification mode: O(n) id map on the driver by design
-        host_list = sorted(r["host"] for r in all_hosts.take_all())
-        hid = {h: i for i, h in enumerate(host_list)}
-        width = (len(host_list) + 7) // 8
-    else:
-        hid = None
-        width = m
-
-    def init_stage(batch: pa.Table) -> pa.Table:
-        hosts = batch.column("host").to_pylist()
-        n = len(hosts)
-        arr = np.zeros((n, width), dtype=np.uint8)
-        if mode == "bitset":
-            ids = np.array([hid[h] for h in hosts], dtype=np.int64)
-            arr[np.arange(n), ids >> 3] = np.uint8(1) << (ids & 7).astype(np.uint8)
-            cnt = np.ones(n, dtype=np.float64)
-        else:
-            h = token_hashes(hosts)
-            idx = (h >> np.uint64(64 - p)).astype(np.int64)
-            rest = (h << np.uint64(p)).astype(np.uint64)
-            rank = np.full(n, 64 - p + 1, dtype=np.uint8)
-            nz = rest != 0
-            if nz.any():
-                bl = np.zeros(int(nz.sum()), dtype=np.int64)
-                r = rest[nz]
-                for shift in (32, 16, 8, 4, 2, 1):
-                    ge = r >= (np.uint64(1) << np.uint64(shift))
-                    bl += np.where(ge, shift, 0)
-                    r = np.where(ge, r >> np.uint64(shift), r)
-                rank[nz] = np.minimum(64 - (bl + 1) + 1, 64 - p + 1)
-            arr[np.arange(n), idx] = rank
-            cnt = _hll_estimate_rows(arr, m)
-        mass = arr.sum(axis=1, dtype=np.int64) if mode == "hll" else None
-        if mode == "bitset":
-            mass = np.unpackbits(arr, axis=1).sum(axis=1, dtype=np.int64)
-        return pa.table(
-            {
-                "host": pa.array(hosts, pa.string()),
-                "blob": pa.array([row.tobytes() for row in arr], pa.binary()),
-                "mass": pa.array(mass, pa.int64()),
-                "cnt": pa.array(cnt, pa.float64()),
-                "harmonic": pa.array(np.zeros(n), pa.float64()),
-                "sum_dist": pa.array(np.zeros(n), pa.float64()),
-            }
-        )
-
-    state = ops.materialize_cut(
-        all_hosts.map_batches(init_stage, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    pairs_schema = pa.schema([("source_host", pa.string()), ("target_host", pa.string())])
-    state_schema = pa.schema(
-        [
-            ("host", pa.string()),
-            ("blob", pa.binary()),
-            ("mass", pa.int64()),
-            ("cnt", pa.float64()),
-            ("harmonic", pa.float64()),
-            ("sum_dist", pa.float64()),
-        ]
-    )
-    blob_schema = pa.schema([("host", pa.string()), ("blob", pa.binary())])
-
-    union_ufunc = np.bitwise_or if mode == "bitset" else np.maximum
-
-    for it in range(1, max_iters + 1):
-
-        def merge_round(df: pl.DataFrame, r: int = it) -> pl.DataFrame:
-            df = df.sort("host")
-            hosts = df.get_column("host").to_numpy()
-            starts = np.flatnonzero(
-                np.concatenate(([True], hosts[1:] != hosts[:-1]))
-            )
-            arr = np.frombuffer(b"".join(df.get_column("blob").to_list()), dtype=np.uint8)
-            arr = arr.reshape(len(df), width)
-            merged = union_ufunc.reduceat(arr, starts, axis=0)
-            # exactly one state row per host carries the scalars;
-            # contribution rows are null → NaN under fmax
-            old_cnt = np.fmax.reduceat(
-                df.get_column("cnt").to_numpy().astype(np.float64), starts
-            )
-            old_mass = np.fmax.reduceat(
-                df.get_column("mass").cast(pl.Float64).to_numpy(), starts
-            ).astype(np.int64)
-            old_harm = np.fmax.reduceat(
-                df.get_column("harmonic").to_numpy().astype(np.float64), starts
-            )
-            old_sd = np.fmax.reduceat(
-                df.get_column("sum_dist").to_numpy().astype(np.float64), starts
-            )
-            if mode == "bitset":
-                new_mass = np.unpackbits(merged, axis=1).sum(axis=1, dtype=np.int64)
-                new_cnt = new_mass.astype(np.float64)
-            else:
-                new_mass = merged.sum(axis=1, dtype=np.int64)
-                new_cnt = _hll_estimate_rows(merged, m)
-            new_harm = old_harm + (new_cnt - old_cnt) / float(r)
-            new_sd = old_sd + (new_cnt - old_cnt) * float(r)
-            return pl.DataFrame(
-                {
-                    "host": pl.Series(hosts[starts].tolist(), dtype=pl.String),
-                    "blob": pl.Series([row.tobytes() for row in merged], dtype=pl.Binary),
-                    "mass": pl.Series(new_mass, dtype=pl.Int64),
-                    "cnt": pl.Series(new_cnt, dtype=pl.Float64),
-                    "harmonic": pl.Series(new_harm, dtype=pl.Float64),
-                    "sum_dist": pl.Series(new_sd, dtype=pl.Float64),
-                    "delta": pl.Series(new_mass - old_mass, dtype=pl.Int64),
-                }
-            )
-
-        own = state.map_batches(
-            lambda b: pl.from_arrow(b)
-            .select("host", "blob", "mass", "cnt", "harmonic", "sum_dist")
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        contrib = tagged_union_join(
-            pairs, own, "source_host", "host",
-            left_schema=pairs_schema, right_schema=state_schema,
-        ).map_batches(
-            lambda b: pl.from_arrow(b)
-            .select(
-                pl.col("target_host").alias("host"),
-                "blob",
-                pl.lit(None, dtype=pl.Int64).alias("mass"),
-                pl.lit(None, dtype=pl.Float64).alias("cnt"),
-                pl.lit(None, dtype=pl.Float64).alias("harmonic"),
-                pl.lit(None, dtype=pl.Float64).alias("sum_dist"),
-            )
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        state = ops.materialize_cut(
-            hash_group_apply(own.union(contrib), ["host"], merge_round)
-        )
-        changed = state.sum("delta") or 0
-        if round_totals is not None:
-            # N(r) = sum_v |ball_r(v)| — the neighbourhood function,
-            # one driver scalar per round (effective-diameter input)
-            round_totals.append(float(state.sum("cnt")))
-        if changed == 0:
-            break
-    else:
-        raise RuntimeError(
-            f"host_harmonic_centrality did not converge in {max_iters} rounds"
-        )
-
-    return state.map_batches(
-        lambda b: pl.from_arrow(b)
-        .select(
-            "host",
-            pl.col("cnt").alias("n_reachable"),
-            "harmonic",
-            # Bavelas closeness restricted to the in-ball (the standard
-            # disconnected-graph convention): (reachable-1)/sum-of-dists
-            pl.when(pl.col("sum_dist") > 0)
-            .then((pl.col("cnt") - 1) / pl.col("sum_dist"))
-            .otherwise(0.0)
-            .alias("closeness"),
-        )
-        .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    g, state, _ = _hyperball(sf_dir, multiplier, edges, mode, p, max_iters)
+    return rd.from_arrow_refs(g.map(_harmonic_table, per_part=(state,)))
 
 
 def host_effective_diameter(
@@ -1475,21 +1289,13 @@ def host_effective_diameter(
     purpose (Boldi & Vigna 2013 measured exactly this on web crawls):
     the smallest distance ``d`` (linearly interpolated) such that at
     least ``q`` of all reachable ordered pairs are within distance
-    ``d``.  Reuses :func:`host_harmonic_centrality`'s iteration; the
-    neighbourhood function ``N(r) = Σ_v |ball_r(v)|`` costs one driver
-    scalar per round, so this adds NOTHING to the exchange volume.
+    ``d``.  Runs :func:`host_harmonic_centrality`'s rounds; the
+    neighbourhood function ``N(r) = Σ_v |ball_r(v)|`` is the per-round
+    scalar those rounds already return, and ``N(0)`` is the vertex
+    count, so this adds no exchange.
     """
-    totals: list = []
-    state = host_harmonic_centrality(
-        sf_dir,
-        multiplier,
-        edges=edges,
-        mode=mode,
-        p=p,
-        max_iters=max_iters,
-        round_totals=totals,
-    )
-    n_hosts = state.count()  # N(0): every ball starts as {v}
+    g, _, totals = _hyperball(sf_dir, multiplier, edges, mode, p, max_iters)
+    n_hosts = g.num_vertices  # N(0): every ball starts as {v}
     ns = [float(n_hosts)] + totals
     target = q * ns[-1]
     d_eff = 0.0
@@ -1538,16 +1344,6 @@ def _lpa_gather(part: dict, label: np.ndarray, msgs: pl.DataFrame, _scalars):
     return new, None
 
 
-def _label_scatter(part: dict, label: np.ndarray, _scalars) -> pl.DataFrame:
-    """Each host to the partition that owns its label's name."""
-    return pl.DataFrame({"dst": label, "host": _host_names(part)}).sort("dst")
-
-
-def _label_gather(part: dict, _label, msgs: pl.DataFrame, _scalars):
-    community = _host_names(part).gather(msgs["dst"]).alias("community")
-    return pl.DataFrame([msgs["host"], community]).to_arrow(), None
-
-
 def host_communities(
     sf_dir: str,
     multiplier: int = 1,
@@ -1583,8 +1379,7 @@ def host_communities(
     labels = g.map(lambda part: part["base"] + np.arange(part["n"]))
     for _ in range(rounds):
         labels, _ = ops.superstep(g, labels, _lpa_scatter, _lpa_gather)
-    tables, _ = ops.superstep(g, labels, _label_scatter, _label_gather)
-    return rd.from_arrow_refs(tables)
+    return _named_labels(g, labels, ("host", "community"))
 
 
 def link_overlap_hll(
@@ -1611,8 +1406,6 @@ def link_overlap_hll(
     triage signal (which competitor pairs overlap enough to intersect
     exactly), not a replacement for the exact path.
     """
-    import numpy as np
-
     if edges is None:
         edges = edges_dataset(sf_dir, multiplier)
 
@@ -1640,12 +1433,8 @@ def link_overlap_hll(
         reg = dense[r["target_host"]]
         np.maximum.at(reg, entries >> 6, (entries & 63).astype(np.uint8))
 
-    def est(reg: np.ndarray) -> float:
-        # single source of truth for the estimator math
-        return HyperLogLog(p, registers=reg).estimate()
-
-    ea, eb = est(dense[host_a]), est(dense[host_b])
-    eu = est(np.maximum(dense[host_a], dense[host_b]))
+    a, b = dense[host_a], dense[host_b]
+    ea, eb, eu = (float(e) for e in hll_estimate(np.stack([a, b, np.maximum(a, b)])))
     return pa.table(
         {
             "host_a": pa.array([host_a]),

@@ -156,7 +156,10 @@ def redirect_chains(sf_dir: str, max_iters: int = 40) -> rd.Dataset:
     m_{k+1}(d) = m_k(m_k(d)) with hops added, doubling the resolved
     distance per round.  Convergence = no row's cursor is still a
     redirecting node (cheap vectorized aggregate per round); loud
-    failure on non-convergence, like near_dup_survivors.
+    failure on non-convergence, like the min-label components program
+    (``graph.min_label_components``).  Pointer doubling is not an
+    edge-push program, so it stays on Dataset exchanges, not
+    ``ops.superstep``.
     """
     def init_map(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)

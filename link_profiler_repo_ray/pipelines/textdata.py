@@ -2139,112 +2139,26 @@ def near_dup_survivors(
 
     A dedup pipeline doesn't end at pairs: transitive groups (A~B,
     B~C ⇒ {A,B,C}) must collapse to one representative.  This runs
-    distributed CONNECTED COMPONENTS by iterative label propagation
-    over the MinHash-verified pair set — per iteration one exchange
-    propagates each node's current minimum label to its neighbors
-    (hash aggregate keyed node, min), converging in O(component
-    diameter) rounds — then emits (doc_id, survivor_id) where survivor
-    = the component's minimum doc_id (the reference's first-wins
-    dedup discipline, crawl_service.py:95-116).  Singleton documents
-    survive as themselves; a pure-python union-find oracle checks the
+    distributed CONNECTED COMPONENTS over the MinHash-verified pair set
+    — ``graph.min_label_components``, the min-label vertex program on
+    ``ops.superstep`` that ``host_components`` also runs, with doc ids
+    as int64 vertex keys (every pair counts in both directions, so
+    non-clique clusters A~C, B~C stay one component) — then emits
+    (doc_id, survivor_id) where survivor = the component's minimum
+    doc_id (the reference's first-wins dedup discipline,
+    crawl_service.py:95-116).  Documents in no pair are absent
+    (singletons survive as themselves); loud failure past
+    ``max_iters``; a pure-python union-find oracle checks the
     clustering in tests.
     """
+    # imported here: the graph module (and the link-extraction stages it
+    # loads) would otherwise be imported by every worker running a text op
+    from .graph import min_label_components
+
     if pairs is None:
         pairs = minhash_lsh_dups(sf_dir, threshold=threshold, extra_docs=extra_docs)
-    # BOTH orientations of every edge: labels must flow a→b AND b→a or
-    # non-clique components (A~C, B~C without A~B — the transitive case
-    # this function exists for) silently split into several survivors
-    def bidir(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return pl.concat(
-            [
-                df.select("doc_a", "doc_b"),
-                df.select(
-                    pl.col("doc_b").alias("doc_a"), pl.col("doc_a").alias("doc_b")
-                ),
-            ]
-        ).to_arrow()
-
-    pairs = (
-        pairs.select_columns(["doc_a", "doc_b"])
-        .map_batches(bidir, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
-    )
-
-    # labels: every endpoint starts as its own component
-    def init_labels(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        nodes = pl.concat(
-            [
-                df.select(pl.col("doc_a").alias("doc_id")),
-                df.select(pl.col("doc_b").alias("doc_id")),
-            ]
-        ).unique()
-        return nodes.with_columns(pl.col("doc_id").alias("label")).to_arrow()
-
-    labels = hash_group_apply(
-        pairs.map_batches(init_labels, batch_format="pyarrow", zero_copy_batch=True),
-        ["doc_id"],
-        lambda df: df.unique(subset=["doc_id"]),
-    ).materialize()
-
-    labels_schema = pa.schema([("doc_id", pa.int64()), ("label", pa.int64())])
-    pairs_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
-
-    converged = False
-    prev_sum = labels.sum("label")
-    for _ in range(max_iters):
-        # push each endpoint's label across its edges (both directions),
-        # then take the min label seen per node (including its own)
-        with_lab = tagged_union_join(
-            pairs, labels, "doc_a", "doc_id",
-            left_schema=pairs_schema, right_schema=labels_schema,
-        )
-
-        def emit(batch: pa.Table) -> pa.Table:
-            # only the neighbor push: the node's own label is supplied
-            # by the labels union below, and reverse flow is covered by
-            # the mirrored edge — emitting (doc_a, label) too doubled
-            # the per-iteration shuffle volume for nothing
-            df = pl.from_arrow(batch)
-            return df.select(
-                pl.col("doc_b").alias("doc_id"), pl.col("label")
-            ).to_arrow()
-
-        prop = with_lab.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        new_labels = ops.materialize_cut(
-            hash_aggregate(
-                prop.union(labels),
-                ["doc_id"],
-                combine=[pl.col("label").min().alias("label")],
-                merge=[pl.col("label").min()],
-            )
-        )
-        # converged when no label changed — the label-sum is strictly
-        # decreasing under min-propagation until fixpoint; ONE
-        # distributed scalar aggregate per iteration (the previous
-        # iteration's sum is carried forward, not recomputed)
-        new_sum = new_labels.sum("label")
-        labels = new_labels
-        if new_sum == prev_sum:
-            converged = True
-            break
-        prev_sum = new_sum
-    if not converged:
-        # no silent caps: truncated propagation would split true
-        # components into several survivors
-        raise RuntimeError(
-            f"near_dup_survivors did not converge in {max_iters} iterations "
-            "(a duplicate-cluster diameter exceeds max_iters; raise it)"
-        )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return df.select(
-            pl.col("doc_id"), pl.col("label").alias("survivor_id")
-        ).to_arrow()
-
-    return labels.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return min_label_components(pairs.select_columns(["doc_a", "doc_b"]), "doc_a", "doc_b",
+                                ("doc_id", "survivor_id"), max_iters)
 
 
 def knn_lsh(
@@ -3820,11 +3734,9 @@ def mixture_sample(sf_dir: str) -> rd.Dataset:
         ]
         return out.with_columns(pl.Series("bucket", bucket, dtype=pl.Int64)).to_arrow()
 
-    base = ops.materialize_cut(
-        documents_dataset(sf_dir, ["doc_id", "source", "text"]).map_batches(
-            stats, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    base = documents_dataset(sf_dir, ["doc_id", "source", "text"]).map_batches(
+        stats, batch_format="pyarrow", zero_copy_batch=True
+    ).materialize()
     per_source = ops.hash_aggregate(
         base,
         ["source"],

@@ -35,6 +35,15 @@ ray.shutdown()
 """
 
 
+def _complete_round_then_later(ck: str) -> bool:
+    rounds = {
+        int(d.rsplit("=", 1)[1]): os.path.exists(os.path.join(d, "manifest.json"))
+        for d in glob.glob(os.path.join(ck, "round=*"))
+    }
+    done = [r for r, complete in rounds.items() if complete]
+    return bool(done) and max(rounds) > max(done)
+
+
 def _run_driver(ck: str, resume: bool, kill_when_checkpointed: bool = False):
     code = _DRIVER.format(repo="/root/repo", ck=ck, resume=resume, sf=SF)
     proc = subprocess.Popen(
@@ -46,7 +55,10 @@ def _run_driver(ck: str, resume: bool, kill_when_checkpointed: bool = False):
     if kill_when_checkpointed:
         deadline = time.time() + 120
         while time.time() < deadline and proc.poll() is None:
-            if len(glob.glob(os.path.join(ck, "round=*", "manifest.json"))) >= 2:
+            # one complete round (its manifest exists) and a later round
+            # started: two manifests are rarely seen together, since each
+            # new one prunes the older
+            if _complete_round_then_later(ck):
                 proc.send_signal(signal.SIGKILL)
                 proc.wait()
                 return None

@@ -66,9 +66,10 @@ def test_host_components_vs_union_find():
     got: dict = {}
     for r in rows:
         got.setdefault(r["root_host"], set()).add(r["host"])
-    # every member's root is inside its own component
+    # every member's root is its component's smallest host name
     for root, members in got.items():
         assert root in members
+        assert root == min(members)
     assert {frozenset(v) for v in got.values()} == expected
 
 

@@ -840,6 +840,24 @@ def _ref_coreness(und: set) -> dict:
     return out
 
 
+def _ref_min_roots(pairs) -> dict:
+    """Union-find over undirected pairs: vertex → its component's minimum."""
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in parent}
+
+
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("seed,n,m", [(21, 18, 60), (22, 40, 70)])
 def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypatch):
@@ -853,9 +871,14 @@ def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypa
     import ray.data as rd
 
     from link_profiler_repo_ray import ops
-    from link_profiler_repo_ray.pipelines import graph
+    from link_profiler_repo_ray.pipelines import graph, textdata
 
     pairs = _planted_multigraph(seed, n, m)
+    # int64 doc ids whose numeric order is not their string order
+    rng = np.random.default_rng(seed)
+    doc = {f"m{i:02d}.test": int(v) for i, v in
+           enumerate(rng.choice(10**12, size=n, replace=False) - 5 * 10**11)}
+    doc_pairs = [(doc[s], doc[t]) for s, t in pairs]
     counts = collections.Counter(pairs)
     hg = pl.DataFrame(
         [(s, t, c) for (s, t), c in counts.items()],
@@ -869,10 +892,17 @@ def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypa
         "hits": _ref_hits(hg, 7),
         "lpa": _ref_lpa(hg, 5),
         "kcore": _ref_coreness(und),
+        "components": _ref_min_roots(pairs),
+        "harmonic": _ref_harmonic(hg),
+        "near_dup": _ref_min_roots(doc_pairs),
     }
     edges = rd.from_arrow(
         pa.table({"source_host": [s for s, _ in pairs], "target_host": [t for _, t in pairs]})
     )
+    doc_ds = rd.from_arrow(pa.table({
+        "doc_a": pa.array([a for a, _ in doc_pairs], pa.int64()),
+        "doc_b": pa.array([b for _, b in doc_pairs], pa.int64()),
+    }))
     dense_graph = ops.dense_graph
     outputs = []
     for p in (1, 2, 5):
@@ -883,8 +913,13 @@ def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypa
             "hits": graph.host_hits("", iters=7, edges=edges),
             "lpa": graph.host_communities("", rounds=5, edges=edges),
             "kcore": graph.host_kcore("", edges=edges),
+            "components": graph.host_components("", edges=edges),
+            "harmonic": graph.host_harmonic_centrality("", edges=edges),
+            "harmonic_hll": graph.host_harmonic_centrality("", edges=edges, mode="hll"),
         }
         got = {k: pl.from_pandas(ds.to_pandas()).sort("host") for k, ds in got.items()}
+        got["near_dup"] = pl.from_pandas(
+            textdata.near_dup_survivors("", pairs=doc_ds).to_pandas()).sort("doc_id")
         outputs.append(got)
 
         rank = dict(got["pagerank"].select("host", "rank").iter_rows())
@@ -898,6 +933,13 @@ def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypa
             assert abs(a - want_a[h]) < 1e-6 and abs(hub - want_h[h]) < 1e-6, (p, h)
         assert dict(got["lpa"].iter_rows()) == want["lpa"], p
         assert dict(got["kcore"].iter_rows()) == want["kcore"], p
+        assert dict(got["components"].iter_rows()) == want["components"], p
+        assert got["harmonic"].height == len(want["harmonic"]), p
+        for h, cnt, harm, close in got["harmonic"].iter_rows():
+            wn, wh, wc = want["harmonic"][h]
+            assert cnt == wn and abs(harm - wh) < 1e-9 and abs(close - wc) < 1e-9, (p, h)
+        assert got["harmonic_hll"]["host"].equals(got["harmonic"]["host"]), p
+        assert dict(got["near_dup"].iter_rows()) == want["near_dup"], p
     for other in outputs[1:]:
         for k, df in outputs[0].items():
             assert other[k].equals(df), k
@@ -926,7 +968,7 @@ def test_superstep_primitive_degrees_and_ids(num_partitions):
     assert len(g.parts) == num_partitions and g.num_vertices == len(hosts)
 
     def count(part, _state, _scalars):
-        return ops.segment_sum(part["dst"], part["w"].astype(np.float64))
+        return ops.segment_reduce(part["dst"], part["w"].astype(np.float64))
 
     def gather(part, _state, msgs, _scalars):
         deg = np.bincount(msgs["dst"].to_numpy(), weights=msgs["v"].to_numpy(),
@@ -953,3 +995,13 @@ def test_superstep_primitive_degrees_and_ids(num_partitions):
     empty = rd.from_arrow(pa.table({"s": pa.array([], pa.string()), "t": pa.array([], pa.string())}))
     e = ops.dense_graph(empty, "s", "t", num_partitions=num_partitions)
     assert e.num_vertices == 0 and len(e.parts) == num_partitions
+
+    # int64 vertex keys: an empty pair set is an empty graph, and the
+    # components on it (near_dup_survivors) are zero rows
+    from link_profiler_repo_ray.pipelines import textdata
+
+    no_pairs = rd.from_arrow(pa.table({"doc_a": pa.array([], pa.int64()),
+                                       "doc_b": pa.array([], pa.int64())}))
+    e = ops.dense_graph(no_pairs, "doc_a", "doc_b", undirected=True, num_partitions=num_partitions)
+    assert e.num_vertices == 0 and len(e.parts) == num_partitions
+    assert textdata.near_dup_survivors("", pairs=no_pairs).count() == 0
