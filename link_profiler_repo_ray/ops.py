@@ -66,6 +66,7 @@ __all__ = [
     "ensure_schema",
     "parquet_num_rows",
     "block_topk",
+    "collect_table",
 ]
 
 
@@ -74,6 +75,24 @@ def parquet_num_rows(path: str) -> int:
     import pyarrow.parquet as pq
 
     return pq.read_metadata(path).num_rows
+
+
+def collect_table(ds: rd.Dataset) -> pa.Table:
+    """Every row of ``ds`` in the calling process as one Arrow table, for
+    results bounded by design (a vocabulary, per-bucket totals, top-k
+    partials).
+
+    Materializes first: on a lazy Dataset ``to_arrow_refs`` runs the
+    pipeline twice (once for the blocks, once more for the schema).
+    Zero-row blocks are dropped; an empty result is an empty table of
+    the Dataset's schema (no columns when it has none).
+    """
+    ds = ds.materialize()
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    if tables:
+        return pa.concat_tables(tables)
+    schema = ds.schema()
+    return schema.base_schema.empty_table() if schema is not None else pa.table({})
 
 
 def block_topk(
@@ -502,7 +521,7 @@ def dense_graph(
     """
     P = num_partitions or cluster_cpus()
     # materialize first: on a lazy Dataset ``to_arrow_refs`` runs the
-    # pipeline twice (once for the blocks, once more for the schema)
+    # pipeline twice (see :func:`collect_table`)
     ds = ds.materialize()
     blocks = ds.to_arrow_refs()
     schema = ds.schema()

@@ -41,6 +41,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from .. import ops
 from ..ops import hash_aggregate, hash_group_apply
 from .textdata import documents_dataset
 
@@ -179,12 +180,8 @@ def bpe_train(sf_dir: str, k: int = 24) -> rd.Dataset:
             df = pl.from_arrow(batch)
             return df.sort(["cnt", "a", "b"], descending=[True, False, False]).head(1).to_arrow()
 
-        tops = pa.concat_tables(
-            ray.get(
-                pair_counts.map_batches(
-                    block_top, batch_format="pyarrow", zero_copy_batch=True
-                ).to_arrow_refs()
-            )
+        tops = ops.collect_table(
+            pair_counts.map_batches(block_top, batch_format="pyarrow", zero_copy_batch=True)
         )  # <= one row per block — bounded by design
         if tops.num_rows == 0:
             break

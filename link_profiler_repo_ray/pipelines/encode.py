@@ -32,9 +32,9 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
-import ray
 import ray.data as rd
 
+from .. import ops
 from ..stages.stages import EncodeStage
 from .textdata import chunk_documents, documents_dataset
 
@@ -124,8 +124,7 @@ def write_embeddings_fixture(sf_dir: str, out_dir: str, **kw) -> str:
     writer shape."""
     import pyarrow.parquet as pq
 
-    parts = ray.get(encode_corpus(sf_dir, **kw).to_arrow_refs())
-    t = pa.concat_tables([p for p in parts if p.num_rows]).sort_by("vec_id")
+    t = ops.collect_table(encode_corpus(sf_dir, **kw)).sort_by("vec_id")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "embeddings.parquet")
     pq.write_table(t, path, row_group_size=max(256, t.num_rows // 8))

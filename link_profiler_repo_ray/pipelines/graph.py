@@ -732,7 +732,7 @@ def related_hosts_cocitation(
     target pairs, then one count aggregate and a distributed top-k.
 
     ``max_targets``: a source linking to H distinct hosts emits
-    O(H²) pairs — the same hub blow-up as ``word_jaccard_pairs``'s
+    O(H²) pairs — the same hub blow-up as all-pairs word Jaccard's
     hub tokens.  Default None = exact (matches the SQL oracle); at
     100 TB set it (e.g. 100) to keep only each source's first
     ``max_targets`` targets (by name, deterministic), the standard

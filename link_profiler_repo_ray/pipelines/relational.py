@@ -340,7 +340,7 @@ def watermark_lateness(sf_dir: str, bucket_size: int = 4096) -> rd.Dataset:
         merge=[pl.col("ts").max()],
     )
     btab = (
-        pl.from_arrow(pa.concat_tables(ray.get(bmax.to_arrow_refs())))
+        pl.from_arrow(ops.collect_table(bmax))
         .group_by("bucket")
         .agg(pl.col("ts").max())
         .sort("bucket")
@@ -494,36 +494,6 @@ def cohort_retention(sf_dir: str, anchor_event: str = "signup") -> rd.Dataset:
         ["cohort_day", "day_offset"],
         combine=[pl.col("n_users").sum()],
         merge=[pl.col("n_users").sum()],
-    )
-
-
-def order_priority_revenue_native(sf_dir: str) -> rd.Dataset:
-    """Same join as :func:`order_priority_revenue` but through Ray
-
-    Data's native hash-partitioned ``Dataset.join`` (available since
-    Ray 2.4x) — kept alongside the explicit ``tagged_union_join`` to
-    document both paths; equivalence is pytest-asserted."""
-    li = hash_aggregate(
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]),
-        ["l_orderkey"],
-        combine=[
-            ((pl.col("l_extendedprice") * (1 - pl.col("l_discount"))) * 100 + 0.5)
-            .floor()
-            .cast(pl.Int64)
-            .sum()
-            .alias("rev_cents")
-        ],
-        merge=[pl.col("rev_cents").sum()],
-    )
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    joined = li.join(
-        orders, "inner", num_partitions=8, on=("l_orderkey",), right_on=("o_orderkey",)
-    )
-    return hash_aggregate(
-        joined,
-        ["o_orderpriority"],
-        combine=[pl.col("rev_cents").sum().alias("revenue_cents")],
-        merge=[pl.col("revenue_cents").sum()],
     )
 
 

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import polars as pl
 import pyarrow as pa
-import ray
 import ray.data as rd
 
+from .. import ops
 from ..ops import hash_aggregate, hash_group_apply
 from .textdata import documents_dataset
 
@@ -118,12 +118,8 @@ def bm25_topk(sf_dir: str, k: int = 10) -> rd.Dataset:
 
         return fn
 
-    markers = pa.concat_tables(
-        ray.get(
-            scanned.map_batches(
-                _keep(True), batch_format="pyarrow", zero_copy_batch=True
-            ).to_arrow_refs()
-        )
+    markers = ops.collect_table(
+        scanned.map_batches(_keep(True), batch_format="pyarrow", zero_copy_batch=True)
     )
     n_docs = sum(markers.column("tf").to_pylist())
     total_tok = sum(markers.column("dl").to_pylist())

@@ -29,8 +29,8 @@ from ..ops import auto_concurrency, hash_aggregate, hash_group_apply, tagged_uni
 from ..functions.htmlx import extract_text_batch
 from ..functions.sketches import (
     band_hashes,
-    minhash_signature,
-    shingle_hashes,
+    batch_shingle_hashes,
+    minhash_signatures,
     simhash64,
     token_hashes,
 )
@@ -47,7 +47,7 @@ __all__ = [
     "minhash_lsh_dups",
     "near_dup_survivors",
     "simhash_dups",
-    "word_jaccard_pairs",
+    "word_jaccard_pairs_prefix",
     "embedding_topk",
     "embedding_centroids",
     "embedding_near_dups",
@@ -324,7 +324,7 @@ def unigram_logprob(sf_dir: str) -> rd.Dataset:
         combine=[pl.col("cnt").sum()],
         merge=[pl.col("cnt").sum()],
     )
-    vocab = pa.concat_tables(ray.get(freq.to_arrow_refs()))
+    vocab = ops.collect_table(freq)
     tokens = vocab.column("w").to_pylist()
     counts = vocab.column("cnt").to_pylist()
     total = sum(counts)
@@ -497,7 +497,7 @@ def dsir_scores(sf_dir: str, docs: rd.Dataset | None = None) -> rd.Dataset:
         combine=[pl.col("c_raw").sum(), pl.col("c_tgt").sum()],
         merge=[pl.col("c_raw").sum(), pl.col("c_tgt").sum()],
     )
-    vocab = pa.concat_tables(ray.get(freq.to_arrow_refs()))
+    vocab = ops.collect_table(freq)
     tokens = vocab.column("w").to_pylist()
     c_raw = vocab.column("c_raw").to_pylist()
     c_tgt = vocab.column("c_tgt").to_pylist()
@@ -584,91 +584,76 @@ def exact_substring_dups(sf_dir: str, n: int = 6) -> rd.Dataset:
     ``n_dup_windows`` (windows whose exact ``n``-gram also occurs in
     at least one OTHER document), and their single-division fraction.
 
-    Three exchanges, none carrying document text beyond the n-grams:
+    Two exchanges, none carrying document text beyond the n-grams:
     (1) partition (doc_id, ngram, position-count) rows by ngram string
-    and keep rows whose ngram spans >= 2 distinct docs; (2) sum kept
-    position-counts per doc; (3) one partitioned doc_id join against
-    the per-doc window totals.  Shingling is the same vectorized
-    explode + shifted-concat as :func:`contamination_ngrams`, and the
-    same 100-TB note applies: swap the ngram string key for a 64-bit
-    hash to make exchange keys 8 bytes.
+    and keep rows whose ngram spans >= 2 distinct docs; (2) one doc_id
+    aggregate summing the kept counts into ``n_dup_windows``.  The same
+    scan also emits one ``base`` row per document carrying its
+    ``n_windows``; it rides through exchange (1) keyed by the doc id
+    (excluded from the distinct-doc count, always kept) and is summed
+    by (2), so every document, one with fewer than ``n`` words
+    included, gets exactly one row without a join or a second scan.
+    Shingling is a vectorized explode + shifted concat (as in
+    :func:`contamination_ngrams`), and the same 100-TB note applies:
+    swap the ngram string key for a 64-bit hash to make exchange keys
+    8 bytes.
     """
 
     def shingle(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
-        ex = (
+        dup = (
             df.select("doc_id", pl.col("text").str.split(" ").alias("w"))
             .explode("w")
-            .with_columns(
+            .select(
+                "doc_id",
                 pl.concat_str(
-                    [pl.col("w")] + [pl.col("w").shift(-k).over("doc_id") for k in range(1, n)],
-                    separator=" ",
-                    ignore_nulls=False,
-                ).alias("ngram")
+                    [pl.col("w").shift(-k) for k in range(n)], separator=" ", ignore_nulls=False
+                ).alias("ngram"),
             )
-            .drop_nulls("ngram")
+            # a document's words are contiguous: a window is whole when
+            # its last word belongs to the same document
+            .filter(pl.col("doc_id").shift(-(n - 1)) == pl.col("doc_id"))
             # one row per (doc, ngram) with its window-position count;
             # each document lives wholly in one batch, so these rows
             # never need a cross-block re-merge
             .group_by("doc_id", "ngram")
             .len("cnt")
-            .with_columns(pl.col("cnt").cast(pl.Int64))
+            .select("doc_id", "ngram", pl.col("cnt").cast(pl.Int64), pl.lit(False).alias("base"))
         )
-        return ex.to_arrow()
+        base = df.select(
+            "doc_id",
+            pl.col("doc_id").cast(pl.Utf8).alias("ngram"),
+            (pl.col("text").str.split(" ").list.len().cast(pl.Int64) - (n - 1))
+            .clip(lower_bound=0)
+            .alias("cnt"),
+            pl.lit(True).alias("base"),
+        )
+        return pl.concat([dup, base]).to_arrow()
 
     def keep_cross_doc(df: pl.DataFrame) -> pl.DataFrame:
-        return (
-            df.with_columns(pl.col("doc_id").n_unique().over("ngram").alias("nd"))
-            .filter(pl.col("nd") >= 2)
-            .select("doc_id", "cnt")
+        n_docs = pl.col("doc_id").filter(~pl.col("base")).n_unique().over("ngram")
+        return df.filter(pl.col("base") | (n_docs >= 2)).select(
+            "doc_id",
+            pl.when(pl.col("base")).then(pl.col("cnt")).otherwise(0).alias("n_windows"),
+            pl.when(pl.col("base")).then(0).otherwise(pl.col("cnt")).alias("n_dup_windows"),
         )
 
-    dup_counts = ops.ensure_schema(
-        hash_aggregate(
-            hash_group_apply(
-                documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-                    shingle, batch_format="pyarrow", zero_copy_batch=True
-                ),
-                ["ngram"],
-                keep_cross_doc,
+    per_doc = hash_aggregate(
+        hash_group_apply(
+            documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
+                shingle, batch_format="pyarrow", zero_copy_batch=True
             ),
-            ["doc_id"],
-            combine=[pl.col("cnt").sum().alias("n_dup_windows")],
-            merge=[pl.col("n_dup_windows").sum()],
+            ["ngram"],
+            keep_cross_doc,
         ),
-        pa.schema([("doc_id", pa.int64()), ("n_dup_windows", pa.int64())]),
-    )
-
-    def windows(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .select(
-                "doc_id",
-                (pl.col("text").str.split(" ").list.len().cast(pl.Int64) - (n - 1))
-                .clip(lower_bound=0)
-                .alias("n_windows"),
-            )
-            .to_arrow()
-        )
-
-    base = documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        windows, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    joined = tagged_union_join(
-        base,
-        dup_counts,
-        "doc_id",
-        "doc_id",
-        how="left",
-        left_schema=pa.schema([("doc_id", pa.int64()), ("n_windows", pa.int64())]),
-        right_schema=pa.schema([("doc_id", pa.int64()), ("n_dup_windows", pa.int64())]),
+        ["doc_id"],
+        combine=[pl.col("n_windows").sum(), pl.col("n_dup_windows").sum()],
+        merge=[pl.col("n_windows").sum(), pl.col("n_dup_windows").sum()],
     )
 
     def finish(batch: pa.Table) -> pa.Table:
         return (
             pl.from_arrow(batch)
-            .with_columns(pl.col("n_dup_windows").fill_null(0))
             .with_columns(
                 dup_window_frac=pl.when(pl.col("n_windows") == 0)
                 .then(pl.lit(0.0))
@@ -678,7 +663,7 @@ def exact_substring_dups(sf_dir: str, n: int = 6) -> rd.Dataset:
             .to_arrow()
         )
 
-    return joined.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return per_doc.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def ngram_novelty(sf_dir: str, n: int = 3) -> rd.Dataset:
@@ -953,13 +938,95 @@ def dedup_exact(sf_dir: str) -> rd.Dataset:
     return survivors.select_columns(["doc_id"])
 
 
-def _rename_col(col_from: str, col_to: str):
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(
-            [col_to if c == col_from else c for c in batch.column_names]
+# --- near-dup pairs: one blocking similarity join --------------------------
+
+
+def _pack_sets(lens: np.ndarray, hashes: np.ndarray) -> pa.Array:
+    """One ``pa.binary`` blob per document: the sorted distinct values of
+    its run of ``hashes`` (``lens`` per document) as raw 8-byte words."""
+    d = np.repeat(np.arange(len(lens)), lens)
+    # each document's run is contiguous, so sorting within runs sorts by (doc, hash)
+    h = pl.DataFrame({"d": d, "h": hashes}).select(pl.col("h").sort().over("d")).to_series().to_numpy()
+    keep = np.ones(len(h), dtype=bool)
+    keep[1:] = (h[1:] != h[:-1]) | (d[1:] != d[:-1])
+    sizes = np.bincount(d[keep], minlength=len(lens))
+    offsets = (np.concatenate([[0], np.cumsum(sizes)]) * 8).astype(np.int32)
+    return pa.Array.from_buffers(
+        pa.binary(), len(lens),
+        [None, pa.py_buffer(offsets), pa.py_buffer(np.ascontiguousarray(h[keep]).tobytes())],
+    )
+
+
+def _set_views(col: pl.Series) -> list[np.ndarray]:
+    """The packed sets of a binary column as zero-copy uint64 views."""
+    arr = col.rechunk().to_arrow().cast(pa.large_binary())
+    off = np.frombuffer(arr.buffers()[1], dtype=np.int64)[arr.offset : arr.offset + len(arr) + 1] // 8
+    words = np.frombuffer(arr.buffers()[2], dtype=np.uint64, count=int(off[-1])) if off[-1] else np.empty(0, np.uint64)
+    return [words[a:b] for a, b in zip(off[:-1], off[1:])]
+
+
+def _shared(sets: list[np.ndarray], ia: np.ndarray, ib: np.ndarray) -> list[int]:
+    """Intersection sizes of the packed-set pairs (ia[k], ib[k])."""
+    return [len(np.intersect1d(sets[i], sets[j], assume_unique=True)) for i, j in zip(ia, ib)]
+
+
+def _pairs_in_runs(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row-index pair i < j inside each run of equal ``group`` ids."""
+    n = len(group)
+    row = np.arange(n)
+    if n == 0:
+        return row, row
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    ends = np.append(starts[1:], n)
+    cnt = np.repeat(ends, ends - starts) - row - 1  # partners after each row
+    ia = np.repeat(row, cnt)
+    ib = ia + 1 + np.arange(len(ia)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return ia, ib
+
+
+def _similarity_join(rows: rd.Dataset, keys: list[str], verify, value: str, dtype) -> rd.Dataset:
+    """Blocking similarity join: distinct ``(doc_a, doc_b, value)`` pairs.
+
+    ``rows`` holds one row per (doc_id, block key…) with the doc's
+    payload columns.  One ``hash_group_apply`` keyed by the block key
+    brings each block together; inside a partition the doc ids of every
+    block are deduped and sorted, all ``doc_a < doc_b`` pairs are
+    emitted, a pair found in several blocks of the partition is kept
+    once, and ``verify(frame, ia, ib)`` checks the pairs in place on the
+    payloads of rows ``ia``/``ib``, returning ``(keep mask, value
+    array)``.  One ``hash_aggregate`` then collapses a pair found in
+    blocks of different partitions (``value`` is a function of the pair,
+    so any copy is the answer).  Two exchanges, payloads cross one.
+    """
+    empty = pl.DataFrame(schema={"doc_a": pl.Int64, "doc_b": pl.Int64, value: dtype})
+
+    def block_pairs(df: pl.DataFrame) -> pl.DataFrame:
+        # the payload columns stay in place; only keys and row numbers move
+        blocks = (
+            df.select(keys + ["doc_id"])
+            .with_row_index("row")
+            .unique(keys + ["doc_id"], keep="any")
+            .filter(pl.len().over(keys) >= 2)
+            .sort(keys + ["doc_id"])
+        )
+        new_block = pl.any_horizontal([pl.col(k) != pl.col(k).shift(1) for k in keys])
+        group = blocks.select(new_block.fill_null(True).cast(pl.Int64).cum_sum()).to_series().to_numpy()
+        ia, ib = _pairs_in_runs(group)
+        doc, row = blocks.get_column("doc_id").to_numpy(), blocks.get_column("row").to_numpy()
+        cand = pl.DataFrame({"doc_a": doc[ia], "doc_b": doc[ib], "ia": row[ia], "ib": row[ib]}).unique(
+            ["doc_a", "doc_b"], keep="any"
+        )
+        if cand.height == 0:
+            return empty
+        keep, vals = verify(df, cand.get_column("ia").to_numpy(), cand.get_column("ib").to_numpy())
+        return cand.select("doc_a", "doc_b").filter(pl.Series(keep)).with_columns(
+            pl.Series(value, vals[keep], dtype=dtype)
         )
 
-    return fn
+    pairs = hash_group_apply(rows, keys, block_pairs)
+    return hash_aggregate(
+        pairs, ["doc_a", "doc_b"], combine=[pl.col(value).max()], merge=[pl.col(value).max()]
+    )
 
 
 def minhash_lsh_dups(
@@ -972,156 +1039,63 @@ def minhash_lsh_dups(
 ) -> rd.Dataset:
     """MinHash+LSH near-dup pairs with exact Jaccard verification.
 
-    shingle→minhash per batch → explode to (band, band_hash, doc_id) →
-    bucket groupby → candidate pairs → exact-Jaccard verify by TWO
-    PARTITIONED HASH JOINS of the pairs against the document texts
-    (route by hash(doc_a) to attach text_a, re-route by hash(doc_b) to
-    attach text_b, recompute shingles inside the verify batch) → pairs
-    with jaccard >= threshold.
+    Per batch: word-``shingle_n`` shingle hashes
+    (:func:`~..functions.sketches.batch_shingle_hashes`), MinHash
+    signatures (:func:`~..functions.sketches.minhash_signatures`) and
+    ``bands`` band hashes per document; each document becomes
+    ``bands`` rows ``(doc_id, band, band_hash, set)`` where ``set`` is
+    its sorted distinct shingle-hash set packed into one binary blob.
+    :func:`_similarity_join` blocks on ``(band, band_hash)`` and
+    verifies every candidate in place: ``inter / (|A| + |B| − inter)``
+    over the two sets (0.0 when both are empty), kept when ≥
+    ``threshold``.
 
-    Nothing materializes on the driver and nothing is broadcast: the
-    verify path streams candidate pairs and texts through two
-    ``tagged_union_join`` exchanges, so it holds at 100 TB (round-1
-    verdict fix #1 — the previous version shipped a dict of every
-    document's shingle set to every verifier actor).
+    Two exchanges; no document text crosses either (each doc's set
+    crosses the first once per band), nothing is collected into one
+    process and nothing is broadcast.
     """
     docs = extra_docs if extra_docs is not None else documents_dataset(sf_dir, ["doc_id", "text"])
 
     def sig_stage(batch: pa.Table) -> pa.Table:
-        ids, band_ids, bhashes = [], [], []
-        for did, text in zip(batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()):
-            sig = minhash_signature(shingle_hashes(text, shingle_n), num_perm)
-            bh = band_hashes(sig, bands)
-            ids.extend([did] * bands)
-            band_ids.extend(range(bands))
-            bhashes.extend(int(x) for x in bh)
+        lens, hashes = batch_shingle_hashes(batch.column("text").to_pylist(), shingle_n)
+        bh = band_hashes(minhash_signatures(lens, hashes, num_perm), bands)
+        n = batch.num_rows
+        per_band = pa.array(np.repeat(np.arange(n), bands))
         return pa.table(
             {
-                "doc_id": pa.array(ids, pa.int64()),
-                "band": pa.array(band_ids, pa.int32()),
-                "band_hash": pa.array(bhashes, pa.uint64()),
+                "doc_id": batch.column("doc_id").cast(pa.int64()).take(per_band),
+                "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
+                "band_hash": pa.array(bh.ravel(), pa.uint64()),
+                "set": _pack_sets(lens, hashes).take(per_band),
             }
         )
 
-    def bucket_pairs(df: pl.DataFrame) -> pl.DataFrame:
-        buckets = df.group_by(["band", "band_hash"]).agg(pl.col("doc_id").unique().sort().alias("ids"))
-        a_out, b_out = [], []
-        for ids in buckets.get_column("ids"):
-            if len(ids) < 2:
-                continue
-            arr = ids.to_numpy()
-            i, j = np.triu_indices(len(arr), k=1)
-            a_out.append(arr[i])
-            b_out.append(arr[j])
-        if not a_out:
-            return pl.DataFrame({"doc_a": pl.Series([], dtype=pl.Int64), "doc_b": pl.Series([], dtype=pl.Int64)})
-        return pl.DataFrame(
-            {"doc_a": np.concatenate(a_out).astype(np.int64), "doc_b": np.concatenate(b_out).astype(np.int64)}
-        ).unique(["doc_a", "doc_b"])
+    def verify(df: pl.DataFrame, ia: np.ndarray, ib: np.ndarray):
+        sets = _set_views(df.get_column("set"))
+        jac = []
+        for i, j, inter in zip(ia, ib, _shared(sets, ia, ib)):
+            denom = len(sets[i]) + len(sets[j]) - inter
+            jac.append(inter / denom if denom else 0.0)
+        jac = np.array(jac, dtype=np.float64)
+        return jac >= threshold, jac
 
-    # NOTE: no dedicated pair-dedup exchange (round-2: minhash
-    # anti-scaled 8→32 CPUs on chained-exchange fixed cost).  A pair
-    # colliding in k bands emits up to k stub-row copies, but both
-    # copies of a stub carry the SAME routing key (the doc id), so
-    # they land in the same ``attach`` partition and collapse there —
-    # duplicate TEXT never crosses an exchange.
-    pairs = hash_group_apply(
+    return _similarity_join(
         docs.map_batches(sig_stage, batch_format="pyarrow", zero_copy_batch=True),
         ["band", "band_hash"],
-        bucket_pairs,
+        verify,
+        "jaccard",
+        pl.Float64,
     )
-
-    # one-exchange text attachment: explode each candidate pair into
-    # two stub rows keyed by the doc whose text that side needs, union
-    # with the docs (keyed by doc_id), and join stubs→texts inside each
-    # hash partition.  The corpus text crosses exactly ONE exchange;
-    # the verify exchange after it moves only candidate texts (2 rows
-    # per pair).
-    text_type = docs.schema().base_schema.field("text").type
-    union_schema = pa.schema(
-        [
-            ("key", pa.int64()),
-            ("doc_a", pa.int64()),
-            ("doc_b", pa.int64()),
-            ("text", text_type),
-        ]
-    )
-
-    def stub_rows(batch: pa.Table) -> pa.Table:
-        a = batch.column("doc_a").to_numpy(zero_copy_only=False)
-        b = batch.column("doc_b").to_numpy(zero_copy_only=False)
-        key = np.concatenate([a, b])
-        return pa.table(
-            {
-                "key": pa.array(key, pa.int64()),
-                "doc_a": pa.array(np.concatenate([a, a]), pa.int64()),
-                "doc_b": pa.array(np.concatenate([b, b]), pa.int64()),
-                "text": pa.nulls(len(key), text_type),
-            },
-            schema=union_schema,
-        )
-
-    def doc_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": batch.column("doc_id").cast(pa.int64()),
-                "doc_a": pa.nulls(n, pa.int64()),
-                "doc_b": pa.nulls(n, pa.int64()),
-                "text": batch.column("text").cast(text_type),
-            },
-            schema=union_schema,
-        )
-
-    tagged = pairs.map_batches(
-        stub_rows, batch_format="pyarrow", zero_copy_batch=True
-    ).union(docs.map_batches(doc_rows, batch_format="pyarrow", zero_copy_batch=True))
-
-    def attach(df: pl.DataFrame) -> pl.DataFrame:
-        texts = df.filter(pl.col("doc_a").is_null()).select("key", "text")
-        stubs = (
-            df.filter(pl.col("doc_a").is_not_null())
-            .select("key", "doc_a", "doc_b")
-            .unique()  # multi-band duplicates collapse here (same key)
-        )
-        out = stubs.join(texts, on="key", how="inner")
-        return out.select(
-            pl.col("doc_a"),
-            pl.col("doc_b"),
-            (pl.col("key") == pl.col("doc_a")).alias("is_a"),
-            pl.col("text"),
-        )
-
-    # fat text rows: keep exchange batches small (bytes, not rows, bound)
-    attached = hash_group_apply(tagged, ["key"], attach, batch_size=16384)
-
-    def verify_groups(df: pl.DataFrame) -> pl.DataFrame:
-        a = df.filter(pl.col("is_a")).select(
-            "doc_a", "doc_b", pl.col("text").alias("text_a")
-        )
-        b = df.filter(~pl.col("is_a")).select(
-            "doc_a", "doc_b", pl.col("text").alias("text_b")
-        )
-        m = a.join(b, on=["doc_a", "doc_b"], how="inner")
-        jac = []
-        for ta, tb in zip(m.get_column("text_a"), m.get_column("text_b")):
-            sa = set(shingle_hashes(ta, shingle_n).tolist())
-            sb = set(shingle_hashes(tb, shingle_n).tolist())
-            inter = len(sa & sb)
-            denom = len(sa) + len(sb) - inter
-            jac.append(inter / denom if denom else 0.0)
-        return m.select("doc_a", "doc_b").with_columns(
-            pl.Series("jaccard", jac, dtype=pl.Float64)
-        )
-
-    verified = hash_group_apply(
-        attached, ["doc_a", "doc_b"], verify_groups, batch_size=16384
-    )
-    return verified.filter(expr=f"jaccard >= {threshold}")
 
 
 def simhash_dups(sf_dir: str, max_hamming: int = 3, extra_docs: rd.Dataset | None = None) -> rd.Dataset:
-    """SimHash near-dup pairs: 4×16-bit band blocking, Hamming verify."""
+    """SimHash near-dup pairs: 4×16-bit band blocking, Hamming verify.
+
+    Each document becomes 4 rows ``(doc_id, band, key, sig)``, ``key``
+    the band's 16 bits of the 64-bit signature ``sig``;
+    :func:`_similarity_join` blocks on ``(band, key)`` and keeps pairs
+    with ``popcount(sig_a ^ sig_b) ≤ max_hamming``.  Two exchanges.
+    """
     docs = extra_docs if extra_docs is not None else documents_dataset(sf_dir, ["doc_id", "text"])
 
     def sig_stage(batch: pa.Table) -> pa.Table:
@@ -1142,62 +1116,26 @@ def simhash_dups(sf_dir: str, max_hamming: int = 3, extra_docs: rd.Dataset | Non
             }
         )
 
-    def bucket_pairs(df: pl.DataFrame) -> pl.DataFrame:
-        buckets = (
-            df.unique(["band", "key", "doc_id"])
-            .sort("doc_id")
-            .group_by(["band", "key"])
-            .agg(pl.col("doc_id").alias("ids"), pl.col("sig").alias("sigs"))
-        )
-        a_out, b_out, ham_out = [], [], []
-        for ids, sigs in zip(buckets.get_column("ids"), buckets.get_column("sigs")):
-            if len(ids) < 2:
-                continue
-            arr = ids.to_numpy()
-            sg = sigs.to_numpy().astype(np.uint64)
-            i, j = np.triu_indices(len(arr), k=1)
-            x = sg[i] ^ sg[j]
-            # vectorized popcount via byte-view lookup
-            ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
-            keep = ham <= max_hamming
-            a_out.append(arr[i][keep])
-            b_out.append(arr[j][keep])
-            ham_out.append(ham[keep])
-        if not a_out:
-            return pl.DataFrame(
-                {
-                    "doc_a": pl.Series([], dtype=pl.Int64),
-                    "doc_b": pl.Series([], dtype=pl.Int64),
-                    "hamming": pl.Series([], dtype=pl.Int64),
-                }
-            )
-        return pl.DataFrame(
-            {
-                "doc_a": np.concatenate(a_out).astype(np.int64),
-                "doc_b": np.concatenate(b_out).astype(np.int64),
-                "hamming": np.concatenate(ham_out).astype(np.int64),
-            }
-        )
+    def verify(df: pl.DataFrame, ia: np.ndarray, ib: np.ndarray):
+        sg = df.get_column("sig").to_numpy().astype(np.uint64)
+        x = sg[ia] ^ sg[ib]
+        # vectorized popcount via byte-view lookup
+        ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1).astype(np.int64)
+        return ham <= max_hamming, ham
 
-    pairs = hash_group_apply(
+    return _similarity_join(
         docs.map_batches(sig_stage, batch_format="pyarrow", zero_copy_batch=True),
         ["band", "key"],
-        bucket_pairs,
-    )
-    return hash_aggregate(
-        pairs,
-        ["doc_a", "doc_b"],
-        combine=[pl.col("hamming").min().alias("hamming")],
-        merge=[pl.col("hamming").min()],
+        verify,
+        "hamming",
+        pl.Int64,
     )
 
 
 def word_jaccard_pairs_prefix(sf_dir: str, threshold: float = 0.9) -> rd.Dataset:
     """Exact word-set Jaccard >= threshold via AllPairs/PPJoin prefix
-    filtering (Bayardo et al. 2007; Xiao et al. 2008) — the scale path
-    that removes :func:`word_jaccard_pairs`' hub-token O(df²) blowup
-    WITHOUT giving up exactness (the round-4 verdict's one remaining
-    "conditional" operator).
+    filtering (Bayardo et al. 2007; Xiao et al. 2008): exact, without
+    the all-pairs form's hub-token O(df²) pair blowup.
 
     The theorem: order every doc's tokens by ascending global document
     frequency; for Jaccard ≥ t, any qualifying pair must share at
@@ -1207,7 +1145,7 @@ def word_jaccard_pairs_prefix(sf_dir: str, threshold: float = 0.9) -> rd.Dataset
     token group is bounded by how often a token appears in prefixes,
     not by its raw df.
 
-    Shape (four bounded exchanges; token text crosses only the first):
+    Shape (four bounded exchanges; token text crosses none):
 
     1. distinct (doc, token-hash, sz) rows — 64-bit fingerprints, the
        ``line_dedup`` hash discipline (a collision merges two tokens
@@ -1215,18 +1153,16 @@ def word_jaccard_pairs_prefix(sf_dir: str, threshold: float = 0.9) -> rd.Dataset
        collision-guarded url-hash);
     2. df per token: one window count keyed by hash;
     3. re-key by doc: sort tokens by (df, hash), emit one row per
-       PREFIX token carrying the doc's full sorted hash list — the
-       list is duplicated prefix-length times, i.e. ``(1−t)·sz + 1``
-       copies, the price of verifying inside the candidate stage
-       instead of two extra list joins;
-    4. candidates: per prefix-token group, size-filtered (t·sz_a ≤
-       sz_b) pairs verified IN PLACE by sorted-array intersection;
-       one final distinct collapses pairs found via several prefix
-       tokens.
+       PREFIX token carrying the doc's full sorted hash set packed into
+       one binary blob — the set is duplicated prefix-length times,
+       i.e. ``(1−t)·sz + 1`` copies, the price of verifying in place;
+    4. :func:`_similarity_join` blocked on the prefix token: pairs
+       passing the size filter (t·sz_a ≤ sz_b) are verified by
+       sorted-array intersection, then one distinct collapses pairs
+       found via several prefix tokens (its two exchanges).
 
-    Result is identical to the all-pairs implementation and to the
-    same DuckDB oracle (jaccard = shared/(sz_a+sz_b−shared), one
-    division).  Registry default since round 5.
+    jaccard = shared/(sz_a+sz_b−shared), one division, as in the
+    DuckDB oracle.  Registry name ``word_jaccard_pairs``.
     """
     import math
 
@@ -1260,199 +1196,50 @@ def word_jaccard_pairs_prefix(sf_dir: str, threshold: float = 0.9) -> rd.Dataset
 
     with_df = hash_group_apply(tokens, ["h"], add_df)
 
-    # 3. per-doc prefix rows (each carrying the full sorted hash list)
+    # 3. per-doc prefix rows (each carrying the full sorted hash set)
     def prefix_stage(df: pl.DataFrame) -> pl.DataFrame:
         rows = (
             df.sort(["doc_id", "df_", "h"])
             .group_by("doc_id", maintain_order=True)
             .agg(pl.col("h").alias("hs"), pl.col("sz").first().alias("sz"))
         )
-        out_h, out_doc, out_sz, out_list = [], [], [], []
+        out_h, out_doc, out_sz, out_set = [], [], [], []
         for doc_id, hs, sz in zip(
             rows.get_column("doc_id"), rows.get_column("hs"), rows.get_column("sz")
         ):
             arr = hs.to_numpy()
             L = int(sz) - math.ceil(threshold * int(sz)) + 1
-            full_sorted = np.sort(arr)  # order-free set for intersection
+            packed = np.sort(arr).tobytes()  # order-free set for intersection
             for t in arr[:L]:
                 out_h.append(int(t))
                 out_doc.append(int(doc_id))
                 out_sz.append(int(sz))
-                out_list.append(full_sorted)
+                out_set.append(packed)
         return pl.DataFrame(
             {
                 "h": pl.Series(out_h, dtype=pl.Int64),
                 "doc_id": pl.Series(out_doc, dtype=pl.Int64),
                 "sz": pl.Series(out_sz, dtype=pl.Int64),
-                "hs": pl.Series(out_list, dtype=pl.List(pl.Int64))
-                if out_list
-                else pl.Series("hs", [], dtype=pl.List(pl.Int64)),
+                "set": pl.Series(out_set, dtype=pl.Binary),
             }
         )
 
     prefixes = hash_group_apply(with_df, ["doc_id"], prefix_stage)
 
-    # 4. candidate pairs per prefix token, verified in place
-    def candidate_stage(df: pl.DataFrame) -> pl.DataFrame:
-        a_out, b_out, j_out = [], [], []
-        for (_h,), grp in df.group_by("h"):
-            if grp.height < 2:
-                continue
-            grp = grp.sort("doc_id")
-            ids = grp.get_column("doc_id").to_numpy()
-            szs = grp.get_column("sz").to_numpy()
-            lists = grp.get_column("hs").to_list()
-            n = len(ids)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    sa, sb = int(szs[i]), int(szs[j])
-                    if min(sa, sb) < threshold * max(sa, sb):
-                        continue  # size filter: J <= min/max
-                    shared = len(np.intersect1d(lists[i], lists[j], assume_unique=True))
-                    jac = shared / (sa + sb - shared)
-                    if jac >= threshold:
-                        a_out.append(int(ids[i]))
-                        b_out.append(int(ids[j]))
-                        j_out.append(jac)
-        return pl.DataFrame(
-            {
-                "doc_a": pl.Series(a_out, dtype=pl.Int64),
-                "doc_b": pl.Series(b_out, dtype=pl.Int64),
-                "jaccard": pl.Series(j_out, dtype=pl.Float64),
-            }
-        )
+    # 4. candidates per prefix token, size-filtered and verified in place
+    def verify(df: pl.DataFrame, ia: np.ndarray, ib: np.ndarray):
+        sz = df.get_column("sz").to_numpy()
+        sa, sb = sz[ia], sz[ib]
+        ok = np.flatnonzero(np.minimum(sa, sb) >= threshold * np.maximum(sa, sb))  # J <= min/max
+        jac = np.zeros(len(ia), dtype=np.float64)
+        sets = _set_views(df.get_column("set"))
+        for k, shared in zip(ok, _shared(sets, ia[ok], ib[ok])):
+            jac[k] = shared / (int(sa[k]) + int(sb[k]) - shared)
+        keep = np.zeros(len(ia), dtype=bool)
+        keep[ok] = jac[ok] >= threshold
+        return keep, jac
 
-    verified = hash_group_apply(prefixes, ["h"], candidate_stage)
-
-    # distinct: a pair can qualify via several shared prefix tokens
-    return hash_aggregate(
-        verified,
-        ["doc_a", "doc_b"],
-        combine=[pl.col("jaccard").max().alias("jaccard")],
-        merge=[pl.col("jaccard").max()],
-    )
-
-
-def word_jaccard_pairs(
-    sf_dir: str, threshold: float = 0.9, max_df: int | None = None
-) -> rd.Dataset:
-    """Exact word-set Jaccard >= threshold via token-inverted-index join.
-
-    Explode distinct (token, doc_id, doc_size) rows — the doc's
-    distinct-token count is computed inside the same batch and CARRIED
-    THROUGH THE SHUFFLE as a column (round-1 verdict fix: no broadcast
-    sizes dict, no driver iter_batches) — group by token to emit
-    co-occurrence pairs with both sizes attached, count shared tokens
-    per pair, then a stateless vectorized
-    jaccard = shared / (sz_a + sz_b - shared).  Fully SQL-mirrorable
-    (the oracle does the same join in DuckDB).
-
-    ``max_df``: optional doc-frequency cap — tokens appearing in more
-    than ``max_df`` documents are skipped during pair emission, the
-    standard hub-token mitigation at 100 TB scale (such tokens emit
-    O(df²) pairs while contributing almost no evidence at high
-    thresholds).  Default None = exact, matching the oracle; a loud
-    warning fires when the exact default meets a corpus big enough for
-    hub tokens to matter (the scale-profile guardrail from the round-2
-    verdict — nothing silently cargo-cults the test-scale default).
-
-    Since round 5 the REGISTRY default is
-    :func:`word_jaccard_pairs_prefix` — same exact result, no hub
-    blowup; this all-pairs form stays as the equality baseline.
-    """
-    if max_df is None:
-        import warnings
-
-        # parquet footer metadata — no Ray job, no data read
-        n_docs = ops.parquet_num_rows(os.path.join(sf_dir, "documents.parquet"))
-        if n_docs > 100_000:
-            warnings.warn(
-                f"word_jaccard_pairs(max_df=None) on {n_docs} docs is exact "
-                "but emits O(df^2) pairs per hub token; set max_df (e.g. "
-                "n_docs // 100) or use minhash_lsh_dups at this scale.",
-                UserWarning,
-                stacklevel=2,
-            )
-
-    def tok_stage(batch: pa.Table) -> pa.Table:
-        ids, toks, szs = [], [], []
-        for did, text in zip(batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()):
-            distinct = set(text.split())
-            sz = len(distinct)
-            for t in distinct:
-                ids.append(did)
-                toks.append(t)
-                szs.append(sz)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "token": pa.array(toks, pa.string()),
-                "sz": pa.array(szs, pa.int64()),
-            }
-        )
-
-    docs = documents_dataset(sf_dir, ["doc_id", "text"])
-    tokens = docs.map_batches(tok_stage, batch_format="pyarrow", zero_copy_batch=True)
-
-    def pair_stage(df: pl.DataFrame) -> pl.DataFrame:
-        groups = (
-            df.sort("doc_id")
-            .group_by("token")
-            .agg(pl.col("doc_id").alias("ids"), pl.col("sz").alias("szs"))
-        )
-        a_out, b_out, sa_out, sb_out = [], [], [], []
-        for ids, szs in zip(groups.get_column("ids"), groups.get_column("szs")):
-            if len(ids) < 2 or (max_df is not None and len(ids) > max_df):
-                continue
-            arr = ids.to_numpy()
-            sz = szs.to_numpy()
-            i, j = np.triu_indices(len(arr), k=1)
-            a_out.append(arr[i])
-            b_out.append(arr[j])
-            sa_out.append(sz[i])
-            sb_out.append(sz[j])
-        if not a_out:
-            return pl.DataFrame(
-                schema={
-                    "doc_a": pl.Int64,
-                    "doc_b": pl.Int64,
-                    "sz_a": pl.Int64,
-                    "sz_b": pl.Int64,
-                }
-            )
-        return pl.DataFrame(
-            {
-                "doc_a": np.concatenate(a_out).astype(np.int64),
-                "doc_b": np.concatenate(b_out).astype(np.int64),
-                "sz_a": np.concatenate(sa_out).astype(np.int64),
-                "sz_b": np.concatenate(sb_out).astype(np.int64),
-            }
-        )
-
-    # sizes ride along as grouping keys (they are functions of the doc
-    # ids, so the group structure is unchanged)
-    shared = hash_aggregate(
-        hash_group_apply(tokens, ["token"], pair_stage),
-        ["doc_a", "doc_b", "sz_a", "sz_b"],
-        combine=[pl.len().cast(pl.Int64).alias("shared")],
-        merge=[pl.col("shared").sum()],
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return (
-            df.with_columns(
-                (
-                    pl.col("shared")
-                    / (pl.col("sz_a") + pl.col("sz_b") - pl.col("shared"))
-                ).alias("jaccard")
-            )
-            .filter(pl.col("jaccard") >= threshold)
-            .select(["doc_a", "doc_b", "jaccard"])
-            .to_arrow()
-        )
-
-    return shared.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
+    return _similarity_join(prefixes, ["h"], verify, "jaccard", pl.Float64)
 
 
 # --- similarity search ----------------------------------------------------
@@ -3274,16 +3061,14 @@ def source_kl_divergence(sf_dir: str) -> rd.Dataset:
 
     totals = (
         pl.from_arrow(
-            pa.concat_tables(
-                ray.get(
-                    tf.map_batches(
-                        lambda b: pl.from_arrow(b)
-                        .group_by("source")
-                        .agg(pl.col("c").sum())
-                        .to_arrow(),
-                        batch_format="pyarrow",
-                        zero_copy_batch=True,
-                    ).to_arrow_refs()
+            ops.collect_table(
+                tf.map_batches(
+                    lambda b: pl.from_arrow(b)
+                    .group_by("source")
+                    .agg(pl.col("c").sum())
+                    .to_arrow(),
+                    batch_format="pyarrow",
+                    zero_copy_batch=True,
                 )
             )
         )
@@ -3391,9 +3176,9 @@ def bigram_logprob(sf_dir: str, lam: float = 0.75) -> rd.Dataset:
 
     import numpy as np
 
-    uni_df = pl.from_arrow(pa.concat_tables(ray.get(uni.to_arrow_refs())))
+    uni_df = pl.from_arrow(ops.collect_table(uni))
     n_total = float(uni_df["c"].sum())
-    big_df = pl.from_arrow(pa.concat_tables(ray.get(big.to_arrow_refs())))
+    big_df = pl.from_arrow(ops.collect_table(big))
     big_df = big_df.with_columns(cv=pl.col("c").sum().over("v").cast(pl.Int64)).join(
         uni_df.rename({"w": "wt", "c": "cw"}), on="wt", how="inner"
     )
@@ -3943,7 +3728,7 @@ def weighted_sample_systematic(sf_dir: str, bucket_size: int = 4096) -> rd.Datas
         merge=[pl.col("n_tokens").sum(), pl.col("n_docs").sum()],
     )
     btab = (
-        pl.from_arrow(pa.concat_tables(ray.get(bsum.to_arrow_refs())))
+        pl.from_arrow(ops.collect_table(bsum))
         .group_by("bucket")
         .agg(pl.col("n_tokens").sum(), pl.col("n_docs").sum())
         .sort("bucket")

@@ -112,17 +112,76 @@ def test_pii_scrub_empty_blocklist_is_noop_on_terms():
     assert got.filter(pl.col("text_scrubbed").str.contains(r"\[TERM\]")).height == 0
 
 
+def _allpairs_word_jaccard(sf_dir: str, threshold: float):
+    """All-pairs exact word-set Jaccard >= threshold through a
+    token-inverted-index join: distinct (doc, token, sz) rows grouped
+    by token emit every co-occurring pair with both sizes, shared
+    tokens are counted per pair, then
+    jaccard = shared / (sz_a + sz_b - shared).  The reference for the
+    prefix-filtered op; O(df²) pairs per token."""
+    import numpy as np
+
+    from link_profiler_repo_ray.ops import hash_aggregate, hash_group_apply
+
+    def tok_stage(batch: pa.Table) -> pa.Table:
+        ids, toks, szs = [], [], []
+        for did, text in zip(batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()):
+            distinct = set(text.split())
+            for t in distinct:
+                ids.append(did)
+                toks.append(t)
+                szs.append(len(distinct))
+        return pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "token": pa.array(toks, pa.string()),
+                "sz": pa.array(szs, pa.int64()),
+            }
+        )
+
+    def pair_stage(df: pl.DataFrame) -> pl.DataFrame:
+        groups = (
+            df.sort("doc_id")
+            .group_by("token")
+            .agg(pl.col("doc_id").alias("ids"), pl.col("sz").alias("szs"))
+        )
+        a_out, b_out, sa_out, sb_out = [], [], [], []
+        for ids, szs in zip(groups.get_column("ids"), groups.get_column("szs")):
+            arr, sz = ids.to_numpy(), szs.to_numpy()
+            i, j = np.triu_indices(len(arr), k=1)
+            a_out.append(arr[i])
+            b_out.append(arr[j])
+            sa_out.append(sz[i])
+            sb_out.append(sz[j])
+        cols = ("doc_a", "doc_b", "sz_a", "sz_b")
+        return pl.DataFrame(
+            {c: np.concatenate(v).astype(np.int64) for c, v in zip(cols, (a_out, b_out, sa_out, sb_out))}
+        )
+
+    docs = textdata.documents_dataset(sf_dir, ["doc_id", "text"])
+    shared = hash_aggregate(
+        hash_group_apply(
+            docs.map_batches(tok_stage, batch_format="pyarrow", zero_copy_batch=True),
+            ["token"],
+            pair_stage,
+        ),
+        ["doc_a", "doc_b", "sz_a", "sz_b"],
+        combine=[pl.len().cast(pl.Int64).alias("shared")],
+        merge=[pl.col("shared").sum()],
+    )
+    return _collect(shared).with_columns(
+        jaccard=pl.col("shared") / (pl.col("sz_a") + pl.col("sz_b") - pl.col("shared"))
+    ).filter(pl.col("jaccard") >= threshold).select("doc_a", "doc_b", "jaccard")
+
+
 class TestPrefixJaccard:
     """PPJoin prefix-filtered exact Jaccard (round 5)."""
 
     def test_equals_allpairs_on_corpus(self, ray_session):
-        from link_profiler_repo_ray.pipelines.textdata import (
-            word_jaccard_pairs,
-            word_jaccard_pairs_prefix,
-        )
+        from link_profiler_repo_ray.pipelines.textdata import word_jaccard_pairs_prefix
 
         sf = "/root/testdata/sf0.001"
-        old = word_jaccard_pairs(sf, threshold=0.9).to_pandas()
+        old = _allpairs_word_jaccard(sf, threshold=0.9).to_pandas()
         new = word_jaccard_pairs_prefix(sf, threshold=0.9).to_pandas()
         ko = {(r.doc_a, r.doc_b): r.jaccard for r in old.itertuples()}
         kn = {(r.doc_a, r.doc_b): r.jaccard for r in new.itertuples()}

@@ -110,11 +110,68 @@ def test_tagged_union_join_matches_polars():
     assert np.allclose(o["x"], e["x"]) and (o["a"] == e["a"]).all()
 
 
+def _order_priority_revenue_native(sf_dir: str) -> rd.Dataset:
+    """``relational.order_priority_revenue`` through Ray Data's native
+    hash-partitioned ``Dataset.join`` instead of ``tagged_union_join``."""
+    from link_profiler_repo_ray.ops import read_parquet
+
+    li = hash_aggregate(
+        read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_extendedprice", "l_discount"]),
+        ["l_orderkey"],
+        combine=[
+            ((pl.col("l_extendedprice") * (1 - pl.col("l_discount"))) * 100 + 0.5)
+            .floor()
+            .cast(pl.Int64)
+            .sum()
+            .alias("rev_cents")
+        ],
+        merge=[pl.col("rev_cents").sum()],
+    )
+    orders = read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"])
+    joined = li.join(
+        orders, "inner", num_partitions=8, on=("l_orderkey",), right_on=("o_orderkey",)
+    )
+    return hash_aggregate(
+        joined,
+        ["o_orderpriority"],
+        combine=[pl.col("rev_cents").sum().alias("revenue_cents")],
+        merge=[pl.col("revenue_cents").sum()],
+    )
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_native_join_equals_tagged_union_join():
     from link_profiler_repo_ray.pipelines import relational
 
     sf = "/root/testdata/sf0.001"
     a = relational.order_priority_revenue(sf).to_pandas().sort_values("o_orderpriority").reset_index(drop=True)
-    b = relational.order_priority_revenue_native(sf).to_pandas().sort_values("o_orderpriority").reset_index(drop=True)
+    b = _order_priority_revenue_native(sf).to_pandas().sort_values("o_orderpriority").reset_index(drop=True)
     assert a[["o_orderpriority", "revenue_cents"]].equals(b[["o_orderpriority", "revenue_cents"]])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_collect_table_runs_upstream_once_per_block(tmp_path):
+    """A lazy Dataset's ``to_arrow_refs`` runs its pipeline twice;
+    ``ops.collect_table`` must run an upstream map stage once per
+    block.  Each call of the stage writes one file."""
+    import os
+    import uuid
+
+    from link_profiler_repo_ray.ops import collect_table
+
+    def counted(batch: pa.Table) -> pa.Table:
+        open(os.path.join(tmp_path, uuid.uuid4().hex), "w").close()
+        ids = batch.column("id").to_numpy()
+        return pa.table({"id": ids, "sq": ids * ids})
+
+    blocks = 4
+    ds = rd.range(100, override_num_blocks=blocks).map_batches(
+        counted, batch_format="pyarrow", batch_size=None
+    )
+    got = collect_table(ds).sort_by("id")
+    assert got.column("id").to_pylist() == list(range(100))
+    assert got.column("sq").to_pylist() == [i * i for i in range(100)]
+    assert len(os.listdir(tmp_path)) == blocks
+    # an empty result keeps the schema
+    empty = collect_table(rd.from_arrow(pa.table({"k": pa.array([], pa.int64())})))
+    assert empty.num_rows == 0 and empty.schema.names == ["k"]

@@ -6,14 +6,19 @@ invariants the oracle comparisons can't express.
 
 import string
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from link_profiler_repo_ray.functions.canonical import canonicalize, host_of
 from link_profiler_repo_ray.functions.htmlx import extract_text
+from link_profiler_repo_ray.functions import sketches
 from link_profiler_repo_ray.functions.sketches import (
     HyperLogLog,
+    band_hashes,
+    batch_shingle_hashes,
     minhash_signature,
+    minhash_signatures,
     shingle_hashes,
     token_hashes,
 )
@@ -61,6 +66,46 @@ def test_minhash_identity_and_permutation_invariance(words):
     s2 = minhash_signature(shingle_hashes(" ".join(reversed(words)), 1))
     # unigram shingles = a SET of words → order must not matter
     assert (s1 == s2).all()
+
+
+# words and the separators str.split() treats as whitespace (the ASCII
+# file/group/record/unit separators \x1c-\x1f and NBSP included)
+_word = st.text(alphabet="ab\u00e9z", min_size=1, max_size=3)
+_sep = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f", " \t "])
+_doc = st.lists(st.tuples(_sep, _word), max_size=12).map(lambda ps: "".join(s + w for s, w in ps))
+_docs = st.lists(st.one_of(_doc, st.sampled_from(["", " ", "\xa0\x1f", "one"])), max_size=12)
+
+
+@given(texts=_docs, n=st.integers(min_value=1, max_value=4))
+@settings(max_examples=200, deadline=None)
+def test_batch_shingles_equal_per_doc(texts, n):
+    lens, hashes = batch_shingle_hashes(texts, n)
+    assert lens.dtype == np.int64 and hashes.dtype == np.uint64
+    assert len(lens) == len(texts) and lens.sum() == len(hashes)
+    off = np.concatenate([[0], np.cumsum(lens)])
+    for i, t in enumerate(texts):
+        assert np.array_equal(hashes[off[i] : off[i + 1]], shingle_hashes(t, n))
+
+
+@given(texts=_docs, n=st.integers(min_value=1, max_value=4),
+       chunk=st.integers(min_value=1, max_value=9), num_perm=st.sampled_from([4, 16, 128]))
+@settings(max_examples=200, deadline=None)
+def test_batch_signatures_equal_per_doc(texts, n, chunk, num_perm):
+    """Small column chunks put chunk boundaries inside documents and
+    next to documents with zero shingles."""
+    lens, hashes = batch_shingle_hashes(texts, n)
+    old = sketches._SIG_CHUNK
+    sketches._SIG_CHUNK = chunk
+    try:
+        sigs = minhash_signatures(lens, hashes, num_perm)
+    finally:
+        sketches._SIG_CHUNK = old
+    assert sigs.shape == (len(texts), num_perm) and sigs.dtype == np.uint64
+    bands = band_hashes(sigs, 4)
+    for i, t in enumerate(texts):
+        want = minhash_signature(shingle_hashes(t, n), num_perm)
+        assert np.array_equal(sigs[i], want)
+        assert np.array_equal(bands[i], band_hashes(want, 4))
 
 
 @given(xs=st.lists(st.integers(min_value=0, max_value=2**63), min_size=0, max_size=500))

@@ -61,6 +61,108 @@ class TestNearDup:
         assert len(ds) == 500
 
 
+def _planted_edge_docs() -> pa.Table:
+    """sf0.001 plus an empty text, texts shorter than the shingle size,
+    exact copies of each and one-word edits, as a ``large_string``
+    text column."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+    ids, texts = t.column("doc_id").to_pylist(), t.column("text").to_pylist()
+    planted = ["", "", "two words", "two words", "x", texts[0], texts[1], texts[1] + " tail"]
+    for i in (2, 3, 4):
+        words = texts[i].split()
+        words[len(words) // 2] = "zzz"
+        planted.append(" ".join(words))
+    n = max(ids) + 1
+    return pa.table(
+        {
+            "doc_id": pa.array(ids + list(range(n, n + len(planted))), pa.int64()),
+            "text": pa.array(texts + planted, pa.large_string()),
+        }
+    )
+
+
+def _ref_minhash_pairs(table: pa.Table, threshold: float, num_perm=128, bands=16, shingle_n=3) -> dict:
+    """Per-doc shingles → signature → band hashes, buckets, then exact
+    Python-set Jaccard of every bucketed pair."""
+    from itertools import combinations
+
+    from link_profiler_repo_ray.functions.sketches import band_hashes, minhash_signature, shingle_hashes
+
+    buckets, sets = {}, {}
+    for did, text in zip(table.column("doc_id").to_pylist(), table.column("text").to_pylist()):
+        h = shingle_hashes(text, shingle_n)
+        sets[did] = set(h.tolist())
+        for band, bh in enumerate(band_hashes(minhash_signature(h, num_perm), bands)):
+            buckets.setdefault((band, int(bh)), set()).add(did)
+    out = {}
+    for ids in buckets.values():
+        for a, b in combinations(sorted(ids), 2):
+            inter = len(sets[a] & sets[b])
+            denom = len(sets[a]) + len(sets[b]) - inter
+            jac = inter / denom if denom else 0.0
+            if jac >= threshold:
+                out[(a, b)] = jac
+    return out
+
+
+def _pair_dict(df: pl.DataFrame, value: str) -> dict:
+    return {(a, b): v for a, b, v in df.select("doc_a", "doc_b", value).iter_rows()}
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestSimilarityJoin:
+    """The blocking similarity join behind minhash/simhash: pairs and
+    their verified values equal a test-local reference exactly."""
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.7, 0.9])
+    def test_minhash_equals_reference_on_corpus(self, threshold):
+        import pyarrow.parquet as pq
+
+        got = pl.from_pandas(textdata.minhash_lsh_dups(SF, threshold=threshold).to_pandas())
+        want = _ref_minhash_pairs(pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"]), threshold)
+        assert _pair_dict(got, "jaccard") == want
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.7, 0.9])
+    def test_minhash_equals_reference_on_planted_edge_docs(self, threshold):
+        table = _planted_edge_docs()
+        out = textdata.minhash_lsh_dups(SF, threshold=threshold, extra_docs=rd.from_arrow(table))
+        got = pl.from_pandas(out.to_pandas())
+        assert got.schema == {"doc_a": pl.Int64, "doc_b": pl.Int64, "jaccard": pl.Float64}
+        want = _ref_minhash_pairs(table, threshold)
+        assert got.height == len(want)  # one row per pair
+        assert _pair_dict(got, "jaccard") == want
+        first = table.num_rows - 11  # id of the first planted doc
+        ids = table.column("doc_id").to_pylist()
+        assert want[(first + 2, first + 3)] == 1.0  # the short exact copies
+        assert want[(ids[0], first + 5)] == 1.0  # a copy of a corpus doc
+        assert (first, first + 1) not in want  # two empty texts: jaccard 0.0
+
+    @pytest.mark.parametrize("max_hamming", [0, 3])
+    def test_simhash_equals_allpairs_reference(self, max_hamming):
+        """With 4 bands of 16 bits, a pair within 3 bits agrees on some
+        band, so blocking loses nothing and all-pairs is the reference."""
+        from link_profiler_repo_ray.functions.sketches import simhash64, token_hashes
+
+        table = _planted_edge_docs()
+        ids = np.array(table.column("doc_id").to_pylist(), dtype=np.int64)
+        sig = np.array(
+            [int(simhash64(token_hashes(t.split()))) for t in table.column("text").to_pylist()],
+            dtype=np.uint64,
+        )
+        i, j = np.triu_indices(len(ids), k=1)
+        ham = np.unpackbits((sig[i] ^ sig[j]).view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+        keep = ham <= max_hamming
+        a, b = np.minimum(ids[i], ids[j])[keep], np.maximum(ids[i], ids[j])[keep]
+        want = dict(zip(zip(a.tolist(), b.tolist()), ham[keep].tolist()))
+        assert want, "the planted copies must give the reference pairs"
+        out = textdata.simhash_dups(SF, max_hamming=max_hamming, extra_docs=rd.from_arrow(table))
+        got = pl.from_pandas(out.to_pandas())
+        assert got.schema == {"doc_a": pl.Int64, "doc_b": pl.Int64, "hamming": pl.Int64}
+        assert _pair_dict(got, "hamming") == want
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestAnn:
     def test_knn_ivf_recall_vs_bruteforce(self):
