@@ -78,7 +78,7 @@ _YIELD_WINDOW_SLOT = (
     "extract_links",           # -> enriched_edges (same edge extraction)
     "crawl_bfs",               # -> robots_block_rates (same robots parse + admission)
     "link_profiles",           # -> top_anchors_referrers (same per-target rollup)
-    "host_graph",              # -> host_triangles (same host-pair exchange)
+    "host_graph",              # -> host_triangles (same host_graph → undirected layout)
     "link_intersect",          # -> related_hosts_cocitation (same distinct-edge exchange)
     "token_stats",             # -> doc_quality (same documents scan + word split)
     "dedup_exact",             # -> line_dedup (same keep-first family)
@@ -115,9 +115,9 @@ _YIELD_WINDOW_SLOT = (
     "events_hopping_window",   # -> events_rollup (same events aggregate)
     "events_distinct_users",   # -> events_rollup (same events parse + combiner)
     "range_partition_plan",    # -> value_percentiles (the exact histogram-rank rule)
-    "host_reciprocal_links",   # -> host_triangles (same distinct host-pair exchange)
-    "host_clustering",         # -> host_triangles (composes the triangle machinery)
-    "host_degree_assortativity", # -> host_triangles (same pair exchange)
+    "host_reciprocal_links",   # -> host_triangles (same host_graph → undirected layout)
+    "host_clustering",         # -> host_triangles (same host_graph → undirected layout + triangle supersteps)
+    "host_degree_assortativity", # -> host_triangles (same host_graph → undirected layout + degree superstep)
     "profiles_incremental",    # -> top_anchors_referrers (same pair-index rollup)
     "expired_domain_finder",   # -> top_valuable_domains (same score expr)
     "anchor_fuzzy_pairs",      # -> enriched_edges (same edges parse)

@@ -23,6 +23,14 @@ keeps its out-edges as numpy arrays in the object store, and an
 iteration is a scatter wave and a gather wave of plain Ray tasks that
 exchange combined per-target messages — no Ray Data exchange and no
 driver collection inside the loop.
+
+The undirected family — triangles, clustering, degree assortativity,
+reciprocal links and k-core — shares one layout on the same kernel:
+``host_graph``'s pairs as (min, max, direction bits), numbered
+undirected and merged per partition to one row per neighbour, with
+each host's degree.  Triangles (compact-forward), clustering and
+assortativity are supersteps on it; reciprocity reads the merged
+direction bits.  No string-keyed join runs in any of them.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import ray.data as rd
 
 from ..functions.sketches import hll_bucket_rank, hll_estimate, token_hashes
 from .. import ops
-from ..ops import hash_aggregate, hash_group_apply, tagged_union_join
+from ..ops import hash_aggregate, hash_group_apply
 from ..sources import corpus as corpus_mod
 from ..stages import ExtractLinksStage
 
@@ -62,8 +70,6 @@ __all__ = [
     "host_triangle_counts",
     "related_hosts_cocitation",
     "host_degree_assortativity",
-    "undirected_host_pairs",
-    "undirected_degrees",
     "referring_domains_exact",
     "referring_domains_hll",
     "host_harmonic_centrality",
@@ -466,62 +472,114 @@ def host_components(
     return min_label_components(hg, "source_host", "target_host", ("host", "root_host"), max_iters)
 
 
-def undirected_host_pairs(edges: rd.Dataset) -> rd.Dataset:
-    """Distinct undirected host pairs (a < b), self-loops dropped —
-    materialized because the graph algorithms below read it repeatedly.
-    Per-block unique is a combiner; the hash exchange dedups globally."""
+# --- the undirected host layout: triangles, clustering, assortativity,
+# reciprocity and k-core are programs on it --------------------------------
 
-    def to_und(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).select(["source_host", "target_host"])
-        return (
-            df.filter(pl.col("source_host") != pl.col("target_host"))
-            .select(
-                pl.min_horizontal("source_host", "target_host").alias("a"),
-                pl.max_horizontal("source_host", "target_host").alias("b"),
-            )
-            .unique()
-            .to_arrow()
+
+def _undirected_rows(batch: pa.Table) -> pa.Table:
+    """host_graph rows → (a = min, b = max, dir), self-loops dropped;
+    ``dir`` is 1 for a→b and 2 for b→a."""
+    s, t = pl.col("source_host"), pl.col("target_host")
+    return (
+        pl.from_arrow(batch)
+        .filter(s != t)
+        .select(
+            pl.min_horizontal(s, t).alias("a"),
+            pl.max_horizontal(s, t).alias("b"),
+            pl.when(s < t).then(1).otherwise(2).cast(pl.Int64).alias("dir"),
         )
-
-    return hash_group_apply(
-        edges.map_batches(to_und, batch_format="pyarrow", zero_copy_batch=True),
-        ["a", "b"],
-        lambda df: df.unique(),
-    ).materialize()
-
-
-def undirected_degrees(und: rd.Dataset) -> rd.Dataset:
-    """(host, deg) over the distinct undirected pair table."""
-
-    def corners(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return pl.concat(
-            [df.select(pl.col("a").alias("host")), df.select(pl.col("b").alias("host"))]
-        ).to_arrow()
-
-    return hash_aggregate(
-        und.map_batches(corners, batch_format="pyarrow", zero_copy_batch=True),
-        ["host"],
-        combine=[pl.len().cast(pl.Int64).alias("deg")],
-        merge=[pl.col("deg").sum()],
-    ).materialize()
-
-
-def _with_endpoint_degrees(und: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
-    """(a, b, deg_a, deg): each undirected pair with the degree of both
-    endpoints (``deg`` is b's), by two partitioned joins."""
-    und_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
-    deg_schema = pa.schema([("host", pa.string()), ("deg", pa.int64())])
-    with_da = tagged_union_join(
-        und, deg, "a", "host", left_schema=und_schema, right_schema=deg_schema
-    ).map_batches(
-        lambda t: pl.from_arrow(t).select("a", "b", pl.col("deg").alias("deg_a")).to_arrow(),
-        batch_format="pyarrow", zero_copy_batch=True,
+        .to_arrow()
     )
-    da_schema = pa.schema([("a", pa.string()), ("b", pa.string()), ("deg_a", pa.int64())])
-    return tagged_union_join(
-        with_da, deg, "b", "host", left_schema=da_schema, right_schema=deg_schema
+
+
+def _merge_parallel(part: dict) -> dict:
+    """One row per (src, dst) with its rows' dir bits OR-ed (3 = the
+    pair links both ways), plus ``deg``: each vertex's distinct
+    neighbours.  Parallel rows are adjacent in the (dst, src) order."""
+    src, dst = part["src"], part["dst"]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    starts = np.flatnonzero(first)
+    return {**part, "src": src[starts], "dst": dst[starts],
+            "w": np.bitwise_or.reduceat(part["w"], starts),
+            "deg": np.bincount(src[starts], minlength=part["n"])}
+
+
+def _undirected_host_graph(sf_dir: str, multiplier: int, edges: rd.Dataset | None) -> ops.DenseGraph:
+    """The undirected host graph on ``ops.dense_graph``: each distinct
+    host pair once in each direction, ``w`` its dir bits, and ``deg``
+    per vertex.  ``host_graph``'s aggregate is its only Ray Data
+    exchange."""
+    und = host_graph(sf_dir, multiplier, edges=edges).map_batches(
+        _undirected_rows, batch_format="pyarrow", zero_copy_batch=True)
+    g = ops.dense_graph(und, "a", "b", "dir", undirected=True)
+    return ops.DenseGraph(g.offsets, g.map(_merge_parallel))
+
+
+def _degree_scatter(part: dict, _state, _scalars) -> pl.DataFrame:
+    """Every vertex's id and degree to each of its neighbours."""
+    return pl.DataFrame({"dst": part["dst"], "u": part["base"] + part["src"],
+                         "du": part["deg"][part["src"]]})
+
+
+def _degree_gather(part: dict, _state, msgs: pl.DataFrame, _scalars):
+    """Keeps each vertex v's forward edges (v, u, du): neighbours u later
+    than v in (degree, id) order.  Returns the integer moments (m,
+    Σ(j+k), Σjk, Σ(j²+k²)) of the endpoint degrees j, k over the
+    partition's edges with u < v, so each edge counts once."""
+    v, u, du = (msgs[c].to_numpy() for c in ("dst", "u", "du"))
+    dv, vid = part["deg"][v], part["base"] + v
+    j, k = du[u < vid], dv[u < vid]
+    moments = (len(j), int((j + k).sum()), int((j * k).sum()), int((j * j + k * k).sum()))
+    fwd = (du > dv) | ((du == dv) & (u > vid))
+    return pl.DataFrame({"v": v[fwd], "u": u[fwd], "du": du[fwd]}), moments
+
+
+def _wedge_scatter(part: dict, fwd: pl.DataFrame, _scalars) -> pl.DataFrame:
+    """Each vertex v's forward list to each of its forward neighbours w:
+    one (w, v, x) row per x after w in (degree, id) order."""
+    later = (pl.col("du_x") > pl.col("du")) | (
+        (pl.col("du_x") == pl.col("du")) & (pl.col("u_x") > pl.col("u")))
+    return (
+        fwd.join(fwd, on="v", suffix="_x")
+        .filter(later)
+        .select(pl.col("u").alias("dst"), pl.col("v") + part["base"], pl.col("u_x").alias("x"))
+        .sort("dst")
     )
+
+
+def _wedge_gather(part: dict, fwd: pl.DataFrame, msgs: pl.DataFrame, _scalars):
+    """Wedges (w, v, x) closed by the receiver's own forward edge (w, x):
+    each triangle v ≺ w ≺ x is found once, at its middle corner.
+    Returns the sorted ids of the found triangles' corners."""
+    own = fwd.select(pl.col("v").alias("dst"), pl.col("u").alias("x"))
+    tri = msgs.join(own, on=["dst", "x"], how="semi")
+    corners = [tri["v"].to_numpy(), part["base"] + tri["dst"].to_numpy(), tri["x"].to_numpy()]
+    return np.sort(np.concatenate(corners)), None
+
+
+def _credit_scatter(part: dict, corners: np.ndarray, _scalars) -> pl.DataFrame:
+    return ops.segment_reduce(corners, np.ones(len(corners), dtype=np.int64))
+
+
+def _credit_gather(part: dict, _corners, msgs: pl.DataFrame, _scalars):
+    tri = np.zeros(part["n"], dtype=np.int64)
+    np.add.at(tri, msgs["dst"].to_numpy(), msgs["v"].to_numpy())
+    return tri, None
+
+
+def _triangles(g: ops.DenseGraph) -> list:
+    """Per-partition refs of each vertex's triangle count: the degree
+    superstep, then the wedge and the corner-credit supersteps."""
+    fwd, _ = ops.superstep(g, [None] * len(g.parts), _degree_scatter, _degree_gather)
+    corners, _ = ops.superstep(g, fwd, _wedge_scatter, _wedge_gather)
+    tri, _ = ops.superstep(g, corners, _credit_scatter, _credit_gather)
+    return tri
+
+
+def _triangle_table(part: dict, tri: np.ndarray) -> pa.Table:
+    return (pl.DataFrame([_host_names(part), pl.Series("triangles", tri, pl.Int64)])
+            .filter(pl.col("triangles") > 0).to_arrow())
 
 
 def host_triangles(
@@ -540,8 +598,6 @@ def host_triangle_counts(
     sf_dir: str,
     multiplier: int = 1,
     edges: rd.Dataset | None = None,
-    und: rd.Dataset | None = None,
-    deg: rd.Dataset | None = None,
 ) -> rd.Dataset:
     """Per-host triangle participation counts over the undirected host
     graph → ``(host, triangles)``, one row per host in ≥ 1 triangle.
@@ -564,82 +620,28 @@ def host_triangle_counts(
     instead of Σ deg² (a 10^6-degree hub contributes ZERO wedges if
     its neighbors all have lower degree, because its edges point IN).
 
-    Distribution: one hash exchange to dedup undirected pairs, one to
-    count degrees, two partitioned joins to attach endpoint degrees,
-    one group-apply keyed on the wedge source for the self-join, and
-    one partitioned join keyed on the (x,y) closing pair — nothing is
-    broadcast and no stage holds more than one partition's candidates.
+    Scale shape: one undirected host layout (``host_graph``'s aggregate
+    is its only Ray Data exchange), then three ``ops.superstep``s of
+    plain Ray tasks over int64 host ids, whose order is name order.
+    Every host sends its degree to its neighbours and keeps its forward
+    list (the neighbours after it in (degree, id) order); every host
+    sends that list to each forward neighbour, which semi-joins it
+    against its own forward list, so a triangle is found once, at its
+    middle corner; ``ops.segment_reduce`` sends the corner credits to
+    their owners.  Nothing is broadcast and no task holds more than
+    one partition's wedges.
     """
-    if und is None:
-        if edges is None:
-            edges = edges_dataset(sf_dir, multiplier)
-        und = undirected_host_pairs(edges)
-    if deg is None:
-        deg = undirected_degrees(und)
+    g = _undirected_host_graph(sf_dir, multiplier, edges)
+    return rd.from_arrow_refs(g.map(_triangle_table, per_part=(_triangles(g),)))
 
-    # attach both endpoint degrees, then orient
-    oriented = _with_endpoint_degrees(und, deg).map_batches(
-        lambda t: pl.from_arrow(t)
-        .select("a", "b", "deg_a", pl.col("deg").alias("deg_b"))
-        .with_columns(
-            fwd=(pl.col("deg_a") < pl.col("deg_b"))
-            | ((pl.col("deg_a") == pl.col("deg_b")) & (pl.col("a") < pl.col("b")))
-        )
-        .select(
-            pl.when(pl.col("fwd")).then(pl.col("a")).otherwise(pl.col("b")).alias("src"),
-            pl.when(pl.col("fwd")).then(pl.col("b")).otherwise(pl.col("a")).alias("dst"),
-            pl.when(pl.col("fwd")).then(pl.col("deg_b")).otherwise(pl.col("deg_a")).alias("dst_deg"),
-        )
-        .to_arrow(),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
 
-    # out-wedges: all ≺-ordered pairs of out-neighbors of each src
-    def wedges(df: pl.DataFrame) -> pl.DataFrame:
-        j = df.join(df, on="src", suffix="_r")
-        return j.filter(
-            (pl.col("dst_deg") < pl.col("dst_deg_r"))
-            | ((pl.col("dst_deg") == pl.col("dst_deg_r")) & (pl.col("dst") < pl.col("dst_r")))
-        ).select(
-            pl.col("src").alias("u"),
-            pl.col("dst").alias("x"),
-            pl.col("dst_r").alias("y"),
-            (pl.col("dst") + "\x00" + pl.col("dst_r")).alias("xy"),
-        )
-
-    cand = hash_group_apply(oriented, ["src"], wedges)
-
-    closing = oriented.map_batches(
-        lambda t: pl.from_arrow(t)
-        .select((pl.col("src") + "\x00" + pl.col("dst")).alias("xy"))
-        .to_arrow(),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    cand_schema = pa.schema(
-        [("u", pa.string()), ("x", pa.string()), ("y", pa.string()), ("xy", pa.string())]
-    )
-    tri = tagged_union_join(
-        cand, closing, "xy", "xy",
-        left_schema=cand_schema,
-        right_schema=pa.schema([("xy", pa.string())]),
-    )
-
-    def tri_corners(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return pl.concat(
-            [
-                df.select(pl.col("u").alias("host")),
-                df.select(pl.col("x").alias("host")),
-                df.select(pl.col("y").alias("host")),
-            ]
-        ).to_arrow()
-
-    return hash_aggregate(
-        tri.map_batches(tri_corners, batch_format="pyarrow", zero_copy_batch=True),
-        ["host"],
-        combine=[pl.len().cast(pl.Int64).alias("triangles")],
-        merge=[pl.col("triangles").sum()],
-    )
+def _reciprocal_table(part: dict) -> pa.Table:
+    both = np.bincount(part["src"][part["w"] == 3], minlength=part["n"])
+    return pl.DataFrame([
+        _host_names(part),
+        pl.Series("partners", part["deg"], pl.Int64),
+        pl.Series("reciprocal_partners", both, pl.Int64),
+    ]).to_arrow()
 
 
 def host_reciprocal_links(
@@ -658,60 +660,13 @@ def host_reciprocal_links(
     direction; ``reciprocal_partners`` counts those where both
     directions exist.
 
-    Shape: per-block distinct directed pairs (combiner), ONE hash
-    exchange keyed the unordered pair to count directions (1 or 2),
-    then the corner hash-aggregate — identical exchange family to
-    ``host_graph``; nothing is broadcast and no stage sees more than
-    O(distinct pairs) rows.
+    Shape: no superstep.  On the undirected host layout a host's
+    ``deg`` is its partner count, and a pair whose merged dir bits are
+    3 links both ways, so one wave of P tasks reads both counts off
+    each partition.
     """
-    if edges is None:
-        edges = edges_dataset(sf_dir, multiplier)
-
-    def to_directed(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).select(["source_host", "target_host"])
-        return (
-            df.filter(pl.col("source_host") != pl.col("target_host"))
-            .unique()
-            .select(
-                pl.min_horizontal("source_host", "target_host").alias("a"),
-                pl.max_horizontal("source_host", "target_host").alias("b"),
-                (pl.col("source_host") <= pl.col("target_host"))
-                .cast(pl.Int64)
-                .alias("fwd"),
-                (pl.col("source_host") > pl.col("target_host"))
-                .cast(pl.Int64)
-                .alias("rev"),
-            )
-            .to_arrow()
-        )
-
-    dirs = hash_aggregate(
-        edges.map_batches(to_directed, batch_format="pyarrow", zero_copy_batch=True),
-        ["a", "b"],
-        combine=[pl.col("fwd").max(), pl.col("rev").max()],
-        merge=[pl.col("fwd").max(), pl.col("rev").max()],
-    )
-
-    def corners(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).with_columns(
-            recip=((pl.col("fwd") + pl.col("rev")) == 2).cast(pl.Int64)
-        )
-        return pl.concat(
-            [
-                df.select(pl.col("a").alias("host"), "recip"),
-                df.select(pl.col("b").alias("host"), "recip"),
-            ]
-        ).to_arrow()
-
-    return hash_aggregate(
-        dirs.map_batches(corners, batch_format="pyarrow", zero_copy_batch=True),
-        ["host"],
-        combine=[
-            pl.len().cast(pl.Int64).alias("partners"),
-            pl.col("recip").sum().alias("reciprocal_partners"),
-        ],
-        merge=[pl.col("partners").sum(), pl.col("reciprocal_partners").sum()],
-    )
+    g = _undirected_host_graph(sf_dir, multiplier, edges)
+    return rd.from_arrow_refs(g.map(_reciprocal_table))
 
 
 def related_hosts_cocitation(
@@ -805,52 +760,46 @@ def host_degree_assortativity(
     disassortative, Newman 2003 table II) — a corpus-level structure
     check for crawl frontiers and synthetic-graph validation.
 
-    Exactness discipline: the three edge-endpoint-degree moments
-    Σ(j+k), Σjk, Σ(j²+k²) are INTEGER sums accumulated per block and
-    merged associatively (order-free), so only the final closed-form
-    expression — written in the identical operation order as the
-    DuckDB oracle — touches floats:
+    Exactness discipline: the edge count and the three
+    edge-endpoint-degree moments Σ(j+k), Σjk, Σ(j²+k²) are INTEGER sums,
+    one tuple per partition from the gather of one degree superstep on
+    the undirected host layout (each edge counted at its larger-id
+    endpoint), summed on the driver in any order.  Only the final
+    closed-form expression — written in the identical operation order
+    as the DuckDB oracle — touches floats:
     ``a = S1/(2M); r = (S2/M − a·a) / (S3/(2M) − a·a)`` quantized to
     integer micro-units ``floor(r·1e6 + 0.5)`` (0 when the
-    denominator is exactly 0: regular graphs).
+    denominator is exactly 0: regular graphs).  A graph with no edge
+    between two distinct hosts gives ``(0, NULL)``, as the oracle does.
     """
-    if edges is None:
-        edges = edges_dataset(sf_dir, multiplier)
-    und = undirected_host_pairs(edges)
-    deg = undirected_degrees(und)
+    import math
 
-    both = _with_endpoint_degrees(und, deg)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return df.select(
-            pl.len().cast(pl.Int64).alias("m"),
-            (pl.col("deg_a") + pl.col("deg")).sum().alias("s1"),
-            (pl.col("deg_a") * pl.col("deg")).sum().alias("s2"),
-            (pl.col("deg_a") * pl.col("deg_a") + pl.col("deg") * pl.col("deg"))
-            .sum()
-            .alias("s3"),
-        ).to_arrow()
-
-    def final(batch: pa.Table) -> pa.Table:
-        import math
-
-        df = pl.from_arrow(batch).select(
-            pl.col("m").sum(), pl.col("s1").sum(), pl.col("s2").sum(), pl.col("s3").sum()
-        )
-        m, s1, s2, s3 = df.row(0)
+    g = _undirected_host_graph(sf_dir, multiplier, edges)
+    _, moments = ops.superstep(g, [None] * len(g.parts), _degree_scatter, _degree_gather)
+    m, s1, s2, s3 = (sum(c) for c in zip(*ray.get(moments)))
+    micro = None
+    if m:
         a = s1 / (2 * m)
         denom = s3 / (2 * m) - a * a
         micro = 0 if denom == 0.0 else math.floor((s2 / m - a * a) / denom * 1_000_000 + 0.5)
-        return pa.table(
-            {"n_edges": [int(m)], "assortativity_micro": [int(micro)]}
-        )
+    return rd.from_arrow(pa.table({
+        "n_edges": pa.array([m], pa.int64()),
+        "assortativity_micro": pa.array([micro], pa.int64()),
+    }))
 
-    return (
-        both.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(1)
-        .map_batches(final, batch_format="pyarrow", zero_copy_batch=True)
-    )
+
+def _clustering_table(part: dict, tri: np.ndarray) -> pa.Table:
+    deg = pl.col("deg")
+    return pl.DataFrame([
+        _host_names(part),
+        pl.Series("deg", part["deg"], pl.Int64),
+        pl.Series("triangles", tri, pl.Int64),
+    ]).with_columns(
+        pl.when(deg >= 2)
+        .then((2.0 * pl.col("triangles") / (deg * (deg - 1))).round(6))
+        .otherwise(0.0)
+        .alias("clustering")
+    ).to_arrow()
 
 
 def host_clustering(
@@ -864,42 +813,15 @@ def host_clustering(
     clustering(v) = 2·T(v) / (deg(v)·(deg(v)−1)) — the fraction of a
     host's neighbor pairs that interlink.  Near 1 with non-trivial
     degree = a densely interlinked network (link farm / PBN
-    signature); near 0 = an organically earned hub.  Composes
-    ``host_triangle_counts`` and ``undirected_degrees`` over ONE
-    shared pair table, then a single left partitioned join (hosts in
-    no triangle get 0); the division is done in one fixed expression
-    order and rounded to 6 decimals so the DuckDB oracle reproduces
-    it bit-identically (libm is shared).
+    signature); near 0 = an organically earned hub.  Runs
+    :func:`host_triangle_counts`'s supersteps on the undirected host
+    layout, whose ``deg`` it reads, and computes the coefficient per
+    partition with no join (hosts in no triangle get 0); the division
+    is done in one fixed expression order and rounded to 6 decimals so
+    the DuckDB oracle reproduces it bit-identically (libm is shared).
     """
-    if edges is None:
-        edges = edges_dataset(sf_dir, multiplier)
-    und = undirected_host_pairs(edges)
-    deg = undirected_degrees(und)
-    tri = host_triangle_counts(sf_dir, multiplier, und=und, deg=deg)
-
-    deg_schema = pa.schema([("host", pa.string()), ("deg", pa.int64())])
-    tri_schema = pa.schema([("host", pa.string()), ("triangles", pa.int64())])
-    joined = tagged_union_join(
-        deg, tri, "host", "host",
-        how="left", left_schema=deg_schema, right_schema=tri_schema,
-    )
-
-    def coeff(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).with_columns(pl.col("triangles").fill_null(0))
-        return df.select(
-            "host",
-            "deg",
-            "triangles",
-            pl.when(pl.col("deg") >= 2)
-            .then(
-                (2.0 * pl.col("triangles") / (pl.col("deg") * (pl.col("deg") - 1)))
-                .round(6)
-            )
-            .otherwise(0.0)
-            .alias("clustering"),
-        ).to_arrow()
-
-    return joined.map_batches(coeff, batch_format="pyarrow", zero_copy_batch=True)
+    g = _undirected_host_graph(sf_dir, multiplier, edges)
+    return rd.from_arrow_refs(g.map(_clustering_table, per_part=(_triangles(g),)))
 
 
 def _kcore_scatter(part: dict, val: np.ndarray, _scalars) -> pl.DataFrame:
@@ -957,16 +879,14 @@ def host_kcore(
     a handful).  Raises loudly on non-convergence like the other
     iterative operators rather than returning a wrong fixed point.
 
-    Scale shape: ``undirected_host_pairs`` and an undirected
-    ``ops.dense_graph`` run once; each sweep is one ``ops.superstep``
+    Scale shape: the undirected host layout is built once and every
+    host starts at its ``deg``; each sweep is one ``ops.superstep``
     whose scatter sends per-target (value, count) histograms and whose
-    gather returns the partition's changed count — the one place in
-    the host-graph family where the driver waits, on P ints per sweep.
+    gather returns the partition's changed count — the driver waits
+    on P ints per sweep.
     """
-    if edges is None:
-        edges = edges_dataset(sf_dir, multiplier)
-    g = ops.dense_graph(undirected_host_pairs(edges), "a", "b", undirected=True)
-    val = g.map(lambda part: np.bincount(part["src"], minlength=part["n"]))
+    g = _undirected_host_graph(sf_dir, multiplier, edges)
+    val = g.map(lambda part: part["deg"])
     for _ in range(max_iters):
         val, changed = ops.superstep(g, val, _kcore_scatter, _kcore_gather)
         if not sum(ray.get(changed)):

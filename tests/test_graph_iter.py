@@ -256,6 +256,21 @@ def test_semdedup_survivors_union_find_oracle():
         assert v <= k
 
 
+def _ref_triangles(und: set) -> dict:
+    """Brute force over distinct undirected pairs: for each edge (a,b),
+    every common neighbor c closes one triangle; over the 3 edges of a
+    triangle each corner is credited exactly once → {corner: count > 0}."""
+    adj: dict = {}
+    for a, b in und:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    out: dict = {}
+    for a, b in und:
+        for c in adj[a] & adj[b]:
+            out[c] = out.get(c, 0) + 1
+    return out
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_host_triangles_bruteforce_oracle():
     """Degree-oriented triangle counting vs a brute-force common-
@@ -276,18 +291,11 @@ def test_host_triangles_bruteforce_oracle():
         if a != b:
             und.add((min(int(a), int(b)), max(int(a), int(b))))
 
-    # brute force: for each edge (a,b), every common neighbor c closes
-    # one triangle; over the 3 edges of a triangle each corner is
-    # credited exactly once
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     for a, b in und:
         adj[a].add(b)
         adj[b].add(a)
-    want = {i: 0 for i in range(n)}
-    for a, b in und:
-        for c in adj[a] & adj[b]:
-            want[c] += 1
-    want = {hosts[i]: c for i, c in want.items() if c > 0}
+    want = {hosts[i]: c for i, c in _ref_triangles(und).items()}
     assert want, "planted graph has no triangles — bump the edge count"
 
     # feed raw directed edges with duplicates + self loops to exercise
@@ -455,10 +463,7 @@ def test_graph_density_ops_random_graphs(seed, n, m):
     )
 
     # triangles per corner
-    want_tri: dict[int, int] = {}
-    for a, b in und:
-        for c in adj[a] & adj[b]:
-            want_tri[c] = want_tri.get(c, 0) + 1
+    want_tri = _ref_triangles(und)
     got_tri = graph.host_triangle_counts("", edges=edges).to_pandas()
     assert dict(zip(got_tri.host, got_tri.triangles.astype(int))) == {
         hosts[i]: c for i, c in want_tri.items()
@@ -507,6 +512,70 @@ def test_assortativity_star_is_minus_one():
     got = graph.host_degree_assortativity("", edges=edges).to_pandas()
     assert int(got.n_edges[0]) == 5
     assert int(got.assortativity_micro[0]) == -1_000_000
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_assortativity_without_edges_matches_oracle():
+    """No edge between two distinct hosts (only self-loops, or no rows
+    at all): one row (0, NULL) with int64 columns, as the DuckDB oracle
+    SQL gives when run on the same edges."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    import __ray_entry__ as e
+    from link_profiler_repo_ray import ops
+    from link_profiler_repo_ray.pipelines import graph
+    from link_profiler_repo_ray.sources.corpus import edges_cte, hosts_cte
+
+    sql = e.oracle_sql()["host_degree_assortativity"]
+    prefix = "WITH " + hosts_cte() + "," + edges_cte()
+    assert sql.startswith(prefix)
+    on_edges = "WITH " + sql[len(prefix):].lstrip().removeprefix(",")
+    for src, dst in ((["a", "b", "a"], ["a", "b", "a"]), ([], [])):
+        edges = pa.table({"source_host": pa.array(src, pa.string()),
+                          "target_host": pa.array(dst, pa.string())})
+        con = duckdb.connect()
+        con.register("edges", edges)
+        want = con.execute(on_edges).fetchall()
+        got = ops.collect_table(graph.host_degree_assortativity("", edges=rd.from_arrow(edges)))
+        assert want == [(0, None)]
+        assert [tuple(r.values()) for r in got.to_pylist()] == want
+        assert got.schema.types == [pa.int64(), pa.int64()]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_undirected_family_logs_no_schema_mismatch():
+    """The undirected host ops run no string-keyed join, so Ray Data
+    logs no "RefBundle with a different schema" warning for them."""
+    import logging
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from link_profiler_repo_ray import ops
+    from link_profiler_repo_ray.pipelines import graph
+
+    pairs = _planted_multigraph(31, 16, 50)
+    edges = rd.from_arrow(pa.table({"source_host": [s for s, _ in pairs],
+                                    "target_host": [t for _, t in pairs]}))
+    seen = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    logger = logging.getLogger("ray.data")
+    handler, level = Collect(logging.WARNING), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        for op in (graph.host_clustering, graph.host_degree_assortativity,
+                   graph.host_reciprocal_links, graph.host_kcore):
+            assert ops.collect_table(op("", edges=edges)).num_rows > 0, op.__name__
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert not [m for m in seen if "RefBundle with a different schema" in m]
 
 
 def _ref_harmonic(pairs: "pl.DataFrame") -> dict[str, tuple[int, float]]:
@@ -840,6 +909,17 @@ def _ref_coreness(und: set) -> dict:
     return out
 
 
+def _ref_assortativity(und: set) -> tuple[int, int]:
+    """(edges, r in micro-units): r is the Pearson correlation of the
+    degrees at the two ends of an edge, every edge taken both ways."""
+    import collections
+
+    deg = collections.Counter(v for pr in und for v in pr)
+    j = np.array([deg[a] for a, _ in und] + [deg[b] for _, b in und], dtype=float)
+    k = np.array([deg[b] for _, b in und] + [deg[a] for a, _ in und], dtype=float)
+    return len(und), round(float(np.corrcoef(j, k)[0, 1]) * 1_000_000)
+
+
 def _ref_min_roots(pairs) -> dict:
     """Union-find over undirected pairs: vertex → its component's minimum."""
     parent: dict = {}
@@ -885,6 +965,12 @@ def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypa
         schema=["source_host", "target_host", "n_links"], orient="row",
     )
     und = {(min(s, t), max(s, t)) for s, t in pairs if s != t}
+    directed = {(s, t) for s, t in pairs if s != t}
+    adj: dict = {}
+    for a, b in und:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    tri = _ref_triangles(und)
     seeds = (pairs[0][0], f"m{n - 2:02d}.test")
     want = {
         "pagerank": _ref_pagerank(hg, 0.85, 9),
@@ -895,6 +981,17 @@ def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypa
         "components": _ref_min_roots(pairs),
         "harmonic": _ref_harmonic(hg),
         "near_dup": _ref_min_roots(doc_pairs),
+        "triangles": tri,
+        "clustering": {
+            h: (len(nb), tri.get(h, 0),
+                round(2.0 * tri.get(h, 0) / (len(nb) * (len(nb) - 1)), 6) if len(nb) >= 2 else 0.0)
+            for h, nb in adj.items()
+        },
+        "reciprocal": {
+            h: (len(nb), sum((h, y) in directed and (y, h) in directed for y in nb))
+            for h, nb in adj.items()
+        },
+        "assortativity": _ref_assortativity(und),
     }
     edges = rd.from_arrow(
         pa.table({"source_host": [s for s, _ in pairs], "target_host": [t for _, t in pairs]})
@@ -916,10 +1013,15 @@ def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypa
             "components": graph.host_components("", edges=edges),
             "harmonic": graph.host_harmonic_centrality("", edges=edges),
             "harmonic_hll": graph.host_harmonic_centrality("", edges=edges, mode="hll"),
+            "triangles": graph.host_triangle_counts("", edges=edges),
+            "clustering": graph.host_clustering("", edges=edges),
+            "reciprocal": graph.host_reciprocal_links("", edges=edges),
         }
         got = {k: pl.from_pandas(ds.to_pandas()).sort("host") for k, ds in got.items()}
         got["near_dup"] = pl.from_pandas(
             textdata.near_dup_survivors("", pairs=doc_ds).to_pandas()).sort("doc_id")
+        got["assortativity"] = pl.from_pandas(
+            graph.host_degree_assortativity("", edges=edges).to_pandas())
         outputs.append(got)
 
         rank = dict(got["pagerank"].select("host", "rank").iter_rows())
@@ -940,6 +1042,15 @@ def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypa
             assert cnt == wn and abs(harm - wh) < 1e-9 and abs(close - wc) < 1e-9, (p, h)
         assert got["harmonic_hll"]["host"].equals(got["harmonic"]["host"]), p
         assert dict(got["near_dup"].iter_rows()) == want["near_dup"], p
+        assert dict(got["triangles"].iter_rows()) == want["triangles"], p
+        assert got["clustering"].height == len(want["clustering"]), p
+        for h, d, t, c in got["clustering"].iter_rows():
+            wd, wt, wc = want["clustering"][h]
+            assert (d, t) == (wd, wt) and abs(c - wc) < 1e-9, (p, h)
+        assert {h: (a, b) for h, a, b in got["reciprocal"].iter_rows()} == want["reciprocal"], p
+        ((m_edges, micro),) = got["assortativity"].iter_rows()
+        want_m, want_micro = want["assortativity"]
+        assert m_edges == want_m and abs(micro - want_micro) <= 1, p
     for other in outputs[1:]:
         for k, df in outputs[0].items():
             assert other[k].equals(df), k

@@ -45,7 +45,7 @@ SIBLINGS = {
     "extract_links": "enriched_edges",
     "crawl_bfs": "robots_block_rates",
     "link_profiles": "top_anchors_referrers",
-    "host_graph": "host_triangles",
+    "host_graph": "host_triangles",  # same host_graph → undirected layout
     "link_intersect": "related_hosts_cocitation",
     "token_stats": "doc_quality",
     "dedup_exact": "line_dedup",
@@ -83,6 +83,7 @@ SIBLINGS = {
     "events_hopping_window": "events_rollup",
     "events_distinct_users": "events_rollup",
     "range_partition_plan": "value_percentiles",
+    # the three below: same host_graph → undirected layout as host_triangles
     "host_reciprocal_links": "host_triangles",
     "host_clustering": "host_triangles",
     "host_degree_assortativity": "host_triangles",
