@@ -3,7 +3,7 @@
 These are the scale path for the reference's exact-set operations:
 - referring-domain cardinality (SURVEY.md A4) used a Python set
   (Link_Profiler/core/models.py:456-480); at 10^10-URL scale that
-  becomes a HyperLogLog merged through ``groupby().aggregate``.
+  becomes a HyperLogLog merged per key through ``ops.hash_group_apply``.
 - near-duplicate detection (SURVEY.md D4) stored only an MD5 hash
   (Link_Profiler/utils/content_validator.py:83); MinHash-LSH and
   SimHash provide the near-dup variants a training-data pipeline needs.

@@ -1,18 +1,17 @@
 """High-throughput distributed aggregation / grouped-apply primitives.
 
-Ray Data's built-in ``groupby().aggregate()`` pays a per-group Python
-cost in its reduce stage — measured ~56 s for 2.3M rows / 250 k groups
-on 8 CPUs, vs 0.6 s for the two-stage plan below.  Every wide operator
+Ray Data's built-in grouped aggregate pays a per-group Python cost in
+its reduce stage — measured ~56 s for 2.3M rows / 250 k groups on
+8 CPUs, vs 0.6 s for the two-stage plan below.  Every wide operator
 in this engine therefore goes through these primitives:
 
 ``hash_aggregate``
-    1. combine: per-block vectorized ``polars.group_by(keys).agg`` →
-       one partial row per (key, block); a hot key contributes at most
-       one row per block, so reducer skew is bounded regardless of the
-       key distribution (this *is* the salting argument: the combine
-       stage is the salt).
-    2. exchange: partials are routed by ``hash(keys) % num_partitions``
-       (a single int sort key — the cheapest possible exchange).
+    1. combine: per route chunk vectorized ``polars.group_by(keys).agg``
+       → one partial row per (key, chunk); a hot key contributes at
+       most one row per chunk, so reducer skew is bounded regardless of
+       the key distribution (this *is* the salting argument: the
+       combine stage is the salt).
+    2. exchange: partials are routed by ``hash(keys) % num_partitions``.
     3. merge: per-partition vectorized ``group_by(keys).agg`` of the
        partials.
 
@@ -22,9 +21,20 @@ in this engine therefore goes through these primitives:
     arbitrary grouped logic (top-k, session windows, sketch merges)
     vectorized over the whole partition instead of once per group.
 
-Both preserve Ray Data streaming/backpressure semantics end to end:
-they are compositions of ``map_batches`` + ``groupby().map_groups``
-only, no driver materialization.
+``tagged_union_join``
+    Both sides through one exchange on their join keys; each partition
+    joins its two sides with a polars join.
+
+All three run on one wave exchange of plain Ray tasks (``_exchange``),
+the mechanism ``dense_graph`` uses too: a barrier (the input is
+materialized once; the driver keeps only its block refs and row
+counts), a route wave (one task per chunk of at most ``batch_size``
+rows: combine/``pre``, then cut into P hash pieces) and a merge wave
+(one task per partition, which also computes its output block's
+metadata).  The result is a materialized Dataset of the non-empty
+partition outputs; no Ray Data sort-shuffle runs, and the driver
+never holds a row.  ``block_topk`` is a per-block map plus
+one final task over the thinned blocks.
 
 ``dense_graph`` / ``superstep``
     Every iterative graph algorithm of the engine (BSP vertex
@@ -49,6 +59,13 @@ import polars as pl
 import pyarrow as pa
 import ray
 import ray.data as rd
+from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.logical.operators.from_operators import FromArrow
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.stats import DatasetStats
+from ray.data.block import BlockMetadataWithSchema
+from ray.data.context import DataContext
+from ray.data.dataset import MaterializedDataset
 
 __all__ = [
     "hash_aggregate",
@@ -61,7 +78,6 @@ __all__ = [
     "segment_reduce",
     "cluster_cpus",
     "auto_concurrency",
-    "default_partitions",
     "read_parquet",
     "ensure_schema",
     "parquet_num_rows",
@@ -95,6 +111,11 @@ def collect_table(ds: rd.Dataset) -> pa.Table:
     return schema.base_schema.empty_table() if schema is not None else pa.table({})
 
 
+def _topk_final(by, descending, k, *tables):
+    df = pl.concat([pl.from_arrow(t) for t in tables], how="vertical_relaxed")
+    return _with_meta(df.sort(by, descending=descending).head(k).to_arrow())
+
+
 def block_topk(
     ds: rd.Dataset,
     by: list[str],
@@ -103,9 +124,9 @@ def block_topk(
     pre: Callable[[pl.DataFrame], pl.DataFrame] | None = None,
 ) -> rd.Dataset:
     """Distributed deterministic top-k: per-block sort+head thins each
-    block to ≤ k rows, then ONE-block final merge re-sorts ≤ k·blocks
-    rows — no global sort, no driver materialization.  ``pre``
-    optionally filters/projects each block before ranking.
+    block to ≤ k rows, then one task re-sorts the ≤ k·blocks survivors
+    — no global sort, no driver materialization.  ``pre`` optionally
+    filters/projects each block before ranking.
     """
 
     def blk(batch: pa.Table) -> pa.Table:
@@ -114,24 +135,21 @@ def block_topk(
             df = pre(df)
         return df.sort(by, descending=descending).head(k).to_arrow()
 
-    def final(batch: pa.Table) -> pa.Table:
-        return pl.from_arrow(batch).sort(by, descending=descending).head(k).to_arrow()
-
-    return (
-        ds.map_batches(blk, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(1)
-        .map_batches(final, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    _, refs, _ = _blocks(ds.map_batches(blk, batch_format="pyarrow", zero_copy_batch=True))
+    if not refs:
+        return rd.from_arrow_refs([])
+    return _dataset(_wave(_topk_final, [(by, descending, k, *refs)], 2))
 
 
 def ensure_schema(ds: rd.Dataset, schema: pa.Schema) -> rd.Dataset:
     """Replace zero-column empty BLOCKS with typed empty tables.
 
-    Ray's exchange operators can emit 0-row blocks with no columns
-    (e.g. an all-empty hash partition out of ``groupby().map_groups``),
-    which crashes any downstream ``select`` and breaks schema compares.
-    This appends a stateless guard mapping such blocks to
-    ``schema.empty_table()``; non-empty blocks pass through zero-copy.
+    A map stage can emit 0-row blocks with no columns, and an exchange
+    whose partitions are all empty returns one 0-row block (with no
+    columns when no partition had a row), which crashes any downstream
+    ``select`` and breaks schema compares.  This appends a stateless
+    guard mapping such blocks to ``schema.empty_table()``; non-empty
+    blocks pass through zero-copy.
 
     Limitation: a dataset that ends up with NO blocks at all (entirely
     empty input) never invokes map stages, so its dataset-level schema
@@ -211,27 +229,159 @@ def auto_concurrency(cap: int | None = None) -> tuple[int, int]:
     return (1, hi)
 
 
-def default_partitions() -> int:
-    """Exchange partition count ∝ cluster size (not a fixed 32).
-
-    Measured flat between cpus and 4×cpus partitions on this workload;
-    one partition per core keeps the merge stage fully parallel without
-    fragmenting the sort."""
-    return max(16, cluster_cpus())
-
-
 def _part_expr(keys: list[str], num_partitions: int) -> pl.Expr:
     key_struct = pl.concat_str([pl.col(k).cast(pl.Utf8) for k in keys], separator="\x00")
     return (key_struct.hash(seed=0) % num_partitions).cast(pl.Int32).alias(_PART_COL)
 
 
-# Rows per combine/route batch.  Bundling many small input blocks into
-# one batch before the exchange is a measured 3-4× win at 32 CPUs: the
-# sort-based shuffle's cost grows with (#input blocks × #partitions)
-# fragment objects, and a 200-block input at 32 partitions churns 6400
-# tiny objects where 18 bundled blocks churn ~600.  Lower it for
-# fat-payload rows (long texts, binaries).
+# --- wave exchange: a barrier, a route wave and a merge wave ----------------
+
+
+@ray.remote
+def _call(fn, *args):
+    return fn(*args)
+
+
+def _wave(fn, arg_lists, num_returns: int = 1) -> list:
+    """One wave of Ray tasks, ``fn(*args)`` per entry of ``arg_lists``;
+    per task one ref, or a list of refs when ``num_returns`` > 1."""
+    return [_call.options(num_returns=num_returns).remote(fn, *args) for args in arg_lists]
+
+
+def _split_sorted(df: pl.DataFrame, keys: np.ndarray, bounds: np.ndarray) -> list[pl.DataFrame]:
+    """Slices of ``df`` (sorted by ``keys``) between consecutive ``bounds``."""
+    cuts = np.searchsorted(keys, bounds)
+    return [df.slice(int(a), int(b - a)) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _route(df: pl.DataFrame, part: np.ndarray, num_partitions: int) -> list[pl.DataFrame]:
+    """Cut ``df`` into ``num_partitions`` pieces by the int column ``part``."""
+    order = np.argsort(part, kind="stable")
+    return _split_sorted(df[order], part[order], np.arange(num_partitions + 1))
+
+
+# Most rows one route task reads: an input of R rows in B non-empty
+# blocks is cut into max(min(P, B), ceil(R / batch_size)) chunks of even
+# row count, so a route task's memory stays bounded however large the
+# input grows.  Lower it for fat-payload rows (long texts, binaries,
+# embeddings).
 DEFAULT_EXCHANGE_BATCH = 131_072
+
+
+def _blocks(ds: rd.Dataset) -> tuple[rd.Dataset, list, list[int]]:
+    """Materialize ``ds``: the materialized Dataset, then the refs and
+    row counts (from the block metadata) of its non-empty blocks."""
+    ds = ds.materialize()
+    refs, rows = [], []
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows:
+                refs.append(ref)
+                rows.append(meta.num_rows)
+    return ds, refs, rows
+
+
+def _with_meta(table: pa.Table) -> tuple[pa.Table, BlockMetadataWithSchema]:
+    return table, BlockMetadataWithSchema.from_block(table)
+
+
+def _dataset(outputs: list) -> rd.Dataset:
+    """A materialized Dataset of task outputs, each a ``(table ref,
+    metadata ref)`` pair from :func:`_with_meta`.
+
+    Outputs with no rows are dropped; if all are empty, one is kept (one
+    with columns when there is one) so the result has one empty block,
+    as a sort-shuffle would.  This is ``rd.from_arrow_refs`` without its
+    extra wave of one metadata task per block: the producing task
+    computed the metadata, and the driver fetches only that.
+    """
+    metas = ray.get([o[1] for o in outputs])
+    keep = [q for q, m in enumerate(metas) if m.metadata.num_rows] or [
+        max(range(len(metas)), key=lambda q: len(metas[q].schema.names))]
+    refs, metas = [outputs[q][0] for q in keep], [metas[q] for q in keep]
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
+
+
+def _spans(rows: list[int], n: int) -> list[list[tuple[int, int, int]]]:
+    """Cut the rows of blocks of ``rows`` rows each, end to end, into
+    ``n`` (<= total rows) spans of even size; per span its
+    ``(block, start, stop)`` slices."""
+    starts = np.concatenate([[0], np.cumsum(rows)])
+    cuts = [int(starts[-1]) * c // n for c in range(n + 1)]
+    spans = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        first = int(np.searchsorted(starts, lo, "right")) - 1
+        last = int(np.searchsorted(starts, hi, "left"))
+        spans.append([(b, max(lo, int(starts[b])) - int(starts[b]),
+                       min(hi, int(starts[b + 1])) - int(starts[b])) for b in range(first, last)])
+    return spans
+
+
+def _route_chunk(pre, keys, num_partitions, slices, *blocks):
+    """Route wave (one chunk): its block slices concatenated, ``pre``
+    applied, cut into one piece per hash partition of ``keys``."""
+    df = pl.concat(
+        [pl.from_arrow(t.slice(a, z - a)) for t, (a, z) in zip(blocks, slices)],
+        how="vertical_relaxed",
+    )
+    if pre is not None:
+        df = pre(df)
+    pieces = _route(df, df.select(_part_expr(keys, num_partitions)).to_series().to_numpy(),
+                    num_partitions)
+    return pieces if num_partitions > 1 else pieces[0]
+
+
+def _merge_part(fn, sizes, *pieces):
+    """Merge wave (one partition): per side its non-empty pieces
+    concatenated (else an empty piece, for the columns); ``fn(*sides)``
+    unless no side has a row.  Returns the output table (no columns
+    when ``fn`` was not called) and its metadata."""
+    sides, i = [], 0
+    for n in sizes:
+        own, i = pieces[i:i + n], i + n
+        full = [p for p in own if p.height]
+        sides.append(pl.concat(full, how="vertical_relaxed") if full else own[0])
+    return _with_meta(fn(*sides).to_arrow() if any(s.height for s in sides) else pa.table({}))
+
+
+def _exchange(sides, fn, num_partitions, batch_size) -> rd.Dataset:
+    """Hash-partition every side on its keys and call ``fn`` once per
+    partition that holds a row, with one frame per side.
+
+    ``sides`` lists ``(ds, keys, pre, schema)``.  Each side is
+    materialized (the barrier), its blocks are cut into chunks of at
+    most ``batch_size`` rows, and one route task per chunk applies
+    ``pre`` and hash-routes the rows into ``num_partitions`` pieces; a
+    side's route wave runs while the next side materializes.  Then one
+    merge task per partition concatenates its pieces and calls ``fn``.
+    A side with no rows stands for an empty frame of ``schema`` (default:
+    its Dataset's, if any).  The result is :func:`_dataset` of the
+    merge outputs.  The driver holds refs and block metadata (P entries
+    per exchange), never a row.
+    """
+    P = num_partitions or cluster_cpus()
+    routed, sizes = [], []
+    for ds, keys, pre, schema in sides:
+        ds, refs, rows = _blocks(ds)
+        if rows:
+            total = sum(rows)
+            n = max(min(P, len(rows)), -(-total // (batch_size or total)))
+            chunks = _wave(_route_chunk, [
+                (pre, keys, P, [(a, z) for _, a, z in span], *(refs[b] for b, _, _ in span))
+                for span in _spans(rows, n)
+            ], P)
+            routed.append([c if P > 1 else [c] for c in chunks])
+        else:
+            if schema is None:
+                schema = ds.schema().base_schema if ds.schema() is not None else pa.schema([])
+            routed.append([[pl.from_arrow(schema.empty_table())] * P])
+        sizes.append(len(routed[-1]))
+    merged = _wave(_merge_part, [
+        (fn, sizes, *(chunk[q] for side in routed for chunk in side)) for q in range(P)
+    ], 2)
+    return _dataset(merged)
 
 
 def hash_aggregate(
@@ -244,30 +394,17 @@ def hash_aggregate(
 ) -> rd.Dataset:
     """Two-stage grouped aggregation.
 
-    ``combine`` runs inside each input block, ``merge`` runs over the
+    ``combine`` runs inside each route chunk, ``merge`` over the
     combined partials of one hash partition; both are
     ``group_by(keys).agg(...)`` expression lists.  The caller must make
     ``merge`` re-aggregate ``combine``'s output columns (sum of sums,
     min of mins, …).
     """
-    if num_partitions is None:
-        num_partitions = default_partitions()
-
-    def combine_stage(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        out = df.group_by(keys).agg(combine)
-        return out.with_columns(_part_expr(keys, num_partitions)).to_arrow()
-
-    def merge_stage(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return df.group_by(keys).agg(merge).to_arrow()
-
-    return (
-        ds.map_batches(
-            combine_stage, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
-        )
-        .groupby(_PART_COL)
-        .map_groups(merge_stage, batch_format="pyarrow")
+    return _exchange(
+        [(ds, keys, lambda df: df.group_by(keys).agg(combine), None)],
+        lambda df: df.group_by(keys).agg(merge),
+        num_partitions,
+        batch_size,
     )
 
 
@@ -282,32 +419,13 @@ def hash_group_apply(
     """Apply ``fn`` to hash partitions that contain complete key groups.
 
     ``fn`` receives a polars DataFrame holding every row of every key
-    routed to the partition (``__part`` column removed) and must itself
-    group by ``keys``; this amortizes the per-group dispatch that makes
-    row-wise ``map_groups`` slow.  ``pre`` optionally thins each block
-    before the exchange (a combiner for apply-style ops, e.g. per-block
-    distinct).
+    routed to the partition, never an empty one, and must itself group
+    by ``keys``; this amortizes the per-group dispatch that makes
+    a per-group apply slow.  ``pre`` optionally thins each route
+    chunk before the exchange (a combiner for apply-style ops, e.g.
+    per-chunk distinct).
     """
-    if num_partitions is None:
-        num_partitions = default_partitions()
-
-    def route_stage(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        if pre is not None:
-            df = pre(df)
-        return df.with_columns(_part_expr(keys, num_partitions)).to_arrow()
-
-    def apply_stage(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).drop(_PART_COL)
-        return fn(df).to_arrow()
-
-    return (
-        ds.map_batches(
-            route_stage, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
-        )
-        .groupby(_PART_COL)
-        .map_groups(apply_stage, batch_format="pyarrow")
-    )
+    return _exchange([(ds, keys, pre, None)], fn, num_partitions, batch_size)
 
 
 def tagged_union_join(
@@ -322,61 +440,22 @@ def tagged_union_join(
 ) -> rd.Dataset:
     """Partitioned hash join of two large Datasets.
 
-    Tag each side, hash-partition the union on the join key, and merge
-    the two sides inside each partition with a vectorized polars join.
-    Hot keys can be spread further by raising ``num_partitions``.
+    Both sides are hash-partitioned on their join key by one exchange,
+    and each partition joins its left and right rows with a vectorized
+    polars join.  Hot keys can be spread further by raising
+    ``num_partitions``.
 
-    Pass ``left_schema``/``right_schema`` when a side is the output of
-    a multi-stage pipeline: ``Dataset.schema()`` EXECUTES enough of
-    the pipeline to learn the schema and the join would then run it
-    again — an explicit schema keeps each side single-execution.
+    ``left_schema``/``right_schema`` give the columns of a side that
+    has no rows at all (default: that side's Dataset schema), so that
+    a left or full join still pads the other side with typed nulls.
     """
-    if num_partitions is None:
-        num_partitions = default_partitions()
 
-    # union needs one schema: pad each side with typed nulls of the other's
-    l_schema = left_schema if left_schema is not None else left.schema().base_schema
-    r_schema = right_schema if right_schema is not None else right.schema().base_schema
-    left_cols = list(l_schema.names)
-    right_cols = list(r_schema.names)
-    all_fields: list[pa.Field] = []
-    seen = set()
-    for sch in (l_schema, r_schema):
-        for f in sch:
-            if f.name not in seen:
-                seen.add(f.name)
-                all_fields.append(f)
-
-    def tag(side: str, key: str, own: set[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            df = pl.from_arrow(batch)
-            part = (pl.col(key).cast(pl.Utf8).hash(seed=0) % num_partitions).cast(pl.Int32)
-            df = df.with_columns(part.alias(_PART_COL), pl.lit(side).alias("__side"))
-            t = df.to_arrow()
-            n = t.num_rows
-            cols = {name: t.column(name) for name in t.schema.names}
-            arrays, names = [], []
-            for f in all_fields:
-                names.append(f.name)
-                arrays.append(cols[f.name] if f.name in cols else pa.nulls(n, f.type))
-            for extra in (_PART_COL, "__side"):
-                names.append(extra)
-                arrays.append(cols[extra])
-            return pa.table(dict(zip(names, arrays)))
-
-        return fn
-
-    lt = left.map_batches(tag("l", left_key, set(left_cols)), batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.map_batches(tag("r", right_key, set(right_cols)), batch_format="pyarrow", zero_copy_batch=True)
-
-    def join_part(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        l = df.filter(pl.col("__side") == "l").select(left_cols)
-        r = df.filter(pl.col("__side") == "r").select(right_cols)
-        out = l.join(r, left_on=left_key, right_on=right_key, how=how)
-        return out.to_arrow()
-
-    return lt.union(rt).groupby(_PART_COL).map_groups(join_part, batch_format="pyarrow")
+    return _exchange(
+        [(left, [left_key], None, left_schema), (right, [right_key], None, right_schema)],
+        lambda l, r: l.join(r, left_on=left_key, right_on=right_key, how=how),
+        num_partitions,
+        DEFAULT_EXCHANGE_BATCH,
+    )
 
 
 # --- superstep: BSP rounds over dense int64 vertex ids ----------------------
@@ -392,17 +471,6 @@ def tagged_union_join(
 # sampled names per build chunk for the range boundaries; the driver
 # holds at most this many names per partition
 _BOUND_SAMPLES = 64
-
-
-@ray.remote
-def _call(fn, *args):
-    return fn(*args)
-
-
-def _wave(fn, arg_lists, num_returns: int = 1) -> list:
-    """One wave of Ray tasks, ``fn(*args)`` per entry of ``arg_lists``;
-    per task one ref, or a list of refs when ``num_returns`` > 1."""
-    return [_call.options(num_returns=num_returns).remote(fn, *args) for args in arg_lists]
 
 
 @dataclass(frozen=True)
@@ -426,18 +494,6 @@ class DenseGraph:
             [(part, *(pp[q] for pp in per_part), *args) for q, part in enumerate(self.parts)],
             num_returns,
         )
-
-
-def _split_sorted(df: pl.DataFrame, keys: np.ndarray, bounds: np.ndarray) -> list[pl.DataFrame]:
-    """Slices of ``df`` (sorted by ``keys``) between consecutive ``bounds``."""
-    cuts = np.searchsorted(keys, bounds)
-    return [df.slice(int(a), int(b - a)) for a, b in zip(cuts[:-1], cuts[1:])]
-
-
-def _route(df: pl.DataFrame, part: np.ndarray, num_partitions: int) -> list[pl.DataFrame]:
-    """Cut ``df`` into ``num_partitions`` pieces by the int column ``part``."""
-    order = np.argsort(part, kind="stable")
-    return _split_sorted(df[order], part[order], np.arange(num_partitions + 1))
 
 
 def _build_edges(src, dst, weight, undirected, key_type, *tables):

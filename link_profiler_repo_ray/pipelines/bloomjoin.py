@@ -33,7 +33,7 @@ import ray
 import ray.data as rd
 
 from .. import ops
-from ..ops import hash_aggregate, tagged_union_join
+from ..ops import hash_aggregate, hash_group_apply, tagged_union_join
 
 __all__ = ["BloomFilter64", "bloom_semijoin", "contamination_bloom"]
 
@@ -93,38 +93,30 @@ class BloomFilter64:
         np.bitwise_or(self.words, other.words, out=self.words)
 
 
-def _build_bloom(
-    build: rd.Dataset, key: str, m_bits: int, k: int, fanin: int = 32
-) -> BloomFilter64:
-    """OR-reduce per-block bloom partials through ``fanin`` reducer
-    groups; the driver merges only ``fanin`` bitmaps."""
+def _build_bloom(build: rd.Dataset, key: str, m_bits: int, k: int) -> BloomFilter64:
+    """OR-reduce per-block bloom partials through one ``hash_group_apply``
+    (partials routed by a content hash, each partition ORed into one
+    bitmap); the driver merges at most one bitmap per partition."""
 
     def partial(batch: pa.Table) -> pa.Table:
         bf = BloomFilter64(m_bits, k)
         bf.add(batch.column(key).to_numpy(zero_copy_only=False))
-        # route every partial to one of `fanin` reducers by content
-        # hash so the groupby spreads them evenly
-        gid = int(bf.words[:16].sum() % np.uint64(fanin))
+        # route partials by content hash so the partitions share them evenly
+        gid = int(bf.words[:16].sum() % np.uint64(1 << 31))
         return pa.table(
-            {"gid": pa.array([gid], pa.int32()),
+            {"gid": pa.array([gid], pa.int64()),
              "bm": pa.array([bf.words.tobytes()], pa.binary())}
         )
 
-    def or_group(batch: pa.Table) -> pa.Table:
+    def or_part(df: pl.DataFrame) -> pl.DataFrame:
         acc = np.zeros(m_bits // 64, dtype=np.uint64)
-        for b in batch.column("bm").to_pylist():
+        for b in df["bm"]:
             acc |= np.frombuffer(b, dtype=np.uint64)
-        return pa.table(
-            {"gid": batch.column("gid").slice(0, 1),
-             "bm": pa.array([acc.tobytes()], pa.binary())}
-        )
+        return pl.DataFrame({"bm": [acc.tobytes()]}, schema={"bm": pl.Binary})
 
-    reduced = (
-        build.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("gid")
-        .map_groups(or_group, batch_format="pyarrow")
-        .take_all()  # ≤ fanin rows of m/8 bytes each — bounded by design
-    )
+    reduced = hash_group_apply(
+        build.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True), ["gid"], or_part
+    ).take_all()  # ≤ one row of m/8 bytes per partition — bounded by design
     bf = BloomFilter64(m_bits, k)
     for row in reduced:
         bf.merge_(BloomFilter64(m_bits, k, words=np.frombuffer(row["bm"], dtype=np.uint64).copy()))
@@ -233,7 +225,6 @@ def contamination_bloom(
     import os as _os
 
     from .. import ops as _ops
-    from ..ops import hash_group_apply
 
     def shingle(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)

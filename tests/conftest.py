@@ -1,9 +1,12 @@
 import logging
 import sys
+from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, "/root/repo")
+# the checkout these tests belong to; its package is the one imported
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO))
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,10 @@
 """Bloom semi-join: filter correctness, actual pruning, exact result."""
 
-import sys
-
 import duckdb
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 

@@ -1,11 +1,8 @@
 """Distributed BPE trainer vs the sequential oracle, and merge
 application."""
 
-import sys
-
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 

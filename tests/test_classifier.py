@@ -4,11 +4,9 @@ weight trajectory bit-identical regardless of row partitioning."""
 
 import math
 import re
-import sys
 
 import numpy as np
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 Q = 1_000_000

@@ -4,12 +4,10 @@ import hashlib
 import json
 import os
 import shutil
-import sys
 
 import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 

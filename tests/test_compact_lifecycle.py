@@ -15,8 +15,8 @@ import time
 
 import pyarrow.parquet as pq
 import pytest
+from conftest import REPO
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.01"
 
@@ -45,7 +45,7 @@ def _complete_round_then_later(ck: str) -> bool:
 
 
 def _run_driver(ck: str, resume: bool, kill_when_checkpointed: bool = False):
-    code = _DRIVER.format(repo="/root/repo", ck=ck, resume=resume, sf=SF)
+    code = _DRIVER.format(repo=str(REPO), ck=ck, resume=resume, sf=SF)
     proc = subprocess.Popen(
         [sys.executable, "-c", code],
         stdout=subprocess.PIPE,
@@ -92,7 +92,7 @@ def test_crawl_kill_resume_compact_read(tmp_path):
     res = subprocess.run(
         [sys.executable, "-m", "link_profiler_repo_ray.cli", "compact",
          "--pages-dir", ck, "--out", dest, "--shards", "8"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=600,
+        capture_output=True, text=True, cwd=REPO, timeout=600,
     )
     assert res.returncode == 0, res.stderr[-2000:]
     summary = json.loads(res.stdout.strip().splitlines()[-1])
@@ -126,7 +126,7 @@ def test_crawl_kill_resume_compact_read(tmp_path):
     res2 = subprocess.run(
         [sys.executable, "-m", "link_profiler_repo_ray.cli", "compact",
          "--pages-dir", ck, "--out", dest, "--shards", "8"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300,
+        capture_output=True, text=True, cwd=REPO, timeout=300,
     )
     assert res2.returncode == 0
     assert json.loads(res2.stdout.strip().splitlines()[-1])["total_rows"] == len(raw)

@@ -12,6 +12,7 @@ import time
 
 import pyarrow.parquet as pq
 import pytest
+from conftest import REPO
 
 SF = "/root/testdata/sf0.01"
 
@@ -42,7 +43,7 @@ def _complete_round_then_later(ck: str) -> bool:
 
 
 def _run_driver(ck: str, resume: bool, kill_when_checkpointed: bool = False):
-    code = _DRIVER.format(repo="/root/repo", ck=ck, resume=resume, sf=SF)
+    code = _DRIVER.format(repo=str(REPO), ck=ck, resume=resume, sf=SF)
     proc = subprocess.Popen(
         [sys.executable, "-c", code],
         stdout=subprocess.PIPE,

@@ -9,12 +9,10 @@ them must keep exactly the earliest alert per (rule, day bucket)."""
 
 import glob
 import os
-import sys
 
 import polars as pl
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 

@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import REPO
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 
@@ -127,7 +127,7 @@ def test_cli_encode_surface(ray_session, tmp_path):
     res = subprocess.run(
         [sys.executable, "-m", "link_profiler_repo_ray.cli", "encode",
          "--sf-dir", SF, "--out", out, "--dim", "8"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300,
+        capture_output=True, text=True, cwd=REPO, timeout=300,
     )
     assert res.returncode == 0, res.stderr[-1500:]
     info = json.loads(res.stdout.strip().splitlines()[-1])

@@ -6,12 +6,9 @@ bug shared between the engine and the SQL (e.g. a wrong closed form)
 cannot hide.
 """
 
-import sys
-
 import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 

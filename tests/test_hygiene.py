@@ -1,11 +1,8 @@
 """host_spam_scores / url_filter_scores / shard_balance_report
 semantics (the SQL-hash equality lives in test_queries_oracle)."""
 
-import sys
-
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 

@@ -1,12 +1,9 @@
 """Baseline JPEG codec: exactness on DC-only content, round-trip PSNR,
 marker handling, unsupported-mode refusal, and the decode stage."""
 
-import sys
-
 import numpy as np
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 from link_profiler_repo_ray.functions.jpegx import (  # noqa: E402
     decode_jpeg,

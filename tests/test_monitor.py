@@ -4,13 +4,11 @@ not isolate: the cooldown actually suppresses repeats, posture levels
 cover the rubric, and the vectorized haversine equals the reference's
 scalar formula (local_seo_service.py:127-133)."""
 
-import sys
 from math import asin, cos, radians, sin, sqrt
 
 import polars as pl
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 

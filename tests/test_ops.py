@@ -175,3 +175,148 @@ def test_collect_table_runs_upstream_once_per_block(tmp_path):
     # an empty result keeps the schema
     empty = collect_table(rd.from_arrow(pa.table({"k": pa.array([], pa.int64())})))
     assert empty.num_rows == 0 and empty.schema.names == ["k"]
+
+
+# --- the exchange contract: any partition count, any block layout ----------
+
+def _contract_inputs() -> dict[str, list[pa.Table]]:
+    """Blocks of one (k string, v int64) table: one block, more blocks
+    than any tested partition count, zero rows, and string blocks next
+    to large_string ones."""
+    rng = np.random.RandomState(11)
+    n = 3000
+    t = pa.table({
+        "k": pa.array([f"key{i}" for i in rng.randint(0, 40, n)], pa.string()),
+        "v": pa.array(rng.randint(0, 100, n).astype(np.int64)),
+    })
+    large = pa.schema([("k", pa.large_string()), ("v", pa.int64())])
+    return {
+        "one_block": [t],
+        "many_blocks": [t.slice(i * 430, 430) for i in range(7)],
+        "zero_rows": [t.slice(0, 0)],
+        "mixed_strings": [t.slice(0, 1700), t.slice(1700).cast(large)],
+    }
+
+
+def _local(blocks: list[pa.Table]) -> pl.DataFrame:
+    return pl.concat([pl.from_arrow(b) for b in blocks], how="vertical_relaxed")
+
+
+def _rows(ds: rd.Dataset) -> pl.DataFrame:
+    from link_profiler_repo_ray.ops import collect_table
+
+    return pl.from_arrow(collect_table(ds))
+
+
+def _assert_same(got: pl.DataFrame, exp: pl.DataFrame) -> None:
+    if exp.height == 0:
+        assert got.height == 0
+        return
+    assert sorted(got.columns) == sorted(exp.columns)
+    cols = exp.columns
+    assert got.select(cols).sort(cols, nulls_last=True).equals(exp.sort(cols, nulls_last=True))
+
+
+_AGG = dict(
+    combine=[pl.len().cast(pl.Int64).alias("n"), pl.col("v").sum().alias("s")],
+    merge=[pl.col("n").sum(), pl.col("s").sum()],
+)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name", ["one_block", "many_blocks", "zero_rows", "mixed_strings"])
+def test_exchange_contract_any_partition_count(name):
+    # helpers live in the test body: Ray workers cannot import this module
+
+    def top2(df: pl.DataFrame) -> pl.DataFrame:
+        return (
+            df.sort(["k", "v"], descending=[False, True])
+            .with_columns(pl.col("v").cum_count().over("k").alias("r"))
+            .filter(pl.col("r") <= 2)
+            .drop("r")
+        )
+
+    def nonempty(fn):
+        """``fn`` plus a check that no call sees an empty frame."""
+
+        def guarded(df: pl.DataFrame) -> pl.DataFrame:
+            assert df.height > 0, "fn called on an empty partition"
+            return fn(df)
+
+        return guarded
+
+    blocks = _contract_inputs()[name]
+    df = _local(blocks)
+    right_t = pa.table({
+        "k2": pa.array([f"key{i}" for i in range(20, 60)], pa.large_string()),
+        "w": pa.array(np.arange(40, dtype=np.int64)),
+    })
+    exp = {
+        "agg": df.group_by("k").agg(pl.len().cast(pl.Int64).alias("n"), pl.col("v").sum().alias("s")),
+        "apply": top2(df),
+        "distinct": df.unique().group_by("k").agg(pl.col("v").n_unique().cast(pl.Int64)),
+        **{f"join_{how}": df.join(pl.from_arrow(right_t), left_on="k", right_on="k2", how=how)
+           for how in ("inner", "left", "full")},
+    }
+    outs = {}
+    for p in (1, 2, 5):
+        got = {
+            "agg": hash_aggregate(rd.from_arrow(blocks), ["k"], num_partitions=p, **_AGG),
+            "apply": hash_group_apply(rd.from_arrow(blocks), ["k"], nonempty(top2), num_partitions=p),
+            "distinct": hash_group_apply(
+                rd.from_arrow(blocks), ["k"],
+                nonempty(lambda d: d.group_by("k").agg(pl.col("v").n_unique().cast(pl.Int64))),
+                num_partitions=p, pre=lambda d: d.unique(),
+            ),
+            **{f"join_{how}": tagged_union_join(
+                rd.from_arrow(blocks), rd.from_arrow(right_t), "k", "k2", num_partitions=p, how=how)
+               for how in ("inner", "left", "full")},
+        }
+        for op, ds in got.items():
+            rows = _rows(ds)
+            _assert_same(rows, exp[op])
+            outs.setdefault(op, []).append(rows)
+    for op, per_p in outs.items():
+        for rows in per_p[1:]:
+            _assert_same(rows, per_p[0])
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name", ["one_block", "many_blocks", "zero_rows", "mixed_strings"])
+def test_block_topk_matches_polars(name):
+    from link_profiler_repo_ray.ops import block_topk
+
+    blocks = _contract_inputs()[name]
+    got = _rows(block_topk(rd.from_arrow(blocks), ["v", "k"], [True, False], 7))
+    exp = _local(blocks).sort(["v", "k"], descending=[True, False]).head(7)
+    _assert_same(got, exp)
+    if exp.height:
+        assert got["v"].to_list() == exp["v"].to_list()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_join_of_a_side_with_no_rows_pads_from_its_schema():
+    left = pa.table({"a": pa.array([1, 2], pa.int64()), "x": pa.array([0.5, 1.5])})
+    right = rd.from_arrow(pa.table({"b": pa.array([], pa.int64()), "name": pa.array([], pa.string())}))
+    got = _rows(tagged_union_join(rd.from_arrow(left), right, "a", "b", num_partitions=3, how="left"))
+    assert got.sort("a").to_dict(as_series=False) == {"a": [1, 2], "x": [0.5, 1.5], "name": [None, None]}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_hash_group_apply_merges_in_parallel_tasks():
+    """A 2-block input with P = 4 runs ``fn`` in more than one Ray task
+    (a sort-shuffle of a single bundled block ran every partition in
+    one reducer)."""
+    rng = np.random.RandomState(5)
+    t = pa.table({"k": pa.array(rng.randint(0, 200, 2000).astype(np.int64))})
+
+    def fn(df: pl.DataFrame) -> pl.DataFrame:
+        import ray
+
+        task = ray.get_runtime_context().get_task_id()
+        return df.group_by("k").agg(pl.len().alias("n")).with_columns(pl.lit(task).alias("task"))
+
+    ds = rd.from_arrow([t.slice(0, 1000), t.slice(1000)])
+    got = _rows(hash_group_apply(ds, ["k"], fn, num_partitions=4))
+    assert got["n"].sum() == 2000
+    assert got["task"].n_unique() >= 2

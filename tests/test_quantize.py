@@ -3,14 +3,11 @@ parity is covered by tests/test_queries_oracle.py; here, the property
 quantization exists FOR — reconstructed codes preserve neighborhood
 structure (recall vs the float top-k) — plus code-range sanity."""
 
-import sys
-
 import numpy as np
 import polars as pl
 import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 

@@ -3,12 +3,9 @@
 the in-repo replica of the driver's correctness gate, plus a smoke
 test of entry()."""
 
-import sys
-
 import duckdb
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()

@@ -6,11 +6,8 @@ rename or refactor could still break a tail query without tripping
 either.  This runs EVERY query that has no ``oracle_sql`` entry at
 sf0.001 and asserts it executes and yields a well-formed frame."""
 
-import sys
-
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 

@@ -3,7 +3,6 @@ planted repetitive docs — exercises the duplicated-5-gram path the
 random-word-salad test corpus never triggers, against a brute-force
 Python oracle, plus the DuckDB oracle on the same planted table."""
 
-import sys
 from collections import Counter
 
 import duckdb
@@ -12,7 +11,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 from link_profiler_repo_ray.pipelines.textdata import repetition_metrics
 

@@ -2,13 +2,10 @@
 the quantized centroid-sum exchange must make the trajectory
 bit-identical regardless of row partitioning."""
 
-import sys
-
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 QUANT = 1_000_000

@@ -5,13 +5,11 @@ digest vouching for the payload."""
 
 import hashlib
 import os
-import sys
 
 import polars as pl
 import pyarrow as pa
 import pytest
 
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 

@@ -8,9 +8,7 @@ parse/rollup AND (b) is still hash-verified in-repo by
 tests/test_queries_oracle.py.  These assertions make registry growth
 fail loudly instead of silently orphaning a query."""
 
-import sys
 
-sys.path.insert(0, "/root/repo")
 
 import __ray_entry__ as entry
 
