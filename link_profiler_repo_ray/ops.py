@@ -36,6 +36,21 @@ partition outputs; no Ray Data sort-shuffle runs, and the driver
 never holds a row.  ``block_topk`` is a per-block map plus
 one final task over the thinned blocks.
 
+``scan`` / ``map_blocks``
+    The stages in front of a barrier, as one wave of plain Ray tasks on
+    the same machinery: ``scan`` is ``read_parquet(path,
+    columns).map_batches(fn)`` planned from the parquet footers (one
+    task per chunk of at most ``batch_size`` rows), ``map_blocks`` is
+    ``ds.map_batches(fn)`` as one task per block of a materialized
+    Dataset.  Both return a materialized Dataset whose blocks an
+    exchange takes without a Ray Data execution.  The rule: a stage
+    that streams (a map-only op, a score pass, a lazy read handed to a
+    graph op) stays a lazy Ray Data ``map_batches``; a stage whose
+    output is materialized anyway (it feeds an exchange,
+    ``collect_table`` or ``block_topk``, or maps an exchange's output)
+    runs as a wave.  Each Ray Data execution costs about 0.1 s on top
+    of its work; a wave costs one task round trip.
+
 ``dense_graph`` / ``superstep``
     Every iterative graph algorithm of the engine (BSP vertex
     programs: PageRank, HITS, label propagation, k-core, HyperBall,
@@ -83,6 +98,8 @@ __all__ = [
     "parquet_num_rows",
     "block_topk",
     "collect_table",
+    "scan",
+    "map_blocks",
 ]
 
 
@@ -135,9 +152,10 @@ def block_topk(
             df = pre(df)
         return df.sort(by, descending=descending).head(k).to_arrow()
 
-    _, refs, _ = _blocks(ds.map_batches(blk, batch_format="pyarrow", zero_copy_batch=True))
+    thinned = map_blocks(ds, blk)
+    _, refs, _ = _blocks(thinned)
     if not refs:
-        return rd.from_arrow_refs([])
+        return thinned
     return _dataset(_wave(_topk_final, [(by, descending, k, *refs)], 2))
 
 
@@ -260,11 +278,12 @@ def _route(df: pl.DataFrame, part: np.ndarray, num_partitions: int) -> list[pl.D
     return _split_sorted(df[order], part[order], np.arange(num_partitions + 1))
 
 
-# Most rows one route task reads: an input of R rows in B non-empty
-# blocks is cut into max(min(P, B), ceil(R / batch_size)) chunks of even
-# row count, so a route task's memory stays bounded however large the
-# input grows.  Lower it for fat-payload rows (long texts, binaries,
-# embeddings).
+# Most rows one route or scan task reads: an input of R rows in B
+# non-empty blocks is cut into max(min(P, B), ceil(R / batch_size))
+# chunks of even row count (a scan cuts max(min(P, R), ceil(R /
+# batch_size)) chunks of the file's rows), so a task's memory stays
+# bounded however large the input grows.  Lower it for fat-payload rows
+# (long texts, binaries, embeddings).
 DEFAULT_EXCHANGE_BATCH = 131_072
 
 
@@ -344,6 +363,108 @@ def _merge_part(fn, sizes, *pieces):
         full = [p for p in own if p.height]
         sides.append(pl.concat(full, how="vertical_relaxed") if full else own[0])
     return _with_meta(fn(*sides).to_arrow() if any(s.height for s in sides) else pa.table({}))
+
+
+# --- scan / map wave: the stages in front of a barrier ----------------------
+
+
+def _parquet_files(path) -> list[str]:
+    if isinstance(path, (list, tuple)):
+        return list(path)
+    if os.path.isdir(path):
+        return sorted(os.path.join(path, f) for f in os.listdir(path) if f.endswith(".parquet"))
+    return [path]
+
+
+def _scan_chunk(fn, columns, schema, runs):
+    """Scan wave (one chunk): per file its run of row groups read with
+    ``columns`` and cut to the chunk's rows, concatenated; ``fn`` called
+    once on the chunk."""
+    import pyarrow.parquet as pq
+
+    tables = []
+    for path, groups, start, length in runs:
+        with pq.ParquetFile(path) as f:
+            t = f.read_row_groups(groups, columns=columns)
+        t = t.replace_schema_metadata(None).slice(start, length)
+        tables.append(t if t.schema == schema else t.cast(schema))
+    table = pa.concat_tables(tables) if tables else schema.empty_table()
+    return _with_meta(fn(table) if fn is not None else table)
+
+
+def scan(
+    path,
+    columns: list[str] | None = None,
+    fn: Callable[[pa.Table], pa.Table] | None = None,
+    batch_size: int | None = DEFAULT_EXCHANGE_BATCH,
+) -> rd.Dataset:
+    """``read_parquet(path, columns).map_batches(fn)`` as one wave of
+    plain Ray tasks, for a scan whose output is materialized anyway (it
+    feeds an exchange, :func:`collect_table` or :func:`block_topk`).
+
+    ``path`` is a file, a directory (its ``*.parquet`` files in sorted
+    order) or a list of files.  The driver reads only the footers: the
+    rows of every row group, end to end, are cut into
+    ``max(min(P, rows), ceil(rows / batch_size))`` chunks of even row
+    count (P = cluster CPUs), and one task per chunk reads its row
+    groups (a group that straddles two chunks is decoded by both),
+    strips the schema metadata (see :func:`read_parquet`), slices, and
+    calls ``fn`` (a pyarrow table in, one out) once.  On zero rows one
+    task calls ``fn`` on the empty table of ``columns``, so the result
+    still has ``fn``'s columns.  Blocks come in file and row order; the
+    result is a materialized Dataset built from the task outputs
+    (:func:`_dataset`), and the driver holds refs and one metadata
+    object per task.
+    """
+    import pyarrow.parquet as pq
+
+    files = _parquet_files(path)
+    groups, rows = [], []
+    for f in files:
+        meta = pq.read_metadata(f)
+        for g in range(meta.num_row_groups):
+            if meta.row_group(g).num_rows:
+                groups.append((f, g))
+                rows.append(meta.row_group(g).num_rows)
+    full = pq.read_schema(files[0]).remove_metadata()
+    schema = pa.schema([full.field(c) for c in columns]) if columns else full
+    total = sum(rows)
+    chunks = []
+    if total:
+        n = max(min(cluster_cpus(), total), -(-total // (batch_size or total)))
+        for span in _spans(rows, n):
+            runs = []
+            for b, a, z in span:
+                f, g = groups[b]
+                if runs and runs[-1][0] == f:
+                    runs[-1][1].append(g)
+                    runs[-1][3] += z - a
+                else:
+                    runs.append([f, [g], a, z - a])
+            chunks.append([tuple(r) for r in runs])
+    return _dataset(_wave(_scan_chunk, [(fn, columns, schema, c) for c in chunks or [[]]], 2))
+
+
+def _map_block(fn, block):
+    return _with_meta(fn(block))
+
+
+def map_blocks(ds: rd.Dataset, fn: Callable[[pa.Table], pa.Table]) -> rd.Dataset:
+    """``ds.map_batches(fn)`` as one plain Ray task per block of the
+    materialized ``ds`` (free when ``ds`` already is materialized, as an
+    exchange's or a scan's output is), for a map whose output is
+    materialized anyway.  ``fn`` takes and returns a pyarrow table.  When
+    ``ds`` has no rows, ``fn`` is called once on the empty table of its
+    schema, as in :func:`scan`; a Dataset with neither rows nor columns
+    is returned as it is.
+    """
+    ds, refs, _ = _blocks(ds)
+    if not refs:
+        schema = ds.schema()
+        if schema is None or not schema.names:
+            return ds
+        refs = [schema.base_schema.empty_table()]
+    return _dataset(_wave(_map_block, [(fn, r) for r in refs], 2))
 
 
 def _exchange(sides, fn, num_partitions, batch_size) -> rd.Dataset:

@@ -41,7 +41,7 @@ import ray.data as rd
 
 from .. import ops
 from ..ops import hash_aggregate, hash_group_apply
-from .textdata import documents_dataset
+from .textdata import scan_documents
 
 __all__ = ["BM25_QUERIES", "bm25_topk"]
 
@@ -76,7 +76,7 @@ def bm25_topk(sf_dir: str, k: int = 10) -> rd.Dataset:
     # --- ONE documents scan (ADVICE round 4): each block emits its
     # filtered query-term postings PLUS one marker row (doc_id = −1)
     # carrying the block's (doc count, token count) partials in the
-    # (tf, dl) columns.  Materializing this is bounded by
+    # (tf, dl) columns.  The scan wave's output is bounded by
     # construction — only query-term postings and one row per block
     # ever exist — and gives both the corpus scalars and the postings
     # without a second scan of the documents table.
@@ -104,11 +104,8 @@ def bm25_topk(sf_dir: str, k: int = 10) -> rd.Dataset:
         )
         return pl.concat([posts, marker]).to_arrow()
 
-    scanned = (
-        documents_dataset(sf_dir, ["doc_id", "text"])
-        .map_batches(tf_stage, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()  # bounded: query-term postings + 1 marker row/block
-    )
+    scanned = scan_documents(sf_dir, ["doc_id", "text"], tf_stage)
+
     def _keep(neg: bool):
         def fn(batch: pa.Table) -> pa.Table:
             df = pl.from_arrow(batch)
@@ -118,18 +115,20 @@ def bm25_topk(sf_dir: str, k: int = 10) -> rd.Dataset:
 
         return fn
 
-    markers = ops.collect_table(
-        scanned.map_batches(_keep(True), batch_format="pyarrow", zero_copy_batch=True)
-    )
+    markers = ops.collect_table(ops.map_blocks(scanned, _keep(True)))
     n_docs = sum(markers.column("tf").to_pylist())
+    if not n_docs:
+        # no documents: no corpus scalars, nothing to rank
+        return rd.from_arrow(pa.schema(
+            [(c, pa.int64()) for c in ("query_id", "rank", "doc_id", "n_terms", "score_micro")]
+            + [("score", pa.float64())]
+        ).empty_table())
     total_tok = sum(markers.column("dl").to_pylist())
     # exactly the oracle's CAST(tot AS DOUBLE) / CAST(n AS DOUBLE)
     avgdl = float(total_tok) / float(n_docs)
     n_f = float(n_docs)
 
-    postings = scanned.map_batches(
-        _keep(False), batch_format="pyarrow", zero_copy_batch=True
-    )
+    postings = ops.map_blocks(scanned, _keep(False))
 
     # --- term partition: df window count + per-row micro score ------
     def score_rows(df: pl.DataFrame) -> pl.DataFrame:

@@ -7,9 +7,13 @@ large-scale (100 TB) training-data pipeline needs: deduplication
 (language-ID, token/quality stats, fingerprints), and multimodal
 binary-column plumbing (decode stubbed, Ray-side schema/actors real).
 
-All heavy stages are ``map_batches`` over Arrow with numpy/polars
-kernels; broadcast sides go through ``ray.put`` once and are read in
-actor ``__init__``, never re-shipped per batch.
+All heavy stages are pyarrow-batch maps with numpy/polars kernels:
+lazy ``map_batches`` where the stage streams (the map-only ops and the
+score passes), and ``ops.scan`` / ``ops.map_blocks`` task waves where
+its output feeds a barrier (an exchange, ``collect_table``,
+``block_topk``) or maps an exchange's output.  Broadcast sides go
+through ``ray.put`` once and are read in actor ``__init__``, never
+re-shipped per batch.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from ..functions.sketches import (
 
 __all__ = [
     "documents_dataset",
+    "scan_documents",
     "text_extract_roundtrip",
     "token_stats",
     "token_stats_bpe",
@@ -85,6 +90,17 @@ def documents_dataset(sf_dir: str, columns: list[str] | None = None) -> rd.Datas
 
 def embeddings_dataset(sf_dir: str, columns: list[str] | None = None) -> rd.Dataset:
     return ops.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=columns)
+
+
+def scan_documents(sf_dir: str, columns: list[str], fn) -> rd.Dataset:
+    """``documents_dataset(sf_dir, columns).map_batches(fn)`` as one
+    :func:`ops.scan` wave, for a stage whose output feeds a barrier."""
+    return ops.scan(os.path.join(sf_dir, "documents.parquet"), columns, fn)
+
+
+def scan_embeddings(sf_dir: str, columns: list[str], fn) -> rd.Dataset:
+    """:func:`scan_documents` over the embeddings table."""
+    return ops.scan(os.path.join(sf_dir, "embeddings.parquet"), columns, fn)
 
 
 # --- text extraction invariant over a clean wrapper ----------------------
@@ -317,14 +333,18 @@ def unigram_logprob(sf_dir: str) -> rd.Dataset:
         )
 
     freq = hash_aggregate(
-        documents_dataset(sf_dir, ["text"]).map_batches(
-            tf_stage, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        scan_documents(sf_dir, ["text"], tf_stage),
         ["w"],
         combine=[pl.col("cnt").sum()],
         merge=[pl.col("cnt").sum()],
     )
     vocab = ops.collect_table(freq)
+    if not vocab.num_rows:
+        # no documents: nothing to score
+        return rd.from_arrow(pa.schema([
+            ("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+            ("logprob_micro", pa.int64()), ("mean_logprob_micro", pa.float64()),
+        ]).empty_table())
     tokens = vocab.column("w").to_pylist()
     counts = vocab.column("cnt").to_pylist()
     total = sum(counts)
@@ -376,7 +396,8 @@ def ccnet_buckets(sf_dir: str) -> rd.Dataset:
     dangling-mass pattern); document text never crosses a second
     exchange.
     """
-    scores = unigram_logprob(sf_dir).map_batches(
+    scores = ops.map_blocks(
+        unigram_logprob(sf_dir),
         lambda t: pl.from_arrow(t)
         .select(
             "doc_id",
@@ -387,22 +408,12 @@ def ccnet_buckets(sf_dir: str) -> rd.Dataset:
             .alias("mean_micro_floor"),
         )
         .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
+    )
 
     hist = hash_aggregate(
-        scores.map_batches(
-            lambda t: pl.from_arrow(t)
-            .group_by("mean_micro_floor")
-            .len("cnt")
-            .with_columns(pl.col("cnt").cast(pl.Int64))
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
+        scores,
         ["mean_micro_floor"],
-        combine=[pl.col("cnt").sum()],
+        combine=[pl.len().cast(pl.Int64).alias("cnt")],
         merge=[pl.col("cnt").sum()],
     )
 
@@ -420,12 +431,8 @@ def ccnet_buckets(sf_dir: str) -> rd.Dataset:
             )
         return pl.concat(outs).to_arrow()
 
-    t1, t2 = [
-        r["v"]
-        for r in hist.repartition(1)
-        .map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
-        .take(2)
-    ]
+    # the histogram is bounded (one row per distinct mean value)
+    t1, t2 = pick(ops.collect_table(hist)).column("v").to_pylist()[:2]
 
     def bucket(batch: pa.Table) -> pa.Table:
         return (
@@ -440,7 +447,7 @@ def ccnet_buckets(sf_dir: str) -> rd.Dataset:
             .to_arrow()
         )
 
-    return scores.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(scores, bucket)
 
 
 def dsir_scores(sf_dir: str, docs: rd.Dataset | None = None) -> rd.Dataset:
@@ -468,15 +475,6 @@ def dsir_scores(sf_dir: str, docs: rd.Dataset | None = None) -> rd.Dataset:
     """
     import math
 
-    if docs is None:
-        # two passes = two pruned parquet scans (each streams; nothing
-        # is pinned in the object store at corpus scale)
-        docs = documents_dataset(sf_dir, ["doc_id", "text"])
-    else:
-        # injected pipeline output: pin once so pass 1 and pass 2
-        # don't re-execute the upstream graph
-        docs = docs.materialize()
-
     def tf_stage(batch: pa.Table) -> pa.Table:
         return (
             pl.from_arrow(batch)
@@ -491,8 +489,18 @@ def dsir_scores(sf_dir: str, docs: rd.Dataset | None = None) -> rd.Dataset:
             .to_arrow()
         )
 
+    if docs is None:
+        # two passes = two pruned parquet scans: pass 1 a scan wave in
+        # front of the exchange, pass 2 a streaming read
+        tf = scan_documents(sf_dir, ["doc_id", "text"], tf_stage)
+        docs = documents_dataset(sf_dir, ["doc_id", "text"])
+    else:
+        # injected pipeline output: pin once so pass 1 and pass 2
+        # don't re-execute the upstream graph
+        docs = docs.materialize()
+        tf = ops.map_blocks(docs, tf_stage)
     freq = hash_aggregate(
-        docs.map_batches(tf_stage, batch_format="pyarrow", zero_copy_batch=True),
+        tf,
         ["w"],
         combine=[pl.col("c_raw").sum(), pl.col("c_tgt").sum()],
         merge=[pl.col("c_raw").sum(), pl.col("c_tgt").sum()],
@@ -556,21 +564,16 @@ def dsir_select(
     """
     scores = dsir_scores(sf_dir, docs=docs)
 
-    def key_stage(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
+    def key_stage(df: pl.DataFrame) -> pl.DataFrame:
+        ids = df.get_column("doc_id").to_numpy()
         m = (ids * 2654435761) % 4294967296
         u = (m.astype(np.float64) + 0.5) / 4294967296.0
         g = -np.log(-np.log(u))
-        base = batch.column("dsir_micro").to_numpy().astype(np.float64) / 1e6
+        base = df.get_column("dsir_micro").to_numpy().astype(np.float64) / 1e6
         key = base + g if temperature == 1.0 else base + temperature * g
-        return (
-            pl.from_arrow(batch)
-            .with_columns(sample_key=pl.Series(key).round(6))
-            .to_arrow()
-        )
+        return df.with_columns(sample_key=pl.Series(key).round(6))
 
-    keyed = scores.map_batches(key_stage, batch_format="pyarrow", zero_copy_batch=True)
-    return ops.block_topk(keyed, ["sample_key", "doc_id"], [True, False], k)
+    return ops.block_topk(scores, ["sample_key", "doc_id"], [True, False], k, pre=key_stage)
 
 
 def exact_substring_dups(sf_dir: str, n: int = 6) -> rd.Dataset:
@@ -640,11 +643,7 @@ def exact_substring_dups(sf_dir: str, n: int = 6) -> rd.Dataset:
 
     per_doc = hash_aggregate(
         hash_group_apply(
-            documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-                shingle, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["ngram"],
-            keep_cross_doc,
+            scan_documents(sf_dir, ["doc_id", "text"], shingle), ["ngram"], keep_cross_doc
         ),
         ["doc_id"],
         combine=[pl.col("n_windows").sum(), pl.col("n_dup_windows").sum()],
@@ -663,7 +662,7 @@ def exact_substring_dups(sf_dir: str, n: int = 6) -> rd.Dataset:
             .to_arrow()
         )
 
-    return per_doc.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(per_doc, finish)
 
 
 def ngram_novelty(sf_dir: str, n: int = 3) -> rd.Dataset:
@@ -724,11 +723,7 @@ def ngram_novelty(sf_dir: str, n: int = 3) -> rd.Dataset:
         )
 
     partials = hash_group_apply(
-        documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-            shingle, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        ["ngram"],
-        novel_partials,
+        scan_documents(sf_dir, ["doc_id", "text"], shingle), ["ngram"], novel_partials
     )
     per_doc = hash_aggregate(
         partials,
@@ -737,7 +732,7 @@ def ngram_novelty(sf_dir: str, n: int = 3) -> rd.Dataset:
         merge=[pl.col("n_ngrams").sum(), pl.col("n_novel").sum()],
     )
     joined = tagged_union_join(
-        documents_dataset(sf_dir, ["doc_id"]),
+        scan_documents(sf_dir, ["doc_id"], None),
         per_doc,
         "doc_id",
         "doc_id",
@@ -766,7 +761,7 @@ def ngram_novelty(sf_dir: str, n: int = 3) -> rd.Dataset:
             .to_arrow()
         )
 
-    return joined.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(joined, finish)
 
 
 def c4_filters(sf_dir: str) -> rd.Dataset:
@@ -928,14 +923,12 @@ def dedup_exact(sf_dir: str) -> rd.Dataset:
         )
 
     survivors = hash_aggregate(
-        documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-            hash_stage, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        scan_documents(sf_dir, ["doc_id", "text"], hash_stage),
         ["content_hash"],
         combine=[pl.col("doc_id").min().alias("doc_id")],
         merge=[pl.col("doc_id").min()],
     )
-    return survivors.select_columns(["doc_id"])
+    return ops.map_blocks(survivors, lambda t: t.select(["doc_id"]))
 
 
 # --- near-dup pairs: one blocking similarity join --------------------------
@@ -1054,8 +1047,6 @@ def minhash_lsh_dups(
     crosses the first once per band), nothing is collected into one
     process and nothing is broadcast.
     """
-    docs = extra_docs if extra_docs is not None else documents_dataset(sf_dir, ["doc_id", "text"])
-
     def sig_stage(batch: pa.Table) -> pa.Table:
         lens, hashes = batch_shingle_hashes(batch.column("text").to_pylist(), shingle_n)
         bh = band_hashes(minhash_signatures(lens, hashes, num_perm), bands)
@@ -1080,7 +1071,8 @@ def minhash_lsh_dups(
         return jac >= threshold, jac
 
     return _similarity_join(
-        docs.map_batches(sig_stage, batch_format="pyarrow", zero_copy_batch=True),
+        scan_documents(sf_dir, ["doc_id", "text"], sig_stage)
+        if extra_docs is None else ops.map_blocks(extra_docs, sig_stage),
         ["band", "band_hash"],
         verify,
         "jaccard",
@@ -1096,8 +1088,6 @@ def simhash_dups(sf_dir: str, max_hamming: int = 3, extra_docs: rd.Dataset | Non
     :func:`_similarity_join` blocks on ``(band, key)`` and keeps pairs
     with ``popcount(sig_a ^ sig_b) ≤ max_hamming``.  Two exchanges.
     """
-    docs = extra_docs if extra_docs is not None else documents_dataset(sf_dir, ["doc_id", "text"])
-
     def sig_stage(batch: pa.Table) -> pa.Table:
         ids, band_ids, keys, sigs = [], [], [], []
         for did, text in zip(batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()):
@@ -1124,7 +1114,8 @@ def simhash_dups(sf_dir: str, max_hamming: int = 3, extra_docs: rd.Dataset | Non
         return ham <= max_hamming, ham
 
     return _similarity_join(
-        docs.map_batches(sig_stage, batch_format="pyarrow", zero_copy_batch=True),
+        scan_documents(sf_dir, ["doc_id", "text"], sig_stage)
+        if extra_docs is None else ops.map_blocks(extra_docs, sig_stage),
         ["band", "key"],
         verify,
         "hamming",
@@ -1186,9 +1177,7 @@ def word_jaccard_pairs_prefix(sf_dir: str, threshold: float = 0.9) -> rd.Dataset
             .to_arrow()
         )
 
-    tokens = documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        tok_stage, batch_format="pyarrow", zero_copy_batch=True
-    )
+    tokens = scan_documents(sf_dir, ["doc_id", "text"], tok_stage)
 
     # 2. global df rides back onto each row as a window count
     def add_df(df: pl.DataFrame) -> pl.DataFrame:
@@ -1352,9 +1341,7 @@ def embedding_topk(sf_dir: str, k: int = 10, n_queries: int = 5) -> rd.Dataset:
             .with_columns(pl.col("score").round(5), pl.col("rank").cast(pl.Int64))
         )
 
-    partials = embeddings_dataset(sf_dir, ["vec_id", "embedding"]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    )
+    partials = scan_embeddings(sf_dir, ["vec_id", "embedding"], partial)
     return hash_group_apply(partials, ["query_id"], merge)
 
 
@@ -1375,9 +1362,7 @@ def embedding_centroids(sf_dir: str) -> rd.Dataset:
         )
 
     sums = hash_aggregate(
-        embeddings_dataset(sf_dir, ["label", "embedding"]).map_batches(
-            expand, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        scan_embeddings(sf_dir, ["label", "embedding"], expand),
         ["label", "dim"],
         combine=[pl.col("value").sum().alias("s"), pl.len().cast(pl.Int64).alias("n")],
         merge=[pl.col("s").sum(), pl.col("n").sum()],
@@ -1391,7 +1376,7 @@ def embedding_centroids(sf_dir: str) -> rd.Dataset:
             (pl.col("s") / pl.col("n")).round(6).alias("value"),
         ).to_arrow()
 
-    return sums.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(sums, finish)
 
 
 def _kmeans_centroids(
@@ -1400,7 +1385,7 @@ def _kmeans_centroids(
     """Coarse IVF centroids via spherical k-means on a BOUNDED sample.
 
     The sample is deterministic and distributed: a modulus filter on
-    vec_id evaluated inside ``map_batches`` keeps every k-th vector, so
+    vec_id evaluated inside the scan keeps every k-th vector, so
     at most ~``max_sample`` rows ever reach the driver no matter the
     corpus size — clustering cost is O(sample × cells), independent of
     the table (the round-1 version read the whole table).
@@ -1414,12 +1399,8 @@ def _kmeans_centroids(
         ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
         return batch.filter(pa.array(ids % stride == 0)).select(["embedding"])
 
-    sampled = (
-        embeddings_dataset(sf_dir, ["vec_id", "embedding"])
-        .map_batches(take_sample, batch_format="pyarrow", zero_copy_batch=True)
-        .take_all()
-    )
-    x = np.array([r["embedding"] for r in sampled], dtype=np.float64)
+    sampled = ops.collect_table(scan_embeddings(sf_dir, ["vec_id", "embedding"], take_sample))
+    x = np.array(sampled.column("embedding").to_pylist(), dtype=np.float64)
     x = _unit_rows(x)
     rng = np.random.RandomState(42)
     cents = x[rng.choice(len(x), size=n_cells, replace=False)]
@@ -1497,9 +1478,7 @@ def knn_ivf(
             .with_columns(pl.col("rank").cast(pl.Int64))
         )
 
-    partials = embeddings_dataset(sf_dir, ["vec_id", "embedding"]).map_batches(
-        cell_search, batch_format="pyarrow", zero_copy_batch=True
-    )
+    partials = scan_embeddings(sf_dir, ["vec_id", "embedding"], cell_search)
     return hash_group_apply(partials, ["query_id"], merge)
 
 
@@ -1902,9 +1881,7 @@ def embedding_near_dups_bucketed(
             }
         )
 
-    assigned = embeddings_dataset(sf_dir, ["vec_id", "embedding"]).map_batches(
-        assign, batch_format="pyarrow", zero_copy_batch=True
-    )
+    assigned = scan_embeddings(sf_dir, ["vec_id", "embedding"], assign)
     pairs = hash_group_apply(assigned, ["cell"], cell_verify, batch_size=16384)
     # a pair can co-occur in several probed cells → collapse
     return hash_aggregate(
@@ -2057,9 +2034,7 @@ def knn_lsh(
             .with_columns(pl.col("score").round(6))
         )
 
-    partials = embeddings_dataset(sf_dir, ["vec_id", "embedding"]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    )
+    partials = scan_embeddings(sf_dir, ["vec_id", "embedding"], partial)
     return hash_group_apply(partials, ["query_id"], final)
 
 
@@ -2084,17 +2059,15 @@ def semdedup_survivors(
     semantic-duplicate cluster; vectors absent from the output are
     singletons and survive as themselves.
     """
-    pairs = embedding_near_dups_bucketed(sf_dir, threshold, n_cells, n_assign).map_batches(
+    pairs = ops.map_blocks(
+        embedding_near_dups_bucketed(sf_dir, threshold, n_cells, n_assign),
         lambda b: pl.from_arrow(b)
         .select(pl.col("vec_a").alias("doc_a"), pl.col("vec_b").alias("doc_b"))
         .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
-    return near_dup_survivors(sf_dir, pairs=pairs).map_batches(
+    return ops.map_blocks(
+        near_dup_survivors(sf_dir, pairs=pairs),
         lambda b: pl.from_arrow(b).rename({"doc_id": "vec_id"}).to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
 
@@ -2123,7 +2096,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5) -> rd.Dataset:
     (stopwords) are single-window groups, so salting is unnecessary —
     a hot term's rows stay one contiguous sorted run.
     """
-    n_docs = documents_dataset(sf_dir, ["doc_id"]).count()
+    n_docs = ops.parquet_num_rows(os.path.join(sf_dir, "documents.parquet"))
 
     def tf_stage(batch: pa.Table) -> pa.Table:
         return (
@@ -2143,11 +2116,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5) -> rd.Dataset:
         )
 
     scored = hash_group_apply(
-        documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-            tf_stage, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        ["term"],
-        attach_df,
+        scan_documents(sf_dir, ["doc_id", "text"], tf_stage), ["term"], attach_df
     )
 
     def topk(df: pl.DataFrame) -> pl.DataFrame:
@@ -2184,26 +2153,12 @@ def vocab_top_tokens(sf_dir: str, k: int = 20) -> rd.Dataset:
         )
 
     freq = hash_aggregate(
-        documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-            tok_stage, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        scan_documents(sf_dir, ["doc_id", "text"], tok_stage),
         ["token"],
         combine=[pl.len().cast(pl.Int64).alias("doc_freq")],
         merge=[pl.col("doc_freq").sum()],
     )
-    def topk(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .sort(["doc_freq", "token"], descending=[True, False])
-            .head(k)
-            .to_arrow()
-        )
-
-    return (
-        freq.map_batches(topk, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(1)
-        .map_batches(topk, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return ops.block_topk(freq, ["doc_freq", "token"], [True, False], k)
 
 
 def inverted_index(sf_dir: str, k: int = 200, postings_cap: int = 8) -> rd.Dataset:
@@ -2249,13 +2204,7 @@ def inverted_index(sf_dir: str, k: int = 200, postings_cap: int = 8) -> rd.Datas
             .alias("postings_head"),
         )
 
-    idx = hash_group_apply(
-        documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-            tok_stage, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        ["token"],
-        build,
-    )
+    idx = hash_group_apply(scan_documents(sf_dir, ["doc_id", "text"], tok_stage), ["token"], build)
     return ops.block_topk(idx, ["doc_freq", "token"], [True, False], k)
 
 
@@ -2336,9 +2285,7 @@ def token_heavy_hitters(
         )
 
     merged = hash_aggregate(
-        documents_dataset(sf_dir, ["text"]).map_batches(
-            summarize, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        scan_documents(sf_dir, ["text"], summarize),
         ["cell", "token"],
         combine=[pl.col("cnt").sum()],
         merge=[pl.col("cnt").sum()],
@@ -2512,7 +2459,7 @@ def domain_balanced_sample(sf_dir: str, per_source: int = 5) -> rd.Dataset:
         )
 
     return hash_group_apply(
-        documents_dataset(sf_dir, ["doc_id", "source", "n_chars"]),
+        scan_documents(sf_dir, ["doc_id", "source", "n_chars"], None),
         ["source"],
         topk,
         pre=topk,
@@ -2550,9 +2497,7 @@ def quality_funnel(sf_dir: str) -> rd.Dataset:
 
     cols = ["n_docs", "pass_len", "pass_tokens", "pass_unique"]
     return hash_aggregate(
-        documents_dataset(sf_dir, ["source", "text", "n_chars"]).map_batches(
-            gates, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        scan_documents(sf_dir, ["source", "text", "n_chars"], gates),
         ["source"],
         combine=[pl.col(c).sum() for c in cols],
         merge=[pl.col(c).sum() for c in cols],
@@ -2608,13 +2553,7 @@ def contamination_ngrams(sf_dir: str, n: int = 7, test_mod: int = 43) -> rd.Data
             .select("doc_id", "ngram")
         )
 
-    hits = hash_group_apply(
-        documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-            shingle, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        ["ngram"],
-        match,
-    )
+    hits = hash_group_apply(scan_documents(sf_dir, ["doc_id", "text"], shingle), ["ngram"], match)
     counted = hash_aggregate(
         hits,
         ["doc_id"],
@@ -2693,11 +2632,7 @@ def sequence_packing(sf_dir: str, budget: int = 512) -> rd.Dataset:
         return greedy_pack_partition(df, budget)
 
     return hash_group_apply(
-        documents_dataset(sf_dir, ["doc_id", "source", "text"]).map_batches(
-            count_tokens, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        ["source"],
-        pack,
+        scan_documents(sf_dir, ["doc_id", "source", "text"], count_tokens), ["source"], pack
     )
 
 
@@ -2988,9 +2923,7 @@ def line_dedup(sf_dir: str) -> rd.Dataset:
         )
         return pl.concat([occ, lor, bra]).to_arrow()
 
-    occ = documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        occurrences, batch_format="pyarrow", zero_copy_batch=True
-    )
+    occ = scan_documents(sf_dir, ["doc_id", "text"], occurrences)
 
     def keep_and_count(df: pl.DataFrame) -> pl.DataFrame:
         return (
@@ -3010,14 +2943,13 @@ def line_dedup(sf_dir: str) -> rd.Dataset:
         combine=[pl.col("n_lines").sum(), pl.col("n_kept_lines").sum()],
         merge=[pl.col("n_lines").sum(), pl.col("n_kept_lines").sum()],
     )
-    return agg.map_batches(
+    return ops.map_blocks(
+        agg,
         lambda t: pl.from_arrow(t)
         .with_columns(
             n_dropped_lines=(pl.col("n_lines") - pl.col("n_kept_lines")).cast(pl.Int64)
         )
         .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
 
@@ -3041,7 +2973,9 @@ def source_kl_divergence(sf_dir: str) -> rd.Dataset:
     is an exact order-free integer, bit-identical to the DuckDB
     oracle; ``kl_nats`` is one int→double division.
     """
-    tf_parts = documents_dataset(sf_dir, ["source", "text"]).map_batches(
+    tf_parts = scan_documents(
+        sf_dir,
+        ["source", "text"],
         lambda b: pl.from_arrow(b)
         .select("source", pl.col("text").str.split(" ").alias("w"))
         .explode("w")
@@ -3049,26 +2983,20 @@ def source_kl_divergence(sf_dir: str) -> rd.Dataset:
         .len("c")
         .with_columns(pl.col("c").cast(pl.Int64))
         .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
     def merge_attach(df: pl.DataFrame) -> pl.DataFrame:
         out = df.group_by("source", "w").agg(pl.col("c").sum())
         return out.with_columns(cw=pl.col("c").sum().over("w"))
 
-    tf = hash_group_apply(tf_parts, ["w"], merge_attach).materialize()
+    tf = hash_group_apply(tf_parts, ["w"], merge_attach)
 
     totals = (
         pl.from_arrow(
             ops.collect_table(
-                tf.map_batches(
-                    lambda b: pl.from_arrow(b)
-                    .group_by("source")
-                    .agg(pl.col("c").sum())
-                    .to_arrow(),
-                    batch_format="pyarrow",
-                    zero_copy_batch=True,
+                ops.map_blocks(
+                    tf,
+                    lambda b: pl.from_arrow(b).group_by("source").agg(pl.col("c").sum()).to_arrow(),
                 )
             )
         )
@@ -3095,7 +3023,7 @@ def source_kl_divergence(sf_dir: str) -> rd.Dataset:
         )
 
     agg = hash_aggregate(
-        tf.map_batches(term_stage, batch_format="pyarrow", zero_copy_batch=True),
+        ops.map_blocks(tf, term_stage),
         ["source"],
         combine=[
             pl.col("n_tokens").sum(),
@@ -3113,7 +3041,7 @@ def source_kl_divergence(sf_dir: str) -> rd.Dataset:
         nats = pc.divide(pc.cast(batch.column("kl_micro"), pa.float64()), 1000000.0)
         return batch.append_column("kl_nats", nats)
 
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(agg, finish)
 
 
 def bigram_logprob(sf_dir: str, lam: float = 0.75) -> rd.Dataset:
@@ -3160,15 +3088,14 @@ def bigram_logprob(sf_dir: str, lam: float = 0.75) -> rd.Dataset:
             .to_arrow()
         )
 
-    docs = documents_dataset(sf_dir, ["doc_id", "text"])
     big = hash_aggregate(
-        docs.map_batches(big_stage, batch_format="pyarrow", zero_copy_batch=True),
+        scan_documents(sf_dir, ["doc_id", "text"], big_stage),
         ["v", "wt"],
         combine=[pl.col("c").sum()],
         merge=[pl.col("c").sum()],
     )
     uni = hash_aggregate(
-        docs.map_batches(uni_stage, batch_format="pyarrow", zero_copy_batch=True),
+        scan_documents(sf_dir, ["doc_id", "text"], uni_stage),
         ["w"],
         combine=[pl.col("c").sum()],
         merge=[pl.col("c").sum()],
@@ -3216,7 +3143,9 @@ def bigram_logprob(sf_dir: str, lam: float = 0.75) -> rd.Dataset:
             .to_arrow()
         )
 
-    return docs.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
+    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
+        score, batch_format="pyarrow", zero_copy_batch=True
+    )
 
 
 def source_lang_mix(sf_dir: str) -> rd.Dataset:
@@ -3230,17 +3159,9 @@ def source_lang_mix(sf_dir: str) -> rd.Dataset:
     oracle-exact).
     """
     agg = hash_aggregate(
-        documents_dataset(sf_dir, ["source", "lang"]).map_batches(
-            lambda t: pl.from_arrow(t)
-            .group_by(["source", "lang"])
-            .len("n_docs")
-            .with_columns(pl.col("n_docs").cast(pl.Int64))
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
+        scan_documents(sf_dir, ["source", "lang"], None),
         ["source", "lang"],
-        combine=[pl.col("n_docs").sum()],
+        combine=[pl.len().cast(pl.Int64).alias("n_docs")],
         merge=[pl.col("n_docs").sum()],
     )
 
@@ -3263,7 +3184,7 @@ def source_lang_mix(sf_dir: str) -> rd.Dataset:
             ),
         )
 
-    return withtot.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(withtot, finish)
 
 
 def dup_cluster_stats(sf_dir: str, threshold: float = 0.8) -> rd.Dataset:
@@ -3280,21 +3201,14 @@ def dup_cluster_stats(sf_dir: str, threshold: float = 0.8) -> rd.Dataset:
     """
     labels = near_dup_survivors(sf_dir, threshold=threshold)
     sizes = hash_aggregate(
-        labels.map_batches(
-            lambda t: pl.from_arrow(t)
-            .group_by("survivor_id")
-            .len("n")
-            .with_columns(pl.col("n").cast(pl.Int64))
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
+        labels,
         ["survivor_id"],
-        combine=[pl.col("n").sum()],
+        combine=[pl.len().cast(pl.Int64).alias("n")],
         merge=[pl.col("n").sum()],
     )
     return hash_aggregate(
-        sizes.map_batches(
+        ops.map_blocks(
+            sizes,
             lambda t: pl.from_arrow(t)
             .group_by(pl.col("n").alias("cluster_size"))
             .agg(
@@ -3302,8 +3216,6 @@ def dup_cluster_stats(sf_dir: str, threshold: float = 0.8) -> rd.Dataset:
                 pl.col("n").sum().alias("n_docs"),
             )
             .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
         ),
         ["cluster_size"],
         combine=[pl.col("n_clusters").sum(), pl.col("n_docs").sum()],
@@ -3343,9 +3255,7 @@ def token_zipf_fit(sf_dir: str, top_v: int = 5000) -> rd.Dataset:
         )
 
     freq = hash_aggregate(
-        documents_dataset(sf_dir, ["text"]).map_batches(
-            tf_stage, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        scan_documents(sf_dir, ["text"], tf_stage),
         ["w"],
         combine=[pl.col("c").sum()],
         merge=[pl.col("c").sum()],
@@ -3378,7 +3288,7 @@ def token_zipf_fit(sf_dir: str, top_v: int = 5000) -> rd.Dataset:
             }
         )
 
-    return top.map_batches(fit, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(top, fit)
 
 
 def source_quality_rollup(sf_dir: str, low_entropy_micro: int = 2_900_000) -> rd.Dataset:
@@ -3444,9 +3354,7 @@ def source_quality_rollup(sf_dir: str, low_entropy_micro: int = 2_900_000) -> rd
         )
 
     agg = hash_aggregate(
-        documents_dataset(sf_dir, ["doc_id", "source", "text"]).map_batches(
-            per_doc, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        scan_documents(sf_dir, ["doc_id", "source", "text"], per_doc),
         ["source"],
         combine=[
             pl.col("n_docs").sum(),
@@ -3473,7 +3381,7 @@ def source_quality_rollup(sf_dir: str, low_entropy_micro: int = 2_900_000) -> rd
             "low_entropy_share", pc.divide(f("n_low_entropy"), f("n_docs"))
         )
 
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(agg, finish)
 
 
 def mixture_sample(sf_dir: str) -> rd.Dataset:
@@ -3519,15 +3427,13 @@ def mixture_sample(sf_dir: str) -> rd.Dataset:
         ]
         return out.with_columns(pl.Series("bucket", bucket, dtype=pl.Int64)).to_arrow()
 
-    base = documents_dataset(sf_dir, ["doc_id", "source", "text"]).map_batches(
-        stats, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    per_source = ops.hash_aggregate(
+    base = scan_documents(sf_dir, ["doc_id", "source", "text"], stats)
+    per_source = ops.collect_table(ops.hash_aggregate(
         base,
         ["source"],
         combine=[pl.col("n_tokens").sum().alias("tok")],
         merge=[pl.col("tok").sum()],
-    ).to_pandas()  # bounded: one row per SOURCE, not per doc
+    )).to_pandas()  # bounded: one row per SOURCE, not per doc
 
     w = {r.source: math.floor(math.sqrt(float(r.tok)) * 1_000_000.0) for r in per_source.itertuples()}
     tok = {r.source: int(r.tok) for r in per_source.itertuples()}
@@ -3548,7 +3454,7 @@ def mixture_sample(sf_dir: str) -> rd.Dataset:
             .alias("keep")
         ).to_arrow()
 
-    return base.map_batches(select, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(base, select)
 
 
 # --- int8 embedding quantization (scale-path storage) ---------------------
@@ -3642,9 +3548,7 @@ def embedding_quantize(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    partials = embeddings_dataset(sf_dir, columns=["embedding"]).map_batches(
-        partial_minmax, batch_format="pyarrow", zero_copy_batch=True
-    )
+    partials = scan_embeddings(sf_dir, ["embedding"], partial_minmax)
     params = ops.hash_aggregate(
         partials,
         ["dim"],
@@ -3652,7 +3556,7 @@ def embedding_quantize(sf_dir: str) -> rd.Dataset:
         merge=[pl.col("mn").min(), pl.col("mx").max()],
     )
     # 64 rows — the one legitimate driver materialization in this op
-    ptab = pl.from_pandas(params.to_pandas()).sort("dim")
+    ptab = pl.from_arrow(ops.collect_table(params)).sort("dim")
     mn = ptab.get_column("mn").to_numpy().copy()
     mx = ptab.get_column("mx").to_numpy().copy()
     scale = np.where(mx > mn, (mx - mn) / 255.0, 1.0)
@@ -3717,9 +3621,7 @@ def weighted_sample_systematic(sf_dir: str, bucket_size: int = 4096) -> rd.Datas
         )
 
     # bounded materialize: 3 ints per doc; epochs of the scan reuse it
-    counts = documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        count, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
+    counts = scan_documents(sf_dir, ["doc_id", "text"], count)
 
     bsum = hash_aggregate(
         counts,
@@ -3800,7 +3702,7 @@ def kmeans_lloyd(
     import numpy as np
 
     # materialize once: iterations re-scan features, not parquet
-    emb = embeddings_dataset(sf_dir, ["vec_id", "embedding"]).materialize()
+    emb = scan_embeddings(sf_dir, ["vec_id", "embedding"], None)
 
     # deterministic init: k lowest vec_ids — per-block k-lowest
     # partials then a driver merge (bounded: ≤ k rows per block), no
@@ -3815,7 +3717,7 @@ def kmeans_lloyd(
         )
 
     init_rows = sorted(
-        emb.map_batches(lowk, batch_format="pyarrow", zero_copy_batch=True).take_all(),
+        ops.collect_table(ops.map_blocks(emb, lowk)).to_pylist(),
         key=lambda r: r["vec_id"],
     )[:k]
     if not init_rows:
@@ -3870,10 +3772,8 @@ def kmeans_lloyd(
     n_assigned = np.zeros(k, dtype=np.int64)
     last_inertia = np.zeros(k, dtype=np.int64)
     for _ in range(iters):
-        # bounded take_all: ≤ k rows per block
-        rows = emb.map_batches(
-            partials_fn(cents), batch_format="pyarrow", zero_copy_batch=True
-        ).take_all()
+        # bounded collect: ≤ k rows per block
+        rows = ops.collect_table(ops.map_blocks(emb, partials_fn(cents))).to_pylist()
         cnt = np.zeros(k, dtype=np.int64)
         acc = np.zeros((k, dim), dtype=np.int64)
         inertia = np.zeros(k, dtype=np.int64)

@@ -320,3 +320,146 @@ def test_hash_group_apply_merges_in_parallel_tasks():
     got = _rows(hash_group_apply(ds, ["k"], fn, num_partitions=4))
     assert got["n"].sum() == 2000
     assert got["task"].n_unique() >= 2
+
+
+# --- the scan / map wave contract ------------------------------------------
+
+def _scan_inputs(root) -> dict[str, tuple]:
+    """Parquet inputs, each ``(path, columns, batch_size)``: uneven row
+    groups, one row group (fewer than P, so chunks split inside it), a
+    batch smaller than a row group, a directory of two files, zero rows,
+    pandas schema metadata and a large_string column."""
+    import os
+
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    rng = np.random.RandomState(3)
+    n = 1000
+    t = pa.table({
+        "id": pa.array(np.arange(n, dtype=np.int64)),
+        "s": pa.array([f"w{i}" * (1 + i % 5) for i in rng.randint(0, 90, n)], pa.string()),
+        "x": pa.array(rng.rand(n)),
+    })
+
+    def write(name, table, groups=None):
+        path = os.path.join(root, name)
+        with pq.ParquetWriter(path, table.schema) as w:
+            start = 0
+            for size in groups or [table.num_rows]:
+                w.write_table(table.slice(start, size))
+                start += size
+        return path
+
+    d = os.path.join(root, "two_files")
+    os.makedirs(d)
+    write("two_files/b.parquet", t.slice(600), [250, 150])
+    write("two_files/a.parquet", t.slice(0, 600), [600])
+    pandas_path = os.path.join(root, "pandas.parquet")
+    pq.write_table(pa.Table.from_pandas(pd.DataFrame(t.slice(0, 300).to_pandas())), pandas_path)
+    assert pq.read_schema(pandas_path).metadata
+    large = t.cast(pa.schema([("id", pa.int64()), ("s", pa.large_string()), ("x", pa.float64())]))
+    return {
+        "uneven_groups": (write("uneven.parquet", t, [300, 50, 420, 7, 223]), ["id", "s"], 400),
+        "one_group": (write("one.parquet", t), ["s", "id"], 131_072),
+        "small_batch": (write("small.parquet", t), None, 97),
+        "directory": (d, ["id", "s"], 131_072),
+        "zero_rows": (write("zero.parquet", t.slice(0, 0)), ["id", "s"], 131_072),
+        "pandas_metadata": (pandas_path, ["id", "s"], 131_072),
+        "large_string": (write("large.parquet", large, [500, 500]), ["s", "id"], 300),
+    }
+
+
+def _calls(root) -> list[int]:
+    """Rows per recorded ``fn`` call (one file per call)."""
+    import os
+
+    return [int(f.split("-")[0]) for f in os.listdir(root)]
+
+
+def _recording(root):
+    """A row-wise ``fn`` that appends a length column and records each
+    call's row count as one file under ``root``."""
+    import os
+    import uuid
+
+    def fn(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        open(os.path.join(root, f"{batch.num_rows}-{uuid.uuid4().hex}"), "w").close()
+        return batch.append_column("n", pc.utf8_length(batch.column("s")).cast(pa.int64()))
+
+    return fn
+
+
+@pytest.fixture
+def ordered_ray_data():
+    """Ray Data keeps block order, so a reference read is in file order."""
+    from ray.data import DataContext
+
+    opts = DataContext.get_current().execution_options
+    before, opts.preserve_order = opts.preserve_order, True
+    yield
+    opts.preserve_order = before
+
+
+@pytest.mark.usefixtures("ray_session", "ordered_ray_data")
+@pytest.mark.parametrize("name", ["uneven_groups", "one_group", "small_batch", "directory",
+                                  "zero_rows", "pandas_metadata", "large_string"])
+def test_scan_equals_read_parquet_map_batches(name, tmp_path):
+    import os
+
+    import pyarrow.parquet as pq
+
+    from link_profiler_repo_ray import ops
+
+    data, calls = tmp_path / "data", tmp_path / "calls"
+    data.mkdir()
+    calls.mkdir()
+    path, columns, batch_size = _scan_inputs(str(data))[name]
+    fn = _recording(str(calls))
+    got = ops.collect_table(ops.scan(path, columns, fn, batch_size=batch_size))
+    rows = _calls(str(calls))
+    files = ([path] if not os.path.isdir(path)
+             else sorted(os.path.join(path, f) for f in os.listdir(path)))
+    total = sum(pq.read_metadata(f).num_rows for f in files)
+    if total == 0:
+        # fn runs once, on the empty table of the columns
+        assert rows == [0]
+        assert got.num_rows == 0 and got.schema.names == columns + ["n"]
+        return
+    assert len(rows) == max(min(ops.cluster_cpus(), total), -(-total // batch_size))
+    assert max(rows) <= batch_size and sum(rows) == total
+    exp = ops.collect_table(
+        ops.read_parquet(files, columns=columns).map_batches(fn, batch_format="pyarrow"))
+    assert got.schema.equals(exp.schema, check_metadata=True)
+    assert got.equals(exp)
+
+
+@pytest.mark.usefixtures("ray_session", "ordered_ray_data")
+def test_map_blocks_equals_map_batches(tmp_path):
+    from link_profiler_repo_ray import ops
+
+    fn = _recording(str(tmp_path))
+    t = pa.table({"id": pa.array(np.arange(60, dtype=np.int64)),
+                  "s": pa.array([f"t{i}" * (i % 4) for i in range(60)])})
+
+    def tag(batch: pa.Table) -> pa.Table:
+        ids = batch.column("id").to_numpy()
+        return pa.table({"id": ids, "s": pa.array([f"t{i}" * (i % 4) for i in ids])})
+
+    inputs = {
+        "materialized": rd.from_arrow([t.slice(0, 25), t.slice(25, 5), t.slice(30)]),
+        "lazy": rd.range(60, override_num_blocks=3).map_batches(tag, batch_format="pyarrow"),
+    }
+    for ds in inputs.values():
+        got = ops.collect_table(ops.map_blocks(ds, fn))
+        exp = ops.collect_table(ds.map_batches(fn, batch_format="pyarrow"))
+        assert got.schema == exp.schema and got.equals(exp)
+        assert got.column("id").to_pylist() == list(range(60))
+    for f in tmp_path.iterdir():
+        f.unlink()
+    # zero rows: fn runs once on the empty table of the input's schema
+    empty = ops.map_blocks(rd.from_arrow(t.slice(0, 0)), fn)
+    assert _calls(str(tmp_path)) == [0]
+    assert empty.count() == 0 and empty.schema().names == ["id", "s", "n"]

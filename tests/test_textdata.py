@@ -401,3 +401,57 @@ def test_dup_cluster_stats_matches_union_find():
     got = textdata.dup_cluster_stats(SF, threshold=0.8).to_pandas()
     assert dict(zip(got.cluster_size, got.n_clusters)) == dict(want)
     assert (got.n_docs == got.cluster_size * got.n_clusters).all()
+
+
+def _text_ops():
+    from link_profiler_repo_ray.pipelines.retrieval import bm25_topk
+
+    ops = {name: getattr(textdata, name) for name in (
+        "tfidf_top_terms", "inverted_index", "unigram_logprob", "line_dedup",
+        "exact_substring_dups", "minhash_lsh_dups")}
+    return {**ops, "bm25_topk": bm25_topk}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_text_ops_on_a_zero_row_documents_table(tmp_path):
+    """A documents table with no rows gives every ported op (and
+    vocab_top_tokens) zero rows; unigram_logprob and bm25_topk keep
+    their output columns."""
+    import pyarrow.parquet as pq
+
+    pq.write_table(pq.read_table(f"{SF}/documents.parquet").slice(0, 0),
+                   tmp_path / "documents.parquet")
+    named = {
+        "unigram_logprob": ["doc_id", "n_tokens", "logprob_micro", "mean_logprob_micro"],
+        "bm25_topk": ["query_id", "rank", "doc_id", "n_terms", "score_micro", "score"],
+    }
+    for name, op in {**_text_ops(), "vocab_top_tokens": textdata.vocab_top_tokens}.items():
+        ds = op(str(tmp_path)).materialize()
+        assert ds.count() == 0, name
+        if name in named:
+            assert ds.schema().names == named[name], name
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_text_ops_start_no_ray_data_execution(monkeypatch):
+    """The scans and maps in front of a text op's barriers run as task
+    waves: building each result starts no Ray Data execution, and
+    unigram_logprob's streaming score pass starts one only when its
+    caller materializes it."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    started = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        started.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    for name, op in _text_ops().items():
+        before = len(started)
+        ds = op(SF)
+        assert len(started) == before, f"{name} started {len(started) - before} Ray Data executions"
+        if name == "unigram_logprob":
+            assert ds.materialize().count() == 500
+            assert len(started) > before
