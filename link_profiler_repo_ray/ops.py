@@ -376,46 +376,44 @@ def _parquet_files(path) -> list[str]:
     return [path]
 
 
-def _scan_chunk(fn, columns, schema, runs):
-    """Scan wave (one chunk): per file its run of row groups read with
-    ``columns`` and cut to the chunk's rows, concatenated; ``fn`` called
-    once on the chunk."""
+def _read_run(path, groups, columns, start, length) -> pa.Table:
+    """Rows ``start`` to ``start + length`` of the row groups ``groups``
+    of ``path``, end to end, read in batches of at most ``length`` rows:
+    the batches before ``start`` are decoded and dropped one at a time,
+    and the read stops at the last row wanted, so a task holds at most
+    about two chunks' rows however large the row group is."""
     import pyarrow.parquet as pq
 
+    batches = []
+    with pq.ParquetFile(path) as f:
+        for b in f.iter_batches(batch_size=length, row_groups=groups, columns=columns):
+            if start >= b.num_rows:
+                start -= b.num_rows
+                continue
+            b = b.slice(start, length)
+            batches.append(b)
+            start, length = 0, length - b.num_rows
+            if not length:
+                break
+    return pa.Table.from_batches(batches)
+
+
+def _scan_chunk(fn, columns, schema, runs):
+    """Scan wave (one chunk): per file its run of rows read with
+    ``columns`` (:func:`_read_run`), schema metadata stripped,
+    concatenated; ``fn`` called once on the chunk."""
     tables = []
     for path, groups, start, length in runs:
-        with pq.ParquetFile(path) as f:
-            t = f.read_row_groups(groups, columns=columns)
-        t = t.replace_schema_metadata(None).slice(start, length)
+        t = _read_run(path, groups, columns, start, length).replace_schema_metadata(None)
         tables.append(t if t.schema == schema else t.cast(schema))
     table = pa.concat_tables(tables) if tables else schema.empty_table()
     return _with_meta(fn(table) if fn is not None else table)
 
 
-def scan(
-    path,
-    columns: list[str] | None = None,
-    fn: Callable[[pa.Table], pa.Table] | None = None,
-    batch_size: int | None = DEFAULT_EXCHANGE_BATCH,
-) -> rd.Dataset:
-    """``read_parquet(path, columns).map_batches(fn)`` as one wave of
-    plain Ray tasks, for a scan whose output is materialized anyway (it
-    feeds an exchange, :func:`collect_table` or :func:`block_topk`).
-
-    ``path`` is a file, a directory (its ``*.parquet`` files in sorted
-    order) or a list of files.  The driver reads only the footers: the
-    rows of every row group, end to end, are cut into
-    ``max(min(P, rows), ceil(rows / batch_size))`` chunks of even row
-    count (P = cluster CPUs), and one task per chunk reads its row
-    groups (a group that straddles two chunks is decoded by both),
-    strips the schema metadata (see :func:`read_parquet`), slices, and
-    calls ``fn`` (a pyarrow table in, one out) once.  On zero rows one
-    task calls ``fn`` on the empty table of ``columns``, so the result
-    still has ``fn``'s columns.  Blocks come in file and row order; the
-    result is a materialized Dataset built from the task outputs
-    (:func:`_dataset`), and the driver holds refs and one metadata
-    object per task.
-    """
+def _scan_plan(path, columns, batch_size) -> tuple[pa.Schema, list[list[tuple]]]:
+    """The driver side of :func:`scan`, from the parquet footers only:
+    the output schema of the read, then per chunk its per-file runs
+    ``(path, row groups, start row in the first group, rows)``."""
     import pyarrow.parquet as pq
 
     files = _parquet_files(path)
@@ -429,19 +427,48 @@ def scan(
     full = pq.read_schema(files[0]).remove_metadata()
     schema = pa.schema([full.field(c) for c in columns]) if columns else full
     total = sum(rows)
+    if not total:
+        return schema, []
     chunks = []
-    if total:
-        n = max(min(cluster_cpus(), total), -(-total // (batch_size or total)))
-        for span in _spans(rows, n):
-            runs = []
-            for b, a, z in span:
-                f, g = groups[b]
-                if runs and runs[-1][0] == f:
-                    runs[-1][1].append(g)
-                    runs[-1][3] += z - a
-                else:
-                    runs.append([f, [g], a, z - a])
-            chunks.append([tuple(r) for r in runs])
+    for span in _spans(rows, max(min(cluster_cpus(), total), -(-total // batch_size))):
+        runs = []
+        for b, a, z in span:
+            f, g = groups[b]
+            if runs and runs[-1][0] == f:
+                runs[-1][1].append(g)
+                runs[-1][3] += z - a
+            else:
+                runs.append([f, [g], a, z - a])
+        chunks.append([tuple(r) for r in runs])
+    return schema, chunks
+
+
+def scan(
+    path,
+    columns: list[str] | None = None,
+    fn: Callable[[pa.Table], pa.Table] | None = None,
+    batch_size: int = DEFAULT_EXCHANGE_BATCH,
+) -> rd.Dataset:
+    """``read_parquet(path, columns).map_batches(fn)`` as one wave of
+    plain Ray tasks, for a scan whose output is materialized anyway (it
+    feeds an exchange, :func:`collect_table` or :func:`block_topk`).
+
+    ``path`` is a file, a directory (its ``*.parquet`` files in sorted
+    order) or a list of files.  The driver reads only the footers: the
+    rows of every row group, end to end, are cut into
+    ``max(min(P, rows), ceil(rows / batch_size))`` chunks of even row
+    count (P = cluster CPUs), and one task per chunk streams its rows
+    out of its row groups in batches of at most the chunk's size (a
+    group that straddles two chunks is decoded by both, up to the
+    second chunk's last row; see :func:`_read_run`), strips the schema
+    metadata (see :func:`read_parquet`), and calls ``fn`` (a pyarrow
+    table in, one out) once.  On zero rows one task calls ``fn`` on the
+    empty table of ``columns``, so the result still has ``fn``'s
+    columns.  Blocks come in file and row order; the result is a
+    materialized Dataset built from the task outputs (:func:`_dataset`),
+    and the driver holds refs and one metadata object per task.
+    """
+    schema, chunks = _scan_plan(path, columns, batch_size)
     return _dataset(_wave(_scan_chunk, [(fn, columns, schema, c) for c in chunks or [[]]], 2))
 
 

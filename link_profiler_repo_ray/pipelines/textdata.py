@@ -98,9 +98,13 @@ def scan_documents(sf_dir: str, columns: list[str], fn) -> rd.Dataset:
     return ops.scan(os.path.join(sf_dir, "documents.parquet"), columns, fn)
 
 
-def scan_embeddings(sf_dir: str, columns: list[str], fn) -> rd.Dataset:
-    """:func:`scan_documents` over the embeddings table."""
-    return ops.scan(os.path.join(sf_dir, "embeddings.parquet"), columns, fn)
+def scan_embeddings(
+    sf_dir: str, columns: list[str], fn, batch_size: int = ops.DEFAULT_EXCHANGE_BATCH
+) -> rd.Dataset:
+    """:func:`scan_documents` over the embeddings table; lower
+    ``batch_size`` (the most rows one task reads) when ``fn`` multiplies
+    the fat vector rows."""
+    return ops.scan(os.path.join(sf_dir, "embeddings.parquet"), columns, fn, batch_size)
 
 
 # --- text extraction invariant over a clean wrapper ----------------------
@@ -1881,8 +1885,11 @@ def embedding_near_dups_bucketed(
             }
         )
 
-    assigned = scan_embeddings(sf_dir, ["vec_id", "embedding"], assign)
-    pairs = hash_group_apply(assigned, ["cell"], cell_verify, batch_size=16384)
+    # every vector is copied n_assign times: cap the scan and the
+    # exchange at fewer of these fat rows per task
+    batch = 16384
+    assigned = scan_embeddings(sf_dir, ["vec_id", "embedding"], assign, batch)
+    pairs = hash_group_apply(assigned, ["cell"], cell_verify, batch_size=batch)
     # a pair can co-occur in several probed cells → collapse
     return hash_aggregate(
         pairs,

@@ -406,7 +406,7 @@ def ordered_ray_data():
 @pytest.mark.usefixtures("ray_session", "ordered_ray_data")
 @pytest.mark.parametrize("name", ["uneven_groups", "one_group", "small_batch", "directory",
                                   "zero_rows", "pandas_metadata", "large_string"])
-def test_scan_equals_read_parquet_map_batches(name, tmp_path):
+def test_scan_equals_read_parquet_map_batches(name, tmp_path, monkeypatch):
     import os
 
     import pyarrow.parquet as pq
@@ -434,6 +434,49 @@ def test_scan_equals_read_parquet_map_batches(name, tmp_path):
         ops.read_parquet(files, columns=columns).map_batches(fn, batch_format="pyarrow"))
     assert got.schema.equals(exp.schema, check_metadata=True)
     assert got.equals(exp)
+    _assert_tasks_stream_bounded_batches(path, columns, batch_size, monkeypatch)
+
+
+def _assert_tasks_stream_bounded_batches(path, columns, batch_size, monkeypatch):
+    """Run every scan task in-process: none decodes a whole row group at
+    once; each reads its rows in batches of at most its chunk's size and
+    stops at the batch that holds its last row, so it holds at most two
+    chunks' rows even when one row group spans many chunks
+    ("one_group", "small_batch")."""
+    import pyarrow.parquet as pq
+
+    from link_profiler_repo_ray import ops
+
+    reads = []
+    real = pq.ParquetFile.iter_batches
+
+    def iter_batches(self, *args, **kwargs):
+        reads.append([])
+        for b in real(self, *args, **kwargs):
+            reads[-1].append(b.num_rows)
+            yield b
+
+    def whole(*args, **kwargs):
+        raise AssertionError("a scan task read whole row groups")
+
+    schema, chunks = ops._scan_plan(path, columns, batch_size)
+    parts = []
+    with monkeypatch.context() as m:
+        m.setattr(pq.ParquetFile, "iter_batches", iter_batches)
+        m.setattr(pq.ParquetFile, "read_row_groups", whole)
+        for runs in chunks:
+            reads.clear()
+            table, _ = ops._scan_chunk(None, columns, schema, runs)
+            assert table.num_rows == sum(r[3] for r in runs) <= batch_size
+            assert len(reads) == len(runs)
+            for (_, _, start, length), batches in zip(runs, reads):
+                assert max(batches) <= length
+                assert sum(batches[:-1]) < start + length
+            parts.append(table)
+    exp = pa.concat_tables(
+        [pq.read_table(f, columns=columns).replace_schema_metadata(None).cast(schema)
+         for f in ops._parquet_files(path)])
+    assert pa.concat_tables(parts).equals(exp)
 
 
 @pytest.mark.usefixtures("ray_session", "ordered_ray_data")
