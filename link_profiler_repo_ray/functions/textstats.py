@@ -1,65 +1,26 @@
 """Text-analysis kernels for the training-data pipeline ops.
 
-Beyond the reference's own operators: language-ID (character n-gram /
-stopword heuristic), token counting (whitespace + BPE-ish regex),
-quality ratios, and rolling-hash document fingerprinting.  All pure,
-batch-oriented, deterministic.
+Beyond the reference's own operators: language-ID (stopword
+heuristic), the stopword tables ``doc_quality`` counts with, and
+rolling-hash document fingerprinting.  All pure, deterministic.
 """
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 __all__ = [
-    "token_count",
-    "bpe_ish_tokens",
-    "text_stats",
+    "STOPWORDS",
     "lang_id",
     "fingerprint64",
 ]
 
-# GPT-2-style pretokenizer shape without \p classes (stdlib re).
-_BPE_RE = re.compile(r"'(?:s|t|re|ve|m|ll|d)| ?[A-Za-z]+| ?[0-9]+| ?[^\sA-Za-z0-9]+|\s+(?!\S)|\s+")
-
-_STOPWORDS = {
+STOPWORDS = {
     "en": {"the", "and", "of", "a", "to", "in", "is", "that", "it", "for"},
     "es": {"el", "la", "de", "que", "y", "en", "un", "una", "los", "las"},
     "fr": {"le", "la", "de", "et", "les", "des", "un", "une", "est", "dans"},
     "de": {"der", "die", "das", "und", "ist", "von", "den", "mit", "ein", "eine"},
 }
-
-
-def token_count(text: str) -> int:
-    """Whitespace token count."""
-    return len(text.split())
-
-
-def bpe_ish_tokens(text: str) -> int:
-    """Approximate BPE token count via a GPT-2-style pretokenizer regex."""
-    return len(_BPE_RE.findall(text))
-
-
-def text_stats(text: str) -> dict:
-    """Quality-scoring ratios: lengths, punctuation/upper/stopword ratios."""
-    n_chars = len(text)
-    toks = text.split()
-    n_tokens = len(toks)
-    n_distinct = len(set(toks))
-    n_punct = sum(1 for c in text if not c.isalnum() and not c.isspace())
-    n_upper = sum(1 for c in text if c.isupper())
-    en_stop = _STOPWORDS["en"]
-    n_stop = sum(1 for t in toks if t.lower() in en_stop)
-    return {
-        "n_chars": n_chars,
-        "n_tokens": n_tokens,
-        "n_distinct_tokens": n_distinct,
-        "punct_ratio": n_punct / n_chars if n_chars else 0.0,
-        "upper_ratio": n_upper / n_chars if n_chars else 0.0,
-        "stopword_ratio": n_stop / n_tokens if n_tokens else 0.0,
-        "mean_token_len": (sum(len(t) for t in toks) / n_tokens) if n_tokens else 0.0,
-    }
 
 
 def lang_id(text: str) -> str:
@@ -76,7 +37,7 @@ def lang_id(text: str) -> str:
         return "zh"
     toks = [t.lower() for t in text.split()]
     best_lang, best_hits = "en", 0
-    for lang_code, stops in _STOPWORDS.items():
+    for lang_code, stops in STOPWORDS.items():
         hits = sum(1 for t in toks if t in stops)
         if hits > best_hits:
             best_lang, best_hits = lang_code, hits

@@ -94,7 +94,6 @@ __all__ = [
     "cluster_cpus",
     "auto_concurrency",
     "read_parquet",
-    "ensure_schema",
     "parquet_num_rows",
     "block_topk",
     "collect_table",
@@ -157,29 +156,6 @@ def block_topk(
     if not refs:
         return thinned
     return _dataset(_wave(_topk_final, [(by, descending, k, *refs)], 2))
-
-
-def ensure_schema(ds: rd.Dataset, schema: pa.Schema) -> rd.Dataset:
-    """Replace zero-column empty BLOCKS with typed empty tables.
-
-    A map stage can emit 0-row blocks with no columns, and an exchange
-    whose partitions are all empty returns one 0-row block (with no
-    columns when no partition had a row), which crashes any downstream
-    ``select`` and breaks schema compares.  This appends a stateless
-    guard mapping such blocks to ``schema.empty_table()``; non-empty
-    blocks pass through zero-copy.
-
-    Limitation: a dataset that ends up with NO blocks at all (entirely
-    empty input) never invokes map stages, so its dataset-level schema
-    stays unset — that case needs handling at the consumption site.
-    """
-
-    def guard(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return schema.empty_table()
-        return batch
-
-    return ds.map_batches(guard, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def read_parquet(paths, *, columns: list[str] | None = None, **kwargs) -> rd.Dataset:
@@ -355,14 +331,15 @@ def _route_chunk(pre, keys, num_partitions, slices, *blocks):
 def _merge_part(fn, sizes, *pieces):
     """Merge wave (one partition): per side its non-empty pieces
     concatenated (else an empty piece, for the columns); ``fn(*sides)``
-    unless no side has a row.  Returns the output table (no columns
-    when ``fn`` was not called) and its metadata."""
+    when a side has a row or every side has columns.  Returns the output
+    table (no columns when ``fn`` was not called) and its metadata."""
     sides, i = [], 0
     for n in sizes:
         own, i = pieces[i:i + n], i + n
         full = [p for p in own if p.height]
         sides.append(pl.concat(full, how="vertical_relaxed") if full else own[0])
-    return _with_meta(fn(*sides).to_arrow() if any(s.height for s in sides) else pa.table({}))
+    call = any(s.height for s in sides) or all(s.width for s in sides)
+    return _with_meta(fn(*sides).to_arrow() if call else pa.table({}))
 
 
 # --- scan / map wave: the stages in front of a barrier ----------------------
@@ -503,11 +480,13 @@ def _exchange(sides, fn, num_partitions, batch_size) -> rd.Dataset:
     most ``batch_size`` rows, and one route task per chunk applies
     ``pre`` and hash-routes the rows into ``num_partitions`` pieces; a
     side's route wave runs while the next side materializes.  Then one
-    merge task per partition concatenates its pieces and calls ``fn``.
-    A side with no rows stands for an empty frame of ``schema`` (default:
-    its Dataset's, if any).  The result is :func:`_dataset` of the
-    merge outputs.  The driver holds refs and block metadata (P entries
-    per exchange), never a row.
+    merge task per partition concatenates its pieces and calls ``fn``
+    (see :func:`_merge_part`).  A side with no rows stands for one empty
+    chunk of ``schema`` (default: its Dataset's, if any), put through
+    ``pre`` like any chunk when it has columns, so a merge of typed
+    empty frames gives typed empty output.  The result is
+    :func:`_dataset` of the merge outputs.  The driver holds refs and
+    block metadata (P entries per exchange), never a row.
     """
     P = num_partitions or cluster_cpus()
     routed, sizes = [], []
@@ -524,7 +503,10 @@ def _exchange(sides, fn, num_partitions, batch_size) -> rd.Dataset:
         else:
             if schema is None:
                 schema = ds.schema().base_schema if ds.schema() is not None else pa.schema([])
-            routed.append([[pl.from_arrow(schema.empty_table())] * P])
+            empty = pl.from_arrow(schema.empty_table())
+            if pre is not None and empty.width:
+                empty = pre(empty)
+            routed.append([[empty] * P])
         sizes.append(len(routed[-1]))
     merged = _wave(_merge_part, [
         (fn, sizes, *(chunk[q] for side in routed for chunk in side)) for q in range(P)
@@ -546,7 +528,8 @@ def hash_aggregate(
     combined partials of one hash partition; both are
     ``group_by(keys).agg(...)`` expression lists.  The caller must make
     ``merge`` re-aggregate ``combine``'s output columns (sum of sums,
-    min of mins, …).
+    min of mins, …).  An input with no rows gives zero rows with the
+    output columns (none when the input has no columns either).
     """
     return _exchange(
         [(ds, keys, lambda df: df.group_by(keys).agg(combine), None)],
@@ -571,9 +554,15 @@ def hash_group_apply(
     by ``keys``; this amortizes the per-group dispatch that makes
     a per-group apply slow.  ``pre`` optionally thins each route
     chunk before the exchange (a combiner for apply-style ops, e.g.
-    per-chunk distinct).
+    per-chunk distinct).  Since ``fn`` never runs on zero rows, an
+    input with no rows gives a result with no columns.
     """
-    return _exchange([(ds, keys, pre, None)], fn, num_partitions, batch_size)
+    return _exchange(
+        [(ds, keys, pre, None)],
+        lambda df: fn(df) if df.height else pl.DataFrame(),
+        num_partitions,
+        batch_size,
+    )
 
 
 def tagged_union_join(
@@ -595,7 +584,8 @@ def tagged_union_join(
 
     ``left_schema``/``right_schema`` give the columns of a side that
     has no rows at all (default: that side's Dataset schema), so that
-    a left or full join still pads the other side with typed nulls.
+    a left or full join still pads the other side with typed nulls, and
+    a join with no rows on either side still has the joined columns.
     """
 
     return _exchange(

@@ -37,6 +37,7 @@ import ray.data as rd
 from .. import ops
 from ..stages import AIScoreStage
 from . import graph
+from .textdata import quality_gates
 
 __all__ = [
     "ai_content_scores",
@@ -64,18 +65,10 @@ def ai_calibration(sf_dir: str) -> rd.Dataset:
     )
 
     def gate_and_thin(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        ws = pl.col("text").str.split(" ")
-        n_tok = ws.list.len().cast(pl.Int64)
-        uniq_ratio = ws.list.n_unique().cast(pl.Float64) / n_tok
-        return df.select(
-            "ai_classification",
-            (
-                (pl.col("n_chars") >= 150)
-                & (n_tok >= 30)
-                & (uniq_ratio >= 0.65)
-            ).alias("heuristic_pass"),
-        ).to_arrow()
+        g3 = quality_gates()[2]
+        return (
+            pl.from_arrow(batch).select("ai_classification", g3.alias("heuristic_pass")).to_arrow()
+        )
 
     scored = docs.map_batches(
         AIScoreStage,

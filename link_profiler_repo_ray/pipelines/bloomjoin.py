@@ -33,7 +33,9 @@ import ray
 import ray.data as rd
 
 from .. import ops
+from ..functions import tokens
 from ..ops import hash_aggregate, hash_group_apply, tagged_union_join
+from .textdata import scan_documents
 
 __all__ = ["BloomFilter64", "bloom_semijoin", "contamination_bloom"]
 
@@ -222,43 +224,18 @@ def contamination_bloom(
 
     Returns (doc_id, n_shared_ngrams) for contaminated training docs.
     """
-    import os as _os
-
-    from .. import ops as _ops
-
     def shingle(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        ex = (
-            df.select(
-                "doc_id",
-                pl.col("doc_id").mod(test_mod).eq(0).alias("is_test"),
-                pl.col("text").str.split(" ").alias("w"),
-            )
-            .explode("w")
-            .with_columns(
-                pl.concat_str(
-                    [pl.col("w")]
-                    + [pl.col("w").shift(-j).over("doc_id") for j in range(1, n)],
-                    separator=" ",
-                    ignore_nulls=False,
-                ).alias("ngram")
-            )
-            .drop_nulls("ngram")
+        df = pl.from_arrow(batch).with_columns(is_test=pl.col("doc_id") % test_mod == 0)
+        return (
+            tokens.windows(df, n, ["doc_id", "is_test"])
             .select(
-                "doc_id",
-                "is_test",
-                pl.col("ngram").hash(seed=0).reinterpret(signed=True).alias("h"),
+                "doc_id", "is_test", pl.col("ngram").hash(seed=0).reinterpret(signed=True).alias("h")
             )
             .unique()
+            .to_arrow()
         )
-        return ex.to_arrow()
 
-    docs = _ops.read_parquet(
-        _os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    shingled = docs.map_batches(
-        shingle, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
+    shingled = scan_documents(sf_dir, ["doc_id", "text"], shingle)
 
     test_h = shingled.map_batches(
         lambda b: pl.from_arrow(b).filter(pl.col("is_test")).select("h").to_arrow(),

@@ -42,39 +42,15 @@ import ray
 import ray.data as rd
 
 from .. import ops
+from ..functions import tokens
 from ..ops import hash_aggregate, hash_group_apply
-from .textdata import documents_dataset
+from .textdata import _token_totals, documents_dataset
 
 __all__ = ["bpe_train", "bpe_apply_counts", "bpe_learn_merges", "bpe_split_word", "bpe_sequence_packing"]
 
 # end-of-word marker (the standard '</w>' sentinel keeps merges from
 # crossing word boundaries)
 _EOW = "</w>"
-
-
-def _word_histogram(sf_dir: str) -> rd.Dataset:
-    """distinct word → corpus count (ONE token-keyed exchange)."""
-
-    def counts(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return (
-            df.select(pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .filter(pl.col("w") != "")
-            .group_by("w")
-            .len("n")
-            .with_columns(pl.col("n").cast(pl.Int64))
-            .to_arrow()
-        )
-
-    return hash_aggregate(
-        documents_dataset(sf_dir, ["text"]).map_batches(
-            counts, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        ["w"],
-        combine=[pl.col("n").sum().alias("n")],
-        merge=[pl.col("n").sum()],
-    )
 
 
 def bpe_split_word(w: str, merges: list[tuple[str, str]]) -> list[str]:
@@ -133,23 +109,20 @@ def bpe_train(sf_dir: str, k: int = 24) -> rd.Dataset:
     Output: one row per learned merge —
     ``(rank, left, right, pair_count)`` in learning order.
     """
-    hist = _word_histogram(sf_dir)
-
-    # the iterative state is (word-count histogram split into current
-    # symbols); kept as a Dataset of (syms: list<str>, n) rows
+    # the word histogram (the corpus (w, c) aggregate, empty word
+    # dropped) split into current symbols is the iterative state: a
+    # Dataset of (syms: list<str>, n) rows, histogram-scale (bounded by
+    # the vocabulary)
     def init_splits(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
+        df = pl.from_arrow(batch).filter(pl.col("w") != "")
         return df.select(
             pl.col("w")
             .map_elements(lambda w: list(w) + [_EOW], return_dtype=pl.List(pl.Utf8))
             .alias("syms"),
-            pl.col("n"),
+            pl.col("c").alias("n"),
         ).to_arrow()
 
-    state = hist.map_batches(init_splits, batch_format="pyarrow", zero_copy_batch=True)
-    # each round re-reads the state; materialize so round r doesn't
-    # re-execute rounds 0..r-1 (histogram-scale, bounded by vocab)
-    state = state.materialize()
+    state = ops.map_blocks(_token_totals(sf_dir), init_splits)
 
     merges: list[tuple[str, str, int]] = []
     for rank in range(k):
@@ -272,7 +245,7 @@ def bpe_apply_counts(sf_dir: str, k: int = 24) -> rd.Dataset:
     def run(batch: pa.Table) -> pa.Table:
         ms = ray.get(ref)
         df = pl.from_arrow(batch)
-        words = df.select(pl.col("text").str.split(" ").alias("w")).get_column("w")
+        words = df.select(tokens.words()).to_series()
         n_sub = _subword_counts(words, ms)
         n_words = [len(ws) for ws in words]
         return pa.table(
@@ -309,9 +282,7 @@ def bpe_sequence_packing(sf_dir: str, k: int = 24, budget: int = 512) -> rd.Data
     def count(batch: pa.Table) -> pa.Table:
         ms = ray.get(ref)
         df = pl.from_arrow(batch)
-        n_sub = _subword_counts(
-            df.select(pl.col("text").str.split(" ").alias("w")).get_column("w"), ms
-        )
+        n_sub = _subword_counts(df.select(tokens.words()).to_series(), ms)
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),

@@ -36,9 +36,9 @@ import ray.data as rd
 
 from .. import ops
 from ..ops import hash_aggregate, hash_group_apply
-from . import textdata
 from .textdata import (
     _PII_PATTERNS,
+    clean_words,
     documents_dataset,
     greedy_pack_partition,
 )
@@ -53,29 +53,12 @@ MIN_UNIQUE_RATIO = 0.45
 def _clean_and_gate(batch: pa.Table) -> pa.Table:
     """Normalize text and drop documents failing the quality gates.
 
-    Same op chain as ``textdata.clean_text`` (lowercase → collapse
-    whitespace → trim → drop consecutive duplicate tokens), then the
-    ``quality_funnel`` gates evaluated on the CLEANED token list.
+    ``textdata.clean_words``' op chain (lowercase → collapse whitespace
+    → trim → drop consecutive duplicate tokens), then length, token and
+    unique-ratio gates evaluated on the CLEANED token list.
     """
-    df = pl.from_arrow(batch)
     out = (
-        df.with_columns(
-            pl.col("text")
-            .str.to_lowercase()
-            .str.replace_all(textdata.ASCII_WS, " ")
-            .str.strip_chars(" ")
-            .str.split(" ")
-            .alias("_ws")
-        )
-        .with_columns(
-            pl.col("_ws")
-            .list.eval(
-                pl.element().filter(
-                    (pl.element() != pl.element().shift(1)).fill_null(True)
-                )
-            )
-            .alias("_kept")
-        )
+        clean_words(pl.from_arrow(batch))
         .with_columns(
             pl.col("_kept").list.len().cast(pl.Int64).alias("n_tokens"),
             (

@@ -97,29 +97,19 @@ _ALERT_SCHEMA = pa.schema(
 
 
 
-def apply_cooldown(
-    alerts: rd.Dataset,
-    cooldown_s: int = ALERT_COOLDOWN_S,
-    schema: pa.Schema | None = None,
-) -> rd.Dataset:
+def apply_cooldown(alerts: rd.Dataset, cooldown_s: int = ALERT_COOLDOWN_S) -> rd.Dataset:
     """Global cooldown suppression over a raw fired-alert stream: keep
     the EARLIEST alert per (rule_id, cooldown bucket) — the distributed
     reading of the reference's ``last_evaluation_times`` dict
     (alert_service.py:143-147).  Works on any dataset with rule_id /
     triggered_ts (+ tie-break url) columns, e.g. the crawl loop's
-    persisted ``alerts/`` output (stages.AlertStage); the default
-    ``schema`` is that stage's float64-metric layout — pass
-    ``_ALERT_SCHEMA``-style overrides for other layouts.  Only
+    persisted ``alerts/`` output (stages.AlertStage).  Only
     (rule, bucket)-deduped rows cross the exchange.
 
     Alerts with a NULL triggered_ts (live fetches / replay misses have
     no capture timestamp) pass through UNSUPPRESSED: without a clock
     the cooldown window cannot be evaluated, and collapsing them into
     one null bucket would silently drop distinct critical alerts."""
-    if schema is None:
-        from ..stages import ALERT_SCHEMA
-
-        schema = ALERT_SCHEMA
     bucket = (
         pl.col("triggered_ts").dt.epoch(time_unit="s") // cooldown_s
     ).alias("__bucket")
@@ -146,8 +136,7 @@ def apply_cooldown(
     def first_per_cooldown(df: pl.DataFrame) -> pl.DataFrame:
         return dedup(df).drop("__bucket")
 
-    out = hash_group_apply(alerts, ["rule_id", "__bucket"], first_per_cooldown, pre=pre)
-    return ops.ensure_schema(out, schema)
+    return hash_group_apply(alerts, ["rule_id", "__bucket"], first_per_cooldown, pre=pre)
 
 
 def alert_rules_eval(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
@@ -181,7 +170,7 @@ def alert_rules_eval(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     alerts = graph.pages_dataset(
         sf_dir, multiplier, columns=["url", "warc_ts", "html"]
     ).map_batches(evaluate, batch_format="pyarrow", zero_copy_batch=True)
-    return apply_cooldown(alerts, schema=_ALERT_SCHEMA)
+    return apply_cooldown(alerts)
 
 
 _SUBDOMAIN_SLOTS = 6  # www api mail cdn blog shop
@@ -336,17 +325,4 @@ def local_seo_nearby(
         )
 
     biz = ops.int_range(n_biz, "biz_id")
-    out = biz.map_batches(nearby, batch_format="pyarrow", zero_copy_batch=True)
-    return ops.ensure_schema(
-        out,
-        pa.schema(
-            [
-                ("biz_id", pa.int64()),
-                ("name", pa.string()),
-                ("place_type", pa.string()),
-                ("lat", pa.float64()),
-                ("lon", pa.float64()),
-                ("distance_km", pa.float64()),
-            ]
-        ),
-    )
+    return biz.map_batches(nearby, batch_format="pyarrow", zero_copy_batch=True)

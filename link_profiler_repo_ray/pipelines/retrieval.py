@@ -40,6 +40,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from .. import ops
+from ..functions import tokens
 from ..ops import hash_aggregate, hash_group_apply
 from .textdata import scan_documents
 
@@ -83,7 +84,7 @@ def bm25_topk(sf_dir: str, k: int = 10) -> rd.Dataset:
     def tf_stage(batch: pa.Table) -> pa.Table:
         df = (
             pl.from_arrow(batch)
-            .select("doc_id", pl.col("text").str.split(" ").alias("w"))
+            .select("doc_id", tokens.words().alias("w"))
             .with_columns(dl=pl.col("w").list.len().cast(pl.Int64))
         )
         posts = (

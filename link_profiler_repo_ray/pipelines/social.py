@@ -204,7 +204,4 @@ def content_gap_topics(
             .unique()
         )
 
-    out = ops.hash_group_apply(tagged, ["topic"], rollup, pre=pre)
-    return ops.ensure_schema(
-        out, pa.schema([("competitor_host", pa.string()), ("topic", pa.string())])
-    )
+    return ops.hash_group_apply(tagged, ["topic"], rollup, pre=pre)

@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..functions import textstats
+from ..functions import textstats, tokens
 from .. import ops
 from ..ops import auto_concurrency, hash_aggregate, hash_group_apply, tagged_union_join
 from ..functions.htmlx import extract_text_batch
@@ -107,6 +107,65 @@ def scan_embeddings(
     return ops.scan(os.path.join(sf_dir, "embeddings.parquet"), columns, fn, batch_size)
 
 
+def _token_totals(
+    sf_dir: str, docs: rd.Dataset | None = None, target: pl.Expr | None = None
+) -> rd.Dataset:
+    """The corpus vocabulary: ``(w, c)``, every word's count over the
+    documents (of ``sf_dir``, or the ``docs`` Dataset with ``doc_id``
+    and ``text``), from one token-keyed ``hash_aggregate`` of per-chunk
+    :func:`~..functions.tokens.counts`.  With ``target``, a boolean
+    expression over the documents, also ``c_tgt``: the count over the
+    documents where it holds."""
+    keys, cols = [], [pl.len().cast(pl.Int64).alias("c")]
+    if target is not None:
+        keys, cols = ["tgt"], cols + [pl.col("tgt").sum().cast(pl.Int64).alias("c_tgt")]
+
+    def stage(batch: pa.Table) -> pa.Table:
+        df = pl.from_arrow(batch)
+        if target is not None:
+            df = df.with_columns(target.alias("tgt"))
+        return tokens.exploded(df, keys).group_by("w").agg(cols).to_arrow()
+
+    tf = (
+        scan_documents(sf_dir, ["text"] if target is None else ["doc_id", "text"], stage)
+        if docs is None else ops.map_blocks(docs, stage)
+    )
+    sums = [pl.col(c.meta.output_name()).sum() for c in cols]
+    return hash_aggregate(tf, ["w"], combine=sums, merge=sums)
+
+
+def _score_pass(
+    docs: rd.Dataset, weights: pl.DataFrame, counts, n: str, score: str, mean: bool = True
+) -> rd.Dataset:
+    """Score every document against a broadcast weight table.
+
+    ``weights`` holds key columns and an Int64 ``term``; it goes through
+    ``ray.put`` once and each task reads it zero-copy.  Per batch,
+    ``counts(frame)`` gives the per-doc ``(doc_id, *keys, c)`` counts;
+    they are inner-joined to the weights and summed per doc into ``n``
+    (Σ c) and ``score`` (Σ c·term, an exact integer), plus
+    ``mean_<score>`` (one int→double division) when ``mean``.  A
+    streaming ``map_batches``.  At a 10^8-row table, swap the broadcast
+    for a key-partitioned ``tagged_union_join`` and add a min-count
+    floor mapping the tail to an OOV term.
+    """
+    ref = ray.put(weights)
+    keys = [c for c in weights.columns if c != "term"]
+
+    def run(batch: pa.Table) -> pa.Table:
+        out = (
+            counts(pl.from_arrow(batch))
+            .join(ray.get(ref), on=keys, how="inner")
+            .group_by("doc_id")
+            .agg(pl.col("c").sum().alias(n), (pl.col("c") * pl.col("term")).sum().alias(score))
+        )
+        if mean:
+            out = out.with_columns((pl.col(score).cast(pl.Float64) / pl.col(n)).alias(f"mean_{score}"))
+        return out.to_arrow()
+
+    return docs.map_batches(run, batch_format="pyarrow", zero_copy_batch=True)
+
+
 # --- text extraction invariant over a clean wrapper ----------------------
 
 _WRAP_PRE = (
@@ -144,16 +203,12 @@ def text_extract_roundtrip(sf_dir: str) -> rd.Dataset:
 
 def token_stats(sf_dir: str) -> rd.Dataset:
     def run(batch: pa.Table) -> pa.Table:
-        import polars as pl
-
-        df = pl.from_arrow(batch)
-        out = df.select(
+        return pl.from_arrow(batch).select(
             pl.col("doc_id"),
             pl.col("text").str.len_chars().cast(pl.Int64).alias("n_chars"),
-            pl.col("text").str.split(" ").list.len().cast(pl.Int64).alias("n_tokens"),
-            pl.col("text").str.split(" ").list.n_unique().cast(pl.Int64).alias("n_distinct_tokens"),
-        )
-        return out.to_arrow()
+            tokens.n_words().alias("n_tokens"),
+            tokens.words().list.n_unique().cast(pl.Int64).alias("n_distinct_tokens"),
+        ).to_arrow()
 
     return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
         run, batch_format="pyarrow", zero_copy_batch=True
@@ -184,24 +239,29 @@ def token_stats_bpe(sf_dir: str) -> rd.Dataset:
 
 
 def doc_quality(sf_dir: str) -> rd.Dataset:
-    """Per-doc quality ratios (SQL-mirrorable subset of functions.textstats)."""
+    """Per-doc quality ratios over the word split: length, word count,
+    mean word length ``(n_chars − (n_tokens − 1)) / n_tokens`` (the
+    characters that are not separators) and the share of words whose
+    lowercase form is an English stopword.  Each ratio is one
+    int→double division, as in the oracle."""
+    stop = sorted(textstats.STOPWORDS["en"])
 
     def run(batch: pa.Table) -> pa.Table:
-        rows = [textstats.text_stats(t) for t in batch.column("text").to_pylist()]
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n_chars": pa.array([r["n_chars"] for r in rows], pa.int64()),
-                "n_tokens": pa.array([r["n_tokens"] for r in rows], pa.int64()),
-                "mean_token_len": pa.array(
-                    [
-                        (r["n_chars"] - (r["n_tokens"] - 1)) / r["n_tokens"] if r["n_tokens"] else 0.0
-                        for r in rows
-                    ],
-                    pa.float64(),
-                ),
-                "stopword_ratio": pa.array([r["stopword_ratio"] for r in rows], pa.float64()),
-            }
+        n_chars = pl.col("text").str.len_chars().cast(pl.Int64)
+        n_stop = tokens.words().list.eval(pl.element().str.to_lowercase().is_in(stop)).list.sum()
+        return (
+            pl.from_arrow(batch)
+            .select("doc_id", n_chars.alias("n_chars"),
+                    tokens.n_words().alias("n_tokens"), n_stop.alias("n_stop"))
+            .select(
+                "doc_id",
+                "n_chars",
+                "n_tokens",
+                ((pl.col("n_chars") - (pl.col("n_tokens") - 1)).cast(pl.Float64) / pl.col("n_tokens"))
+                .alias("mean_token_len"),
+                (pl.col("n_stop").cast(pl.Float64) / pl.col("n_tokens")).alias("stopword_ratio"),
+            )
+            .to_arrow()
         )
 
     return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
@@ -228,26 +288,18 @@ def repetition_metrics(sf_dir: str) -> rd.Dataset:
         top-3-gram > 0.18, dup-5-gram > 0.15.
 
     Entirely per-document, so each batch is independent: explode the
-    word lists once, derive all three gram columns with vectorized
-    window shifts, and aggregate inside the batch — no shuffle, no
-    state, linear in corpus size.  Every fraction is a single
+    word lists once, derive all three gram columns with
+    :func:`~..functions.tokens.window`, and aggregate inside the batch
+    — no shuffle, no state, linear in corpus size.  Every fraction is a single
     int->double division of exact integer counts, so the DuckDB oracle
     reproduces the doubles bit-identically.
     """
 
     def run(batch: pa.Table) -> pa.Table:
-        base = pl.from_arrow(batch).select(
-            "doc_id",
-            pl.col("text").str.len_chars().cast(pl.Int64).alias("tlen"),
-            pl.col("text").str.split(" ").alias("ws"),
-        )
-        ex = base.select("doc_id", "ws").explode("ws").rename({"ws": "w"})
-        nxt = [pl.col("w").shift(-i).over("doc_id") for i in range(5)]
-        sep = pl.lit(" ")
-        ex = ex.with_columns(
-            g2=nxt[0] + sep + nxt[1],
-            g3=nxt[0] + sep + nxt[1] + sep + nxt[2],
-            g5=nxt[0] + sep + nxt[1] + sep + nxt[2] + sep + nxt[3] + sep + nxt[4],
+        df = pl.from_arrow(batch)
+        base = df.select("doc_id", pl.col("text").str.len_chars().cast(pl.Int64).alias("tlen"))
+        ex = tokens.exploded(df, ["doc_id"]).with_columns(
+            g2=tokens.window(2), g3=tokens.window(3), g5=tokens.window(5)
         )
 
         def counts(col: str) -> pl.DataFrame:
@@ -325,63 +377,23 @@ def unigram_logprob(sf_dir: str) -> rd.Dataset:
     """
     import math
 
-    def tf_stage(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .select(pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .group_by("w")
-            .len("cnt")
-            .with_columns(pl.col("cnt").cast(pl.Int64))
-            .to_arrow()
-        )
-
-    freq = hash_aggregate(
-        scan_documents(sf_dir, ["text"], tf_stage),
-        ["w"],
-        combine=[pl.col("cnt").sum()],
-        merge=[pl.col("cnt").sum()],
-    )
-    vocab = ops.collect_table(freq)
+    vocab = ops.collect_table(_token_totals(sf_dir))
     if not vocab.num_rows:
         # no documents: nothing to score
         return rd.from_arrow(pa.schema([
             ("doc_id", pa.int64()), ("n_tokens", pa.int64()),
             ("logprob_micro", pa.int64()), ("mean_logprob_micro", pa.float64()),
         ]).empty_table())
-    tokens = vocab.column("w").to_pylist()
-    counts = vocab.column("cnt").to_pylist()
+    counts = vocab.column("c").to_pylist()
     total = sum(counts)
     terms = [math.floor(math.log(c / float(total)) * 1_000_000 + 0.5) for c in counts]
-    ref = ray.put(
-        pl.DataFrame({"w": tokens, "term": pl.Series(terms, dtype=pl.Int64)})
-    )
-
-    def score(batch: pa.Table) -> pa.Table:
-        vf = ray.get(ref)
-        out = (
-            pl.from_arrow(batch)
-            .select("doc_id", pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .group_by("doc_id", "w")
-            .len("c")
-            .with_columns(pl.col("c").cast(pl.Int64))
-            .join(vf, on="w", how="inner")
-            .group_by("doc_id")
-            .agg(
-                (pl.col("c") * pl.col("term")).sum().alias("logprob_micro"),
-                pl.col("c").sum().alias("n_tokens"),
-            )
-            .with_columns(
-                mean_logprob_micro=pl.col("logprob_micro").cast(pl.Float64)
-                / pl.col("n_tokens")
-            )
-            .select("doc_id", "n_tokens", "logprob_micro", "mean_logprob_micro")
-        )
-        return out.to_arrow()
-
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        score, batch_format="pyarrow", zero_copy_batch=True
+    weights = pl.from_arrow(vocab).select("w", pl.Series("term", terms, dtype=pl.Int64))
+    return _score_pass(
+        documents_dataset(sf_dir, ["doc_id", "text"]),
+        weights,
+        lambda df: tokens.counts(df, ["doc_id"]),
+        "n_tokens",
+        "logprob_micro",
     )
 
 
@@ -479,41 +491,20 @@ def dsir_scores(sf_dir: str, docs: rd.Dataset | None = None) -> rd.Dataset:
     """
     import math
 
-    def tf_stage(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .select("doc_id", pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .with_columns(tgt=(pl.col("doc_id") % 10 == 0).cast(pl.Int64))
-            .group_by("w")
-            .agg(
-                pl.len().cast(pl.Int64).alias("c_raw"),
-                pl.col("tgt").sum().alias("c_tgt"),
-            )
-            .to_arrow()
-        )
-
     if docs is None:
         # two passes = two pruned parquet scans: pass 1 a scan wave in
         # front of the exchange, pass 2 a streaming read
-        tf = scan_documents(sf_dir, ["doc_id", "text"], tf_stage)
+        freq = _token_totals(sf_dir, target=pl.col("doc_id") % 10 == 0)
         docs = documents_dataset(sf_dir, ["doc_id", "text"])
     else:
         # injected pipeline output: pin once so pass 1 and pass 2
         # don't re-execute the upstream graph
         docs = docs.materialize()
-        tf = ops.map_blocks(docs, tf_stage)
-    freq = hash_aggregate(
-        tf,
-        ["w"],
-        combine=[pl.col("c_raw").sum(), pl.col("c_tgt").sum()],
-        merge=[pl.col("c_raw").sum(), pl.col("c_tgt").sum()],
-    )
+        freq = _token_totals(sf_dir, docs, target=pl.col("doc_id") % 10 == 0)
     vocab = ops.collect_table(freq)
-    tokens = vocab.column("w").to_pylist()
-    c_raw = vocab.column("c_raw").to_pylist()
+    c_raw = vocab.column("c").to_pylist()
     c_tgt = vocab.column("c_tgt").to_pylist()
-    n_raw, n_tgt, v = sum(c_raw), sum(c_tgt), len(tokens)
+    n_raw, n_tgt, v = sum(c_raw), sum(c_tgt), len(c_raw)
     terms = [
         math.floor(
             (math.log((ct + 1) / (n_tgt + v)) - math.log((cr + 1) / (n_raw + v)))
@@ -522,28 +513,10 @@ def dsir_scores(sf_dir: str, docs: rd.Dataset | None = None) -> rd.Dataset:
         )
         for cr, ct in zip(c_raw, c_tgt)
     ]
-    ref = ray.put(pl.DataFrame({"w": tokens, "term": pl.Series(terms, dtype=pl.Int64)}))
-
-    def score(batch: pa.Table) -> pa.Table:
-        vf = ray.get(ref)
-        return (
-            pl.from_arrow(batch)
-            .select("doc_id", pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .group_by("doc_id", "w")
-            .len("c")
-            .with_columns(pl.col("c").cast(pl.Int64))
-            .join(vf, on="w", how="inner")
-            .group_by("doc_id")
-            .agg(
-                pl.col("c").sum().alias("n_tokens"),
-                (pl.col("c") * pl.col("term")).sum().alias("dsir_micro"),
-            )
-            .select("doc_id", "n_tokens", "dsir_micro")
-            .to_arrow()
-        )
-
-    return docs.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
+    weights = pl.from_arrow(vocab).select("w", pl.Series("term", terms, dtype=pl.Int64))
+    return _score_pass(
+        docs, weights, lambda df: tokens.counts(df, ["doc_id"]), "n_tokens", "dsir_micro", mean=False
+    )
 
 
 def dsir_select(
@@ -600,7 +573,7 @@ def exact_substring_dups(sf_dir: str, n: int = 6) -> rd.Dataset:
     (excluded from the distinct-doc count, always kept) and is summed
     by (2), so every document, one with fewer than ``n`` words
     included, gets exactly one row without a join or a second scan.
-    Shingling is a vectorized explode + shifted concat (as in
+    Shingling is :func:`~..functions.tokens.windows` (as in
     :func:`contamination_ngrams`), and the same 100-TB note applies:
     swap the ngram string key for a 64-bit hash to make exchange keys
     8 bytes.
@@ -609,17 +582,7 @@ def exact_substring_dups(sf_dir: str, n: int = 6) -> rd.Dataset:
     def shingle(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
         dup = (
-            df.select("doc_id", pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .select(
-                "doc_id",
-                pl.concat_str(
-                    [pl.col("w").shift(-k) for k in range(n)], separator=" ", ignore_nulls=False
-                ).alias("ngram"),
-            )
-            # a document's words are contiguous: a window is whole when
-            # its last word belongs to the same document
-            .filter(pl.col("doc_id").shift(-(n - 1)) == pl.col("doc_id"))
+            tokens.windows(df, n)
             # one row per (doc, ngram) with its window-position count;
             # each document lives wholly in one batch, so these rows
             # never need a cross-block re-merge
@@ -630,9 +593,7 @@ def exact_substring_dups(sf_dir: str, n: int = 6) -> rd.Dataset:
         base = df.select(
             "doc_id",
             pl.col("doc_id").cast(pl.Utf8).alias("ngram"),
-            (pl.col("text").str.split(" ").list.len().cast(pl.Int64) - (n - 1))
-            .clip(lower_bound=0)
-            .alias("cnt"),
+            (tokens.n_words() - (n - 1)).clip(lower_bound=0).alias("cnt"),
             pl.lit(True).alias("base"),
         )
         return pl.concat([dup, base]).to_arrow()
@@ -699,22 +660,7 @@ def ngram_novelty(sf_dir: str, n: int = 3) -> rd.Dataset:
     """
 
     def shingle(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return (
-            df.select("doc_id", pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .with_columns(
-                pl.concat_str(
-                    [pl.col("w")] + [pl.col("w").shift(-k).over("doc_id") for k in range(1, n)],
-                    separator=" ",
-                    ignore_nulls=False,
-                ).alias("ngram")
-            )
-            .drop_nulls("ngram")
-            .select("doc_id", "ngram")
-            .unique()
-            .to_arrow()
-        )
+        return tokens.windows(pl.from_arrow(batch), n).unique().to_arrow()
 
     def novel_partials(df: pl.DataFrame) -> pl.DataFrame:
         return (
@@ -794,35 +740,11 @@ def c4_filters(sf_dir: str) -> rd.Dataset:
     """
 
     def run(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).with_columns(
-            ws=pl.col("text").str.split(" "),
-            L=(5 + pl.col("doc_id") % 7),
-        )
-        # --- decorator (synthetic line structure, closed-form) ---
         lines = (
-            df.select("doc_id", "L", "ws")
-            .explode("ws")
-            .with_columns(idx=pl.int_range(pl.len()).over("doc_id"))
-            .with_columns(line_id=pl.col("idx") // pl.col("L"))
-            .group_by(["doc_id", "line_id"], maintain_order=True)
-            .agg(pl.col("ws").str.join(" ").alias("line"))
-            .with_columns(
-                line=pl.when((pl.col("line_id") + pl.col("doc_id")) % 4 != 0)
-                .then(pl.col("line") + ".")
-                .otherwise(pl.col("line"))
-            )
+            _planted_lines(pl.from_arrow(batch))
             .sort(["doc_id", "line_id"])
             .group_by("doc_id", maintain_order=True)
             .agg(pl.col("line").str.join("\n").alias("dtext"))
-            .with_columns(
-                dtext=pl.col("dtext")
-                + pl.when(pl.col("doc_id") % 97 == 13)
-                .then(pl.lit("\nlorem ipsum dolor sit amet."))
-                .otherwise(pl.lit(""))
-                + pl.when(pl.col("doc_id") % 89 == 7)
-                .then(pl.lit("\nfunction() { return 0; }"))
-                .otherwise(pl.lit(""))
-            )
         )
         # --- the C4 filter proper: metrics from the decorated text only ---
         out = (
@@ -877,6 +799,40 @@ def c4_filters(sf_dir: str) -> rd.Dataset:
     return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
         run, batch_format="pyarrow", zero_copy_batch=True
     )
+
+
+def _planted_lines(df: pl.DataFrame) -> pl.DataFrame:
+    """The closed-form line structure :func:`c4_filters` and
+    :func:`line_dedup` plant on the bare-word corpus: ``(doc_id,
+    line_id, line)``, the words wrapped into lines of ``5 + doc_id % 7``
+    words, line ``i`` ending in a period iff ``(i + doc_id) % 4 != 0``,
+    then the marker lines "lorem ipsum dolor sit amet." (``doc_id % 97
+    == 13``) and "function() { return 0; }" (``doc_id % 89 == 7``), in
+    that order.  Rows of one document are in line order."""
+    L = 5 + pl.col("doc_id") % 7
+    words = (
+        tokens.exploded(df.with_columns(L=L), ["doc_id", "L"])
+        .with_columns(
+            line_id=(pl.int_range(pl.len()).over("doc_id") // pl.col("L")).cast(pl.Int64)
+        )
+        .group_by(["doc_id", "line_id"], maintain_order=True)
+        .agg(pl.col("w").str.join(" ").alias("line"))
+        .with_columns(
+            line=pl.when((pl.col("line_id") + pl.col("doc_id")) % 4 != 0)
+            .then(pl.col("line") + ".")
+            .otherwise(pl.col("line"))
+        )
+    )
+    n_lines = df.select("doc_id", ((tokens.n_words() + L - 1) // L).alias("n"))
+    lorem = n_lines.filter(pl.col("doc_id") % 97 == 13).select(
+        "doc_id", pl.col("n").alias("line_id"), pl.lit("lorem ipsum dolor sit amet.").alias("line")
+    )
+    brace = n_lines.filter(pl.col("doc_id") % 89 == 7).select(
+        "doc_id",
+        (pl.col("n") + (pl.col("doc_id") % 97 == 13).cast(pl.Int64)).alias("line_id"),
+        pl.lit("function() { return 0; }").alias("line"),
+    )
+    return pl.concat([words, lorem, brace])
 
 
 class _LangIdStage:
@@ -1162,32 +1118,23 @@ def word_jaccard_pairs_prefix(sf_dir: str, threshold: float = 0.9) -> rd.Dataset
     import math
 
     def tok_stage(batch: pa.Table) -> pa.Table:
-        ids, toks, szs = [], [], []
-        for did, text in zip(batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()):
-            distinct = set(text.split())
-            sz = len(distinct)
-            for t in distinct:
-                ids.append(did)
-                toks.append(t)
-                szs.append(sz)
-        df = pl.DataFrame({"doc_id": ids, "token": toks, "sz": szs})
         return (
-            df.with_columns(
-                pl.col("token").hash(seed=7).reinterpret(signed=True).alias("h"),
+            tokens.distinct(pl.from_arrow(batch))
+            .select(
                 pl.col("doc_id").cast(pl.Int64),
-                pl.col("sz").cast(pl.Int64),
+                pl.col("token").hash(seed=7).reinterpret(signed=True).alias("h"),
+                pl.len().over("doc_id").cast(pl.Int64).alias("sz"),
             )
-            .select("doc_id", "h", "sz")
             .to_arrow()
         )
 
-    tokens = scan_documents(sf_dir, ["doc_id", "text"], tok_stage)
+    doc_tokens = scan_documents(sf_dir, ["doc_id", "text"], tok_stage)
 
     # 2. global df rides back onto each row as a window count
     def add_df(df: pl.DataFrame) -> pl.DataFrame:
         return df.with_columns(pl.len().over("h").cast(pl.Int64).alias("df_"))
 
-    with_df = hash_group_apply(tokens, ["h"], add_df)
+    with_df = hash_group_apply(doc_tokens, ["h"], add_df)
 
     # 3. per-doc prefix rows (each carrying the full sorted hash set)
     def prefix_stage(df: pl.DataFrame) -> pl.DataFrame:
@@ -2106,15 +2053,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5) -> rd.Dataset:
     n_docs = ops.parquet_num_rows(os.path.join(sf_dir, "documents.parquet"))
 
     def tf_stage(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .select("doc_id", pl.col("text").str.split(" ").alias("term"))
-            .explode("term")
-            .group_by(["doc_id", "term"])
-            .len("tf")
-            .with_columns(pl.col("tf").cast(pl.Int64))
-            .to_arrow()
-        )
+        return tokens.counts(pl.from_arrow(batch), ["doc_id"], "term", "tf").to_arrow()
 
     def attach_df(df: pl.DataFrame) -> pl.DataFrame:
         return df.with_columns(df=pl.len().over("term").cast(pl.Int64)).with_columns(
@@ -2137,6 +2076,12 @@ def tfidf_top_terms(sf_dir: str, k: int = 5) -> rd.Dataset:
     return hash_group_apply(scored, ["doc_id"], topk)
 
 
+def _doc_tokens(batch: pa.Table) -> pa.Table:
+    """Scan stage: distinct ``(doc_id, token)`` rows of a batch (a doc
+    lives wholly in one batch, so batch-distinct is global)."""
+    return tokens.distinct(pl.from_arrow(batch)).to_arrow()
+
+
 def vocab_top_tokens(sf_dir: str, k: int = 20) -> rd.Dataset:
     """Global top-k tokens by document frequency (vocabulary stats).
 
@@ -2148,19 +2093,8 @@ def vocab_top_tokens(sf_dir: str, k: int = 20) -> rd.Dataset:
     #3, which ray.get every partition at the driver).
     """
 
-    def tok_stage(batch: pa.Table) -> pa.Table:
-        # vectorized distinct (doc, token): explode + unique — same
-        # split semantics as str.split(' ') on this single-space corpus
-        return (
-            pl.from_arrow(batch)
-            .select("doc_id", pl.col("text").str.split(" ").alias("token"))
-            .explode("token")
-            .unique()
-            .to_arrow()
-        )
-
     freq = hash_aggregate(
-        scan_documents(sf_dir, ["doc_id", "text"], tok_stage),
+        scan_documents(sf_dir, ["doc_id", "text"], _doc_tokens),
         ["token"],
         combine=[pl.len().cast(pl.Int64).alias("doc_freq")],
         merge=[pl.col("doc_freq").sum()],
@@ -2191,15 +2125,6 @@ def inverted_index(sf_dir: str, k: int = 200, postings_cap: int = 8) -> rd.Datas
     single rows.
     """
 
-    def tok_stage(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .select("doc_id", pl.col("text").str.split(" ").alias("token"))
-            .explode("token")
-            .unique()
-            .to_arrow()
-        )
-
     def build(df: pl.DataFrame) -> pl.DataFrame:
         return df.group_by("token").agg(
             pl.len().cast(pl.Int64).alias("doc_freq"),
@@ -2211,7 +2136,7 @@ def inverted_index(sf_dir: str, k: int = 200, postings_cap: int = 8) -> rd.Datas
             .alias("postings_head"),
         )
 
-    idx = hash_group_apply(scan_documents(sf_dir, ["doc_id", "text"], tok_stage), ["token"], build)
+    idx = hash_group_apply(scan_documents(sf_dir, ["doc_id", "text"], _doc_tokens), ["token"], build)
     return ops.block_topk(idx, ["doc_freq", "token"], [True, False], k)
 
 
@@ -2236,10 +2161,11 @@ def token_heavy_hitters(
       every true heavy hitter, and each block emits ≤ 1/φ candidates.
     - One hash aggregate sums cells and dedups candidates — the only
       exchange, ≤ blocks·(depth·width + 1/φ) rows, never corpus text.
-    - A final single-block pass (input ≤ depth·width + #candidates
-      rows) rebuilds the dense sketch, estimates each candidate as the
-      min over its depth cells (classic CMS — never an underestimate),
-      and keeps estimates ≥ ⌈φ·N⌉.
+    - A final pass over the merged table, collected into the calling
+      process (≤ depth·width + #candidates rows), rebuilds the dense
+      sketch, estimates each candidate as the min over its depth cells
+      (classic CMS — never an underestimate), and keeps estimates ≥
+      ⌈φ·N⌉.
 
     Output: ``(token, est_count)`` sorted by est_count desc, token
     asc.  Guarantees (no false negatives; estimate ≥ truth) are pinned
@@ -2258,13 +2184,7 @@ def token_heavy_hitters(
     )
 
     def summarize(batch: pa.Table) -> pa.Table:
-        counts = (
-            pl.from_arrow(batch)
-            .select(pl.col("text").str.split(" ").alias("token"))
-            .explode("token")
-            .group_by("token")
-            .len(name="cnt")
-        )
+        counts = tokens.counts(pl.from_arrow(batch), [], "token", "cnt")
         if counts.height == 0:
             return empty
         cnt = counts["cnt"].to_numpy().astype(np.int64)
@@ -2298,29 +2218,28 @@ def token_heavy_hitters(
         merge=[pl.col("cnt").sum()],
     )
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
+    def finalize(df: pl.DataFrame) -> rd.Dataset:
         sk = df.filter(pl.col("cell") >= 0)
         cand = df.filter(pl.col("cell") < 0)
         dense = np.zeros(_CMS_DEPTH * width, dtype=np.int64)
         dense[sk["cell"].to_numpy()] = sk["cnt"].to_numpy()
         total = int(dense.sum()) // _CMS_DEPTH
         if cand.height == 0 or total == 0:
-            return pa.table(
-                {"token": pa.array([], pa.string()), "est_count": pa.array([], pa.int64())}
+            return rd.from_arrow(
+                pa.table({"token": pa.array([], pa.string()), "est_count": pa.array([], pa.int64())})
             )
         hashes = cand["token"].hash(seed=0).to_numpy().astype(np.uint64)
         est = dense[cms_cells(hashes, log2_width) + row_offsets].min(axis=0)
-        return (
+        return rd.from_arrow(
             pl.DataFrame({"token": cand["token"], "est_count": est})
             .filter(pl.col("est_count") >= int(np.ceil(phi * total)))
             .sort(["est_count", "token"], descending=[True, False])
             .to_arrow()
         )
 
-    return merged.repartition(1).map_batches(
-        finalize, batch_format="pyarrow", zero_copy_batch=True
-    )
+    # the merged table is bounded by the sketch: depth·width cells plus
+    # the candidates
+    return finalize(pl.from_arrow(ops.collect_table(merged)))
 
 
 # --- training-data curation ops (round 3) ---------------------------------
@@ -2338,6 +2257,22 @@ def token_heavy_hitters(
 ASCII_WS = r"[ \t\r\n\x0B\x0C]+"
 
 
+def clean_words(df: pl.DataFrame) -> pl.DataFrame:
+    """:func:`clean_text`'s op chain on ``df.text`` as two list columns:
+    ``_ws``, the words of the text lowercased, whitespace runs collapsed
+    to one space, then trimmed (collapse BEFORE trim, so the trim only
+    ever sees plain spaces — the exact op chain the DuckDB oracle runs:
+    its trim() strips spaces only); ``_kept``, ``_ws`` with each word
+    equal to the one before it dropped."""
+    ws = tokens.words(
+        pl.col("text").str.to_lowercase().str.replace_all(ASCII_WS, " ").str.strip_chars(" ")
+    )
+    repeat = (pl.element() != pl.element().shift(1)).fill_null(True)
+    return df.with_columns(ws.alias("_ws")).with_columns(
+        pl.col("_ws").list.eval(pl.element().filter(repeat)).alias("_kept")
+    )
+
+
 def clean_text(sf_dir: str) -> rd.Dataset:
     """Normalize + de-repeat documents (the reference's content
     validator normalizes whitespace the same way before scoring,
@@ -2351,28 +2286,8 @@ def clean_text(sf_dir: str) -> rd.Dataset:
     """
 
     def stage(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        out = (
-            df.with_columns(
-                # collapse BEFORE trim so the trim only ever sees
-                # plain spaces — the exact op chain the DuckDB oracle
-                # runs (its trim() strips spaces only)
-                pl.col("text")
-                .str.to_lowercase()
-                .str.replace_all(ASCII_WS, " ")
-                .str.strip_chars(" ")
-                .str.split(" ")
-                .alias("_ws")
-            )
-            .with_columns(
-                pl.col("_ws")
-                .list.eval(
-                    pl.element().filter(
-                        (pl.element() != pl.element().shift(1)).fill_null(True)
-                    )
-                )
-                .alias("_kept")
-            )
+        return (
+            clean_words(pl.from_arrow(batch))
             .select(
                 "doc_id",
                 pl.col("_kept").list.join(" ").alias("text_clean"),
@@ -2380,8 +2295,8 @@ def clean_text(sf_dir: str) -> rd.Dataset:
                 .cast(pl.Int64)
                 .alias("n_repeats_removed"),
             )
+            .to_arrow()
         )
-        return out.to_arrow()
 
     return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
         stage, batch_format="pyarrow", zero_copy_batch=True
@@ -2473,6 +2388,17 @@ def domain_balanced_sample(sf_dir: str, per_source: int = 5) -> rd.Dataset:
     )
 
 
+def quality_gates() -> tuple[pl.Expr, pl.Expr, pl.Expr]:
+    """:func:`quality_funnel`'s cumulative gates over ``(text,
+    n_chars)``: g1 ``n_chars >= 150``; g2 g1 AND ``>= 30`` words; g3 g2
+    AND a distinct-word ratio ``>= 0.65``."""
+    n_tok = tokens.n_words()
+    uniq_ratio = tokens.words().list.n_unique().cast(pl.Float64) / n_tok
+    g1 = pl.col("n_chars") >= 150
+    g2 = g1 & (n_tok >= 30)
+    return g1, g2, g2 & (uniq_ratio >= 0.65)
+
+
 def quality_funnel(sf_dir: str) -> rd.Dataset:
     """Per-source quality-gate funnel: how many docs survive each of
     the stacked filters a Dolma/CCNet-style cleaning run applies
@@ -2480,20 +2406,14 @@ def quality_funnel(sf_dir: str) -> rd.Dataset:
     corpus curator reads to tune thresholds before committing to a
     100-TB pass.
 
-    Gates (cumulative):  g1 ``n_chars >= 150``; g2 g1 AND ``>= 30``
-    whitespace tokens; g3 g2 AND unique-token ratio ``>= 0.65``.
-    Per-block partial counts ride ONE tiny exchange (rows = sources ×
+    Gates: :func:`quality_gates` (cumulative length, word-count and
+    unique-word-ratio gates).  Per-block partial counts ride ONE tiny exchange (rows = sources ×
     blocks, corpus text never leaves the map stage).
     """
 
     def gates(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
-        ws = pl.col("text").str.split(" ")
-        n_tok = ws.list.len().cast(pl.Int64)
-        uniq_ratio = ws.list.n_unique().cast(pl.Float64) / n_tok
-        g1 = pl.col("n_chars") >= 150
-        g2 = g1 & (n_tok >= 30)
-        g3 = g2 & (uniq_ratio >= 0.65)
+        g1, g2, g3 = quality_gates()
         return df.select(
             "source",
             pl.lit(1).cast(pl.Int64).alias("n_docs"),
@@ -2530,26 +2450,8 @@ def contamination_ngrams(sf_dir: str, n: int = 7, test_mod: int = 43) -> rd.Data
     """
 
     def shingle(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        ex = (
-            df.select(
-                "doc_id",
-                pl.col("doc_id").mod(test_mod).eq(0).alias("is_test"),
-                pl.col("text").str.split(" ").alias("w"),
-            )
-            .explode("w")
-            .with_columns(
-                pl.concat_str(
-                    [pl.col("w")] + [pl.col("w").shift(-k).over("doc_id") for k in range(1, n)],
-                    separator=" ",
-                    ignore_nulls=False,
-                ).alias("ngram")
-            )
-            .drop_nulls("ngram")  # tail windows shorter than n
-            .select("doc_id", "is_test", "ngram")
-            .unique()
-        )
-        return ex.to_arrow()
+        df = pl.from_arrow(batch).with_columns(is_test=pl.col("doc_id") % test_mod == 0)
+        return tokens.windows(df, n, ["doc_id", "is_test"]).unique().to_arrow()
 
     def match(df: pl.DataFrame) -> pl.DataFrame:
         df = df.unique()  # cross-block duplicates of (doc, ngram)
@@ -2561,17 +2463,11 @@ def contamination_ngrams(sf_dir: str, n: int = 7, test_mod: int = 43) -> rd.Data
         )
 
     hits = hash_group_apply(scan_documents(sf_dir, ["doc_id", "text"], shingle), ["ngram"], match)
-    counted = hash_aggregate(
+    return hash_aggregate(
         hits,
         ["doc_id"],
         combine=[pl.len().cast(pl.Int64).alias("n_shared_ngrams")],
         merge=[pl.col("n_shared_ngrams").sum()],
-    )
-    # a contamination-free corpus must yield an empty TYPED result, not
-    # the zero-column block Ray produces for an empty groupby
-    return ops.ensure_schema(
-        counted,
-        pa.schema([("doc_id", pa.int64()), ("n_shared_ngrams", pa.int64())]),
     )
 
 
@@ -2628,12 +2524,9 @@ def sequence_packing(sf_dir: str, budget: int = 512) -> rd.Dataset:
     """
 
     def count_tokens(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return df.select(
-            "doc_id",
-            "source",
-            pl.col("text").str.split(" ").list.len().cast(pl.Int64).alias("n_tokens"),
-        ).to_arrow()
+        return (
+            pl.from_arrow(batch).select("doc_id", "source", tokens.n_words().alias("n_tokens")).to_arrow()
+        )
 
     def pack(df: pl.DataFrame) -> pl.DataFrame:
         return greedy_pack_partition(df, budget)
@@ -2732,6 +2625,24 @@ def compression_ratio(sf_dir: str, flag_below: float = 0.35) -> rd.Dataset:
     )
 
 
+def _entropy_micro(df: pl.DataFrame, keys: list[str]) -> pl.DataFrame:
+    """Per-document word entropy: ``(*keys, n_tokens,
+    n_distinct_tokens, entropy_micro)``, one row per document (``keys``
+    starts with ``doc_id``), each term ``floor(p·ln(p)·−10⁶ + 0.5)``
+    summed as an exact integer."""
+    c = tokens.counts(df, keys).with_columns(n=pl.col("c").sum().over("doc_id"))
+    p = pl.col("c").cast(pl.Float64) / pl.col("n").cast(pl.Float64)
+    return (
+        c.with_columns(term=(p * p.log() * -1000000.0 + 0.5).floor().cast(pl.Int64))
+        .group_by(keys)
+        .agg(
+            pl.col("n").first().alias("n_tokens"),
+            pl.len().cast(pl.Int64).alias("n_distinct_tokens"),
+            pl.col("term").sum().alias("entropy_micro"),
+        )
+    )
+
+
 def token_entropy(sf_dir: str) -> rd.Dataset:
     """Per-document Shannon entropy of the word distribution — the
     lexical-diversity quality signal (low entropy = template/keyword
@@ -2748,29 +2659,7 @@ def token_entropy(sf_dir: str) -> rd.Dataset:
     """
 
     def run(batch: pa.Table) -> pa.Table:
-        c = (
-            pl.from_arrow(batch)
-            .select("doc_id", pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .group_by(["doc_id", "w"])
-            .len("c")
-            .with_columns(pl.col("c").cast(pl.Int64))
-            .with_columns(
-                n=pl.col("c").sum().over("doc_id").cast(pl.Int64),
-                n_distinct=pl.len().over("doc_id").cast(pl.Int64),
-            )
-        )
-        p = pl.col("c").cast(pl.Float64) / pl.col("n").cast(pl.Float64)
-        out = (
-            c.with_columns(term=(p * p.log() * -1000000.0 + 0.5).floor().cast(pl.Int64))
-            .group_by("doc_id")
-            .agg(
-                pl.col("n").first().alias("n_tokens"),
-                pl.col("n_distinct").first().alias("n_distinct_tokens"),
-                pl.col("term").sum().alias("entropy_micro"),
-            )
-            .to_arrow()
-        )
+        out = _entropy_micro(pl.from_arrow(batch), ["doc_id"]).to_arrow()
         # the nats column via pyarrow true division — polars rewrites
         # /const into *reciprocal (last-bit divergence from SQL's /)
         nats = pc.divide(pc.cast(out.column("entropy_micro"), pa.float64()), 1000000.0)
@@ -2782,6 +2671,13 @@ def token_entropy(sf_dir: str) -> rd.Dataset:
 
 
 _BADWORDS = ("slow", "dup", "spam", "crash")
+
+
+def _n_blocked() -> pl.Expr:
+    """``n_blocked``: how many of a document's words are on the
+    :data:`_BADWORDS` blocklist."""
+    bad = list(_BADWORDS)
+    return tokens.words().list.eval(pl.element().is_in(bad)).list.sum().cast(pl.Int64).alias("n_blocked")
 
 
 def badwords_filter(sf_dir: str, threshold: float = 0.05) -> rd.Dataset:
@@ -2797,21 +2693,11 @@ def badwords_filter(sf_dir: str, threshold: float = 0.05) -> rd.Dataset:
     blocklist stands in for the real multi-thousand-term list, which
     at scale ships once per actor exactly like this constant does.
     """
-    bad = list(_BADWORDS)
 
     def run(batch: pa.Table) -> pa.Table:
         return (
             pl.from_arrow(batch)
-            .select("doc_id", pl.col("text").str.split(" ").alias("ws"))
-            .select(
-                "doc_id",
-                pl.col("ws").list.len().cast(pl.Int64).alias("n_tokens"),
-                pl.col("ws")
-                .list.eval(pl.element().is_in(bad))
-                .list.sum()
-                .cast(pl.Int64)
-                .alias("n_blocked"),
-            )
+            .select("doc_id", tokens.n_words().alias("n_tokens"), _n_blocked())
             .with_columns(
                 blocked_fraction=pl.col("n_blocked").cast(pl.Float64)
                 / pl.col("n_tokens").cast(pl.Float64)
@@ -2844,7 +2730,7 @@ def chunk_documents(sf_dir: str, size: int = 128, stride: int = 96) -> rd.Datase
     def run(batch: pa.Table) -> pa.Table:
         return (
             pl.from_arrow(batch)
-            .select("doc_id", pl.col("text").str.split(" ").alias("ws"))
+            .select("doc_id", tokens.words().alias("ws"))
             .with_columns(n=pl.col("ws").list.len().cast(pl.Int64))
             .with_columns(s=pl.int_ranges(0, pl.col("n"), stride))
             .explode("s")
@@ -2889,48 +2775,9 @@ def line_dedup(sf_dir: str) -> rd.Dataset:
     guard discipline); here the raw line keeps the oracle exact.
     """
 
-    def occurrences(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        occ = (
-            df.select(
-                "doc_id",
-                pl.col("text").str.split(" ").alias("ws"),
-                (5 + pl.col("doc_id") % 7).alias("L"),
-            )
-            .explode("ws")
-            .with_columns(idx=pl.int_range(pl.len()).over("doc_id"))
-            .with_columns(line_id=(pl.col("idx") // pl.col("L")).cast(pl.Int64))
-            .group_by(["doc_id", "line_id"], maintain_order=True)
-            .agg(pl.col("ws").str.join(" ").alias("line"))
-            .with_columns(
-                line=pl.when((pl.col("line_id") + pl.col("doc_id")) % 4 != 0)
-                .then(pl.col("line") + ".")
-                .otherwise(pl.col("line"))
-            )
-            .select("doc_id", "line_id", "line")
-        )
-        base = df.select(
-            "doc_id",
-            (5 + pl.col("doc_id") % 7).alias("L"),
-            pl.col("text").str.split(" ").list.len().cast(pl.Int64).alias("nw"),
-        ).with_columns(base=(pl.col("nw") + pl.col("L") - 1) // pl.col("L"))
-        lor = base.filter(pl.col("doc_id") % 97 == 13).select(
-            "doc_id",
-            pl.col("base").alias("line_id"),
-            pl.lit("lorem ipsum dolor sit amet.").alias("line"),
-        )
-        bra = (
-            base.with_columns(off=(pl.col("doc_id") % 97 == 13).cast(pl.Int64))
-            .filter(pl.col("doc_id") % 89 == 7)
-            .select(
-                "doc_id",
-                (pl.col("base") + pl.col("off")).alias("line_id"),
-                pl.lit("function() { return 0; }").alias("line"),
-            )
-        )
-        return pl.concat([occ, lor, bra]).to_arrow()
-
-    occ = scan_documents(sf_dir, ["doc_id", "text"], occurrences)
+    occ = scan_documents(
+        sf_dir, ["doc_id", "text"], lambda b: _planted_lines(pl.from_arrow(b)).to_arrow()
+    )
 
     def keep_and_count(df: pl.DataFrame) -> pl.DataFrame:
         return (
@@ -2981,15 +2828,7 @@ def source_kl_divergence(sf_dir: str) -> rd.Dataset:
     oracle; ``kl_nats`` is one int→double division.
     """
     tf_parts = scan_documents(
-        sf_dir,
-        ["source", "text"],
-        lambda b: pl.from_arrow(b)
-        .select("source", pl.col("text").str.split(" ").alias("w"))
-        .explode("w")
-        .group_by("source", "w")
-        .len("c")
-        .with_columns(pl.col("c").cast(pl.Int64))
-        .to_arrow(),
+        sf_dir, ["source", "text"], lambda b: tokens.counts(pl.from_arrow(b), ["source"]).to_arrow()
     )
 
     def merge_attach(df: pl.DataFrame) -> pl.DataFrame:
@@ -3068,49 +2907,29 @@ def bigram_logprob(sf_dir: str, lam: float = 0.75) -> rd.Dataset:
     """
     import math
 
-    def bigrams(df: pl.DataFrame) -> pl.DataFrame:
+    def bigrams(df: pl.DataFrame, keys: list[str]) -> pl.DataFrame:
+        """Per-key ``(v, wt)`` bigram counts ``c`` of the word split."""
+        ws = pl.col("ws")
         return (
-            df.filter(pl.col("ws").list.len() >= 2)
-            .with_columns(
-                v=pl.col("ws").list.slice(0, pl.col("ws").list.len() - 1),
-                wt=pl.col("ws").list.slice(1, pl.col("ws").list.len() - 1),
+            df.select(*keys, tokens.words().alias("ws"))
+            .filter(ws.list.len() >= 2)
+            .select(
+                *keys, v=ws.list.slice(0, ws.list.len() - 1), wt=ws.list.slice(1, ws.list.len() - 1)
             )
             .explode(["v", "wt"])
-        )
-
-    def big_stage(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).select(pl.col("text").str.split(" ").alias("ws"))
-        return bigrams(df).group_by(["v", "wt"]).len("c").with_columns(
-            pl.col("c").cast(pl.Int64)
-        ).to_arrow()
-
-    def uni_stage(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .select(pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .group_by("w")
+            .group_by(*keys, "v", "wt")
             .len("c")
             .with_columns(pl.col("c").cast(pl.Int64))
-            .to_arrow()
         )
 
     big = hash_aggregate(
-        scan_documents(sf_dir, ["doc_id", "text"], big_stage),
+        scan_documents(sf_dir, ["text"], lambda b: bigrams(pl.from_arrow(b), []).to_arrow()),
         ["v", "wt"],
         combine=[pl.col("c").sum()],
         merge=[pl.col("c").sum()],
     )
-    uni = hash_aggregate(
-        scan_documents(sf_dir, ["doc_id", "text"], uni_stage),
-        ["w"],
-        combine=[pl.col("c").sum()],
-        merge=[pl.col("c").sum()],
-    )
 
-    import numpy as np
-
-    uni_df = pl.from_arrow(ops.collect_table(uni))
+    uni_df = pl.from_arrow(ops.collect_table(_token_totals(sf_dir)))
     n_total = float(uni_df["c"].sum())
     big_df = pl.from_arrow(ops.collect_table(big))
     big_df = big_df.with_columns(cv=pl.col("c").sum().over("v").cast(pl.Int64)).join(
@@ -3123,35 +2942,12 @@ def bigram_logprob(sf_dir: str, lam: float = 0.75) -> rd.Dataset:
     term = np.floor(
         np.log(lam * pbi + (1.0 - lam) * puni) * 1000000.0 + 0.5
     ).astype(np.int64)
-    ref = ray.put(
-        big_df.select("v", "wt").with_columns(term=pl.Series(term, dtype=pl.Int64))
-    )
-
-    def score(batch: pa.Table) -> pa.Table:
-        lm = ray.get(ref)
-        df = pl.from_arrow(batch).select(
-            "doc_id", pl.col("text").str.split(" ").alias("ws")
-        )
-        return (
-            bigrams(df)
-            .group_by(["doc_id", "v", "wt"])
-            .len("k")
-            .with_columns(pl.col("k").cast(pl.Int64))
-            .join(lm, on=["v", "wt"], how="inner")
-            .group_by("doc_id")
-            .agg(
-                pl.col("k").sum().alias("n_bigrams"),
-                (pl.col("k") * pl.col("term")).sum().alias("logprob_micro"),
-            )
-            .with_columns(
-                mean_logprob_micro=pl.col("logprob_micro").cast(pl.Float64)
-                / pl.col("n_bigrams")
-            )
-            .to_arrow()
-        )
-
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        score, batch_format="pyarrow", zero_copy_batch=True
+    return _score_pass(
+        documents_dataset(sf_dir, ["doc_id", "text"]),
+        big_df.select("v", "wt", pl.Series("term", term, dtype=pl.Int64)),
+        lambda df: bigrams(df, ["doc_id"]),
+        "n_bigrams",
+        "logprob_micro",
     )
 
 
@@ -3248,26 +3044,7 @@ def token_zipf_fit(sf_dir: str, top_v: int = 5000) -> rd.Dataset:
     the DuckDB oracle reproduces slope and intercept bit-for-bit from
     the same pinned float expression.
     """
-    import numpy as np
-
-    def tf_stage(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .select(pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .group_by("w")
-            .len("c")
-            .with_columns(pl.col("c").cast(pl.Int64))
-            .to_arrow()
-        )
-
-    freq = hash_aggregate(
-        scan_documents(sf_dir, ["text"], tf_stage),
-        ["w"],
-        combine=[pl.col("c").sum()],
-        merge=[pl.col("c").sum()],
-    )
-    top = ops.block_topk(freq, ["c", "w"], [True, False], top_v)
+    top = ops.block_topk(_token_totals(sf_dir), ["c", "w"], [True, False], top_v)
 
     def fit(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch).sort(["c", "w"], descending=[True, False])
@@ -3314,38 +3091,12 @@ def source_quality_rollup(sf_dir: str, low_entropy_micro: int = 2_900_000) -> rd
     are single int→double divisions in a finish stage (pyarrow true
     division — the polars ``/const``-to-reciprocal rewrite again).
     """
-    bad = list(_BADWORDS)
 
     def per_doc(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
-        ent = (
-            df.select("doc_id", "source", pl.col("text").str.split(" ").alias("w"))
-            .explode("w")
-            .group_by(["doc_id", "source", "w"])
-            .len("c")
-            .with_columns(pl.col("c").cast(pl.Int64))
-            .with_columns(n=pl.col("c").sum().over("doc_id").cast(pl.Int64))
-        )
-        p = pl.col("c").cast(pl.Float64) / pl.col("n").cast(pl.Float64)
-        ent = (
-            ent.with_columns(term=(p * p.log() * -1000000.0 + 0.5).floor().cast(pl.Int64))
-            .group_by(["doc_id", "source"])
-            .agg(
-                pl.col("n").first().alias("n_tokens"),
-                pl.col("term").sum().alias("entropy_micro"),
-            )
-        )
-        blocked = df.select(
-            "doc_id",
-            pl.col("text")
-            .str.split(" ")
-            .list.eval(pl.element().is_in(bad))
-            .list.sum()
-            .cast(pl.Int64)
-            .alias("n_blocked"),
-        )
         return (
-            ent.join(blocked, on="doc_id", how="inner")
+            _entropy_micro(df, ["doc_id", "source"])
+            .join(df.select("doc_id", _n_blocked()), on="doc_id", how="inner")
             .group_by("source")
             .agg(
                 pl.len().cast(pl.Int64).alias("n_docs"),
@@ -3423,11 +3174,7 @@ def mixture_sample(sf_dir: str) -> rd.Dataset:
 
     def stats(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
-        out = df.select(
-            "doc_id",
-            "source",
-            pl.col("text").str.split(" ").list.len().cast(pl.Int64).alias("n_tokens"),
-        )
+        out = df.select("doc_id", "source", tokens.n_words().alias("n_tokens"))
         bucket = [
             int(hashlib.md5(str(d).encode()).hexdigest()[:4], 16)
             for d in out["doc_id"].to_list()
@@ -3619,10 +3366,7 @@ def weighted_sample_systematic(sf_dir: str, bucket_size: int = 4096) -> rd.Datas
     def count(batch: pa.Table) -> pa.Table:
         return (
             pl.from_arrow(batch)
-            .select(
-                "doc_id",
-                pl.col("text").str.split(" ").list.len().cast(pl.Int64).alias("n_tokens"),
-            )
+            .select("doc_id", tokens.n_words().alias("n_tokens"))
             .with_columns((pl.col("doc_id") // bucket_size).alias("bucket"))
             .to_arrow()
         )

@@ -260,12 +260,7 @@ def keyword_gap(
             .unique()
         )
 
-    out = ops.hash_group_apply(serp, ["keyword"], rollup, pre=pre)
-    # an all-ranked corpus yields zero gap rows — pin the schema so an
-    # empty result still carries its columns
-    return ops.ensure_schema(
-        out, pa.schema([("competitor_host", pa.string()), ("keyword", pa.string())])
-    )
+    return ops.hash_group_apply(serp, ["keyword"], rollup, pre=pre)
 
 
 # --- SQL oracle building blocks (sources/corpus.py discipline) -----------

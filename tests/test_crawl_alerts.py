@@ -68,12 +68,10 @@ def test_cooldown_over_crawl_alerts(crawl_out, ray_session):
     import ray.data as rd
 
     from link_profiler_repo_ray.pipelines.monitor import ALERT_COOLDOWN_S, apply_cooldown
-    from link_profiler_repo_ray.stages import ALERT_SCHEMA
-
     files = sorted(glob.glob(os.path.join(crawl_out, "alerts", "*.parquet")))
     raw = pl.read_parquet(files)
     cooled = pl.from_pandas(
-        apply_cooldown(rd.read_parquet(files), schema=ALERT_SCHEMA).to_pandas()
+        apply_cooldown(rd.read_parquet(files)).to_pandas()
     )
     # oracle: earliest per (rule, day bucket) for clocked alerts;
     # null-ts alerts (fetch misses have no capture timestamp) pass

@@ -415,8 +415,10 @@ def _text_ops():
 @pytest.mark.usefixtures("ray_session")
 def test_text_ops_on_a_zero_row_documents_table(tmp_path):
     """A documents table with no rows gives every ported op (and
-    vocab_top_tokens) zero rows; unigram_logprob and bm25_topk keep
-    their output columns."""
+    vocab_top_tokens and contamination_ngrams) zero rows.  The ops whose
+    last exchange is a hash_aggregate fed by a scan keep their output
+    columns; an op that sends its rows through a hash_group_apply first
+    has none, as hash_group_apply never calls its function on zero rows."""
     import pyarrow.parquet as pq
 
     pq.write_table(pq.read_table(f"{SF}/documents.parquet").slice(0, 0),
@@ -424,12 +426,67 @@ def test_text_ops_on_a_zero_row_documents_table(tmp_path):
     named = {
         "unigram_logprob": ["doc_id", "n_tokens", "logprob_micro", "mean_logprob_micro"],
         "bm25_topk": ["query_id", "rank", "doc_id", "n_terms", "score_micro", "score"],
+        "vocab_top_tokens": ["token", "doc_freq"],
     }
-    for name, op in {**_text_ops(), "vocab_top_tokens": textdata.vocab_top_tokens}.items():
+    ops = {**_text_ops(), "vocab_top_tokens": textdata.vocab_top_tokens,
+           "contamination_ngrams": textdata.contamination_ngrams}
+    for name, op in ops.items():
         ds = op(str(tmp_path)).materialize()
         assert ds.count() == 0, name
         if name in named:
             assert ds.schema().names == named[name], name
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_empty_aggregates_keep_their_columns(tmp_path):
+    """An aggregate whose input has columns but no rows keeps its output
+    columns: a contamination-free corpus gives contamination_ngrams, and
+    a one-document corpus gives minhash_lsh_dups, zero rows with their
+    columns (each match/pair partition emits a typed empty frame and
+    the final hash_aggregate merges them into a typed empty result)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    # no doc_id is a multiple of test_mod: no held-out document at all
+    pq.write_table(docs.filter(pc.greater(docs["doc_id"], 0)), tmp_path / "documents.parquet")
+    ds = textdata.contamination_ngrams(str(tmp_path), test_mod=10**9).materialize()
+    assert ds.count() == 0
+    assert ds.schema().names == ["doc_id", "n_shared_ngrams"]
+    pq.write_table(docs.slice(0, 1), tmp_path / "documents.parquet")
+    ds = textdata.minhash_lsh_dups(str(tmp_path)).materialize()
+    assert ds.count() == 0
+    assert ds.schema().names == ["doc_a", "doc_b", "jaccard"]
+
+
+# texts on which Python's str.split() and DuckDB's string_split (the
+# oracles' word rule, which keeps every empty token) disagree
+_IRREGULAR = ["", "", "a  b", " lead", "trail ", "tab\tinside words"]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name", ["doc_quality", "word_jaccard_pairs"])
+def test_irregular_whitespace_matches_the_oracle(name, tmp_path):
+    import duckdb
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+    from scripts.check_oracle import compare, to_pandas
+
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    texts = docs["text"].to_pylist()
+    texts[: len(_IRREGULAR)] = _IRREGULAR
+    docs = docs.set_column(docs.schema.get_field_index("text"), "text", pa.array(texts, pa.string()))
+    pq.write_table(docs, tmp_path / "documents.parquet")
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{tmp_path}/documents.parquet')")
+    oracle = con.execute(entry.oracle_sql()[name]).fetchdf()
+    mine = to_pandas(entry.queries()[name](str(tmp_path)))
+    assert not compare(name, mine, oracle)
+    if name == "word_jaccard_pairs":
+        # the two empty texts are one word set {''}
+        a, b = docs["doc_id"][0].as_py(), docs["doc_id"][1].as_py()
+        assert ((oracle.doc_a == a) & (oracle.doc_b == b)).any()
 
 
 @pytest.mark.usefixtures("ray_session")
