@@ -37,19 +37,21 @@ never holds a row.  ``block_topk`` is a per-block map plus
 one final task over the thinned blocks.
 
 ``scan`` / ``map_blocks``
-    The stages in front of a barrier, as one wave of plain Ray tasks on
-    the same machinery: ``scan`` is ``read_parquet(path,
+    Stateless batch functions over a table, as one wave of plain Ray
+    tasks on the same machinery: ``scan`` is ``read_parquet(path,
     columns).map_batches(fn)`` planned from the parquet footers (one
     task per chunk of at most ``batch_size`` rows), ``map_blocks`` is
     ``ds.map_batches(fn)`` as one task per block of a materialized
     Dataset.  Both return a materialized Dataset whose blocks an
-    exchange takes without a Ray Data execution.  The rule: a stage
-    that streams (a map-only op, a score pass, a lazy read handed to a
-    graph op) stays a lazy Ray Data ``map_batches``; a stage whose
-    output is materialized anyway (it feeds an exchange,
-    ``collect_table`` or ``block_topk``, or maps an exchange's output)
-    runs as a wave.  Each Ray Data execution costs about 0.1 s on top
-    of its work; a wave costs one task round trip.
+    exchange takes without a Ray Data execution.  The rule: a stateless
+    batch function runs as a wave, whether it feeds a barrier, maps an
+    exchange's output, or is a map-only op or score pass whose caller
+    materializes the result.  Ray Data executes only three things:
+    actor-pool stages (``concurrency=`` / class UDFs), sinks
+    (``write_parquet``, iteration), and the bare lazy reads those
+    stages consume.  Each Ray Data execution costs about 0.1 s on top
+    of its work (its scheduling loop waits up to 0.1 s per step); a
+    wave costs one task round trip.
 
 ``dense_graph`` / ``superstep``
     Every iterative graph algorithm of the engine (BSP vertex
@@ -427,8 +429,7 @@ def scan(
     batch_size: int = DEFAULT_EXCHANGE_BATCH,
 ) -> rd.Dataset:
     """``read_parquet(path, columns).map_batches(fn)`` as one wave of
-    plain Ray tasks, for a scan whose output is materialized anyway (it
-    feeds an exchange, :func:`collect_table` or :func:`block_topk`).
+    plain Ray tasks, for a stateless batch function ``fn``.
 
     ``path`` is a file, a directory (its ``*.parquet`` files in sorted
     order) or a list of files.  The driver reads only the footers: the
@@ -449,15 +450,15 @@ def scan(
     return _dataset(_wave(_scan_chunk, [(fn, columns, schema, c) for c in chunks or [[]]], 2))
 
 
-def _map_block(fn, block):
-    return _with_meta(fn(block))
+def _map_block(fn, *args):
+    return _with_meta(fn(*args))
 
 
 def map_blocks(ds: rd.Dataset, fn: Callable[[pa.Table], pa.Table]) -> rd.Dataset:
     """``ds.map_batches(fn)`` as one plain Ray task per block of the
     materialized ``ds`` (free when ``ds`` already is materialized, as an
-    exchange's or a scan's output is), for a map whose output is
-    materialized anyway.  ``fn`` takes and returns a pyarrow table.  When
+    exchange's or a scan's output is), for a stateless batch function
+    ``fn``.  ``fn`` takes and returns a pyarrow table.  When
     ``ds`` has no rows, ``fn`` is called once on the empty table of its
     schema, as in :func:`scan`; a Dataset with neither rows nor columns
     is returned as it is.

@@ -44,7 +44,7 @@ import ray.data as rd
 from .. import ops
 from ..functions import tokens
 from ..ops import hash_aggregate, hash_group_apply
-from .textdata import _token_totals, documents_dataset
+from .textdata import _token_totals, scan_documents
 
 __all__ = ["bpe_train", "bpe_apply_counts", "bpe_learn_merges", "bpe_split_word", "bpe_sequence_packing"]
 
@@ -256,9 +256,7 @@ def bpe_apply_counts(sf_dir: str, k: int = 24) -> rd.Dataset:
             }
         )
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 def bpe_sequence_packing(sf_dir: str, k: int = 24, budget: int = 512) -> rd.Dataset:
@@ -291,9 +289,7 @@ def bpe_sequence_packing(sf_dir: str, k: int = 24, budget: int = 512) -> rd.Data
             }
         )
 
-    counts = documents_dataset(sf_dir, ["doc_id", "source", "text"]).map_batches(
-        count, batch_format="pyarrow", zero_copy_batch=True
-    )
+    counts = scan_documents(sf_dir, ["doc_id", "source", "text"], count)
     return hash_group_apply(
         counts, ["source"], lambda df: greedy_pack_partition(df, budget)
     )

@@ -50,7 +50,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from .textdata import documents_dataset
+from .textdata import scan_documents
 
 __all__ = [
     "featurize",
@@ -97,9 +97,7 @@ def _feature_table(batch: pa.Table) -> pa.Table:
 
 def featurize(sf_dir: str) -> rd.Dataset:
     """One pruned documents scan → the (doc_id, y, f0..f4) table."""
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        _feature_table, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], _feature_table)
 
 
 def _batch_xy(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:

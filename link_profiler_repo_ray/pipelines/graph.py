@@ -92,10 +92,17 @@ def pages_dataset(sf_dir: str, multiplier: int = 1, columns: list[str] | None = 
     return ops.read_parquet(corpus_files(sf_dir, multiplier), columns=columns)
 
 
+# Most pages one link-extraction task reads (each page carries its
+# whole HTML).
+EDGE_PAGES_PER_TASK = 4096
+
+
 def edges_dataset(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
-    """Full-corpus link extraction: pages -> exploded edge rows (M2)."""
-    ds = pages_dataset(sf_dir, multiplier, columns=["url", "warc_ts", "html"])
-    return ds.map_batches(ExtractLinksStage(), batch_format="pyarrow", zero_copy_batch=True)
+    """Full-corpus link extraction: pages -> exploded edge rows (M2), as
+    one :func:`ops.scan` wave of at most :data:`EDGE_PAGES_PER_TASK`
+    pages per task."""
+    return ops.scan(corpus_files(sf_dir, multiplier), ["url", "warc_ts", "html"],
+                    ExtractLinksStage(), EDGE_PAGES_PER_TASK)
 
 
 # --- A1: link profiles ----------------------------------------------------
@@ -117,7 +124,6 @@ def link_profiles(sf_dir: str, multiplier: int = 1, edges: rd.Dataset | None = N
     """
     if edges is None:
         edges = edges_dataset(sf_dir, multiplier)
-    edges = edges.select_columns(["target_url", "source_host", "link_type"])
 
     def pre(df: pl.DataFrame) -> pl.DataFrame:
         return df.group_by(["target_url", "source_host"]).agg(
@@ -229,7 +235,7 @@ def host_graph(sf_dir: str, multiplier: int = 1, edges: rd.Dataset | None = None
     if edges is None:
         edges = edges_dataset(sf_dir, multiplier)
     return hash_aggregate(
-        edges.select_columns(["source_host", "target_host"]),
+        edges,
         ["source_host", "target_host"],
         combine=[pl.len().cast(pl.Int64).alias("n_links")],
         merge=[pl.col("n_links").sum()],
@@ -242,6 +248,14 @@ def host_graph(sf_dir: str, multiplier: int = 1, edges: rd.Dataset | None = None
 
 def _host_names(part: dict) -> pl.Series:
     return pl.from_arrow(part["names"]).alias("host")
+
+
+def _vertex_dataset(g: ops.DenseGraph, fn, *args, per_part: tuple = ()) -> rd.Dataset:
+    """``fn``'s per-partition output tables (one ``g.map`` wave) as one
+    materialized Dataset; each task computes its block's metadata, so
+    no ``from_arrow_refs`` metadata wave runs."""
+    outs = g.map(functools.partial(ops._map_block, fn), *args, per_part=per_part, num_returns=2)
+    return ops._dataset(outs)
 
 
 def _pagerank_prepare(part: dict, n: int, seeds: tuple | None):
@@ -290,7 +304,7 @@ def _pagerank(
     gather = functools.partial(_pagerank_gather, damping)
     for _ in range(iters):
         rank, dangling = ops.superstep(g, rank, _pagerank_scatter, gather, *dangling)
-    return rd.from_arrow_refs(g.map(_rank_table, per_part=(rank,)))
+    return _vertex_dataset(g, _rank_table, per_part=(rank,))
 
 
 def host_pagerank(
@@ -391,8 +405,7 @@ def host_hits(
     for _ in range(iters):
         auth, auth_sq = ops.superstep(g, hub, _hits_scatter, _hits_gather, *hub_sq)
         hub, hub_sq = ops.superstep(rg, auth, _hits_scatter, _hits_gather, *auth_sq)
-    return rd.from_arrow_refs(
-        g.map(_hits_table, len(auth_sq), *auth_sq, *hub_sq, per_part=(auth, hub)))
+    return _vertex_dataset(g, _hits_table, len(auth_sq), *auth_sq, *hub_sq, per_part=(auth, hub))
 
 
 def _min_label_scatter(part: dict, label: np.ndarray, _scalars) -> pl.DataFrame:
@@ -413,14 +426,15 @@ def _label_scatter(part: dict, label: np.ndarray, _scalars) -> pl.DataFrame:
 
 def _label_gather(cols: tuple, part: dict, _label, msgs: pl.DataFrame, _scalars):
     label = pl.from_arrow(part["names"]).gather(msgs["dst"])
-    return pl.DataFrame([msgs["name"].alias(cols[0]), label.alias(cols[1])]).to_arrow(), None
+    return ops._with_meta(pl.DataFrame([msgs["name"].alias(cols[0]), label.alias(cols[1])]).to_arrow())
 
 
 def _named_labels(g: ops.DenseGraph, labels: list, cols: tuple) -> rd.Dataset:
     """``cols`` = (vertex name, its label's name) rows: one superstep
-    routes each vertex to the partition that owns its label."""
-    tables, _ = ops.superstep(g, labels, _label_scatter, functools.partial(_label_gather, cols))
-    return rd.from_arrow_refs(tables)
+    routes each vertex to the partition that owns its label; its gather
+    returns each table with its metadata (see :func:`_vertex_dataset`)."""
+    tables, metas = ops.superstep(g, labels, _label_scatter, functools.partial(_label_gather, cols))
+    return ops._dataset(list(zip(tables, metas)))
 
 
 def min_label_components(ds: rd.Dataset, a: str, b: str, cols: tuple, max_iters: int) -> rd.Dataset:
@@ -632,7 +646,7 @@ def host_triangle_counts(
     one partition's wedges.
     """
     g = _undirected_host_graph(sf_dir, multiplier, edges)
-    return rd.from_arrow_refs(g.map(_triangle_table, per_part=(_triangles(g),)))
+    return _vertex_dataset(g, _triangle_table, per_part=(_triangles(g),))
 
 
 def _reciprocal_table(part: dict) -> pa.Table:
@@ -666,7 +680,7 @@ def host_reciprocal_links(
     each partition.
     """
     g = _undirected_host_graph(sf_dir, multiplier, edges)
-    return rd.from_arrow_refs(g.map(_reciprocal_table))
+    return _vertex_dataset(g, _reciprocal_table)
 
 
 def related_hosts_cocitation(
@@ -821,7 +835,7 @@ def host_clustering(
     the DuckDB oracle reproduces it bit-identically (libm is shared).
     """
     g = _undirected_host_graph(sf_dir, multiplier, edges)
-    return rd.from_arrow_refs(g.map(_clustering_table, per_part=(_triangles(g),)))
+    return _vertex_dataset(g, _clustering_table, per_part=(_triangles(g),))
 
 
 def _kcore_scatter(part: dict, val: np.ndarray, _scalars) -> pl.DataFrame:
@@ -890,7 +904,7 @@ def host_kcore(
     for _ in range(max_iters):
         val, changed = ops.superstep(g, val, _kcore_scatter, _kcore_gather)
         if not sum(ray.get(changed)):
-            return rd.from_arrow_refs(g.map(_coreness_table, per_part=(val,)))
+            return _vertex_dataset(g, _coreness_table, per_part=(val,))
     raise RuntimeError(
         f"host_kcore did not converge in {max_iters} H-index sweeps — "
         "raise max_iters (sweeps scale with the graph's peel depth)"
@@ -979,8 +993,9 @@ def _hll_sparse_partial(p: int):
 def referring_domains_hll(sf_dir: str, multiplier: int = 1, p: int = 12, edges: rd.Dataset | None = None) -> rd.Dataset:
     """HLL sketch per target host — the 10^10-scale path (BASELINE A4).
 
-    One (target_host, 2^p-byte register blob) row per (host, block)
-    leaves the map stage; the exchange moves sketches, not host lists.
+    One (target_host, sparse register blob) row per (host, route chunk)
+    leaves the exchange's route wave (the partial is its ``pre``); the
+    exchange moves sketches, not host lists.
     """
 
     partial = _hll_sparse_partial(p)
@@ -1012,11 +1027,9 @@ def referring_domains_hll(sf_dir: str, multiplier: int = 1, p: int = 12, edges: 
 
     if edges is None:
         edges = edges_dataset(sf_dir, multiplier)
-    partials = (
-        edges.select_columns(["target_host", "source_host"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return hash_group_apply(
+        edges, ["target_host"], merge, pre=lambda df: pl.from_arrow(partial(df.to_arrow()))
     )
-    return hash_group_apply(partials, ["target_host"], merge)
 
 
 # --- J2: link intersect ---------------------------------------------------
@@ -1193,7 +1206,7 @@ def host_harmonic_centrality(
     family.
     """
     g, state, _ = _hyperball(sf_dir, multiplier, edges, mode, p, max_iters)
-    return rd.from_arrow_refs(g.map(_harmonic_table, per_part=(state,)))
+    return _vertex_dataset(g, _harmonic_table, per_part=(state,))
 
 
 def host_effective_diameter(

@@ -7,11 +7,13 @@ large-scale (100 TB) training-data pipeline needs: deduplication
 (language-ID, token/quality stats, fingerprints), and multimodal
 binary-column plumbing (decode stubbed, Ray-side schema/actors real).
 
-All heavy stages are pyarrow-batch maps with numpy/polars kernels:
-lazy ``map_batches`` where the stage streams (the map-only ops and the
-score passes), and ``ops.scan`` / ``ops.map_blocks`` task waves where
-its output feeds a barrier (an exchange, ``collect_table``,
-``block_topk``) or maps an exchange's output.  Broadcast sides go
+All heavy stages are pyarrow-batch maps with numpy/polars kernels.  A
+stateless batch function runs as an ``ops.scan`` wave over the
+documents (:func:`scan_documents`: the map-only ops, the score passes
+and every scan in front of a barrier) or an ``ops.map_blocks`` wave
+over a materialized Dataset.  Only the actor-pool chains (language ID,
+the media decoders and the payload maps that feed them) and the three
+embedding maps stay lazy Ray Data ``map_batches``.  Broadcast sides go
 through ``ray.put`` once and are read in actor ``__init__``, never
 re-shipped per batch.
 """
@@ -94,7 +96,7 @@ def embeddings_dataset(sf_dir: str, columns: list[str] | None = None) -> rd.Data
 
 def scan_documents(sf_dir: str, columns: list[str], fn) -> rd.Dataset:
     """``documents_dataset(sf_dir, columns).map_batches(fn)`` as one
-    :func:`ops.scan` wave, for a stage whose output feeds a barrier."""
+    :func:`ops.scan` wave, for any stateless batch function ``fn``."""
     return ops.scan(os.path.join(sf_dir, "documents.parquet"), columns, fn)
 
 
@@ -135,9 +137,11 @@ def _token_totals(
 
 
 def _score_pass(
-    docs: rd.Dataset, weights: pl.DataFrame, counts, n: str, score: str, mean: bool = True
+    sf_dir: str, docs: rd.Dataset | None, weights: pl.DataFrame, counts, n: str, score: str,
+    mean: bool = True,
 ) -> rd.Dataset:
-    """Score every document against a broadcast weight table.
+    """Score every document (of ``sf_dir``, or the materialized ``docs``
+    Dataset with ``doc_id`` and ``text``) against a broadcast weight table.
 
     ``weights`` holds key columns and an Int64 ``term``; it goes through
     ``ray.put`` once and each task reads it zero-copy.  Per batch,
@@ -145,9 +149,10 @@ def _score_pass(
     they are inner-joined to the weights and summed per doc into ``n``
     (Σ c) and ``score`` (Σ c·term, an exact integer), plus
     ``mean_<score>`` (one int→double division) when ``mean``.  A
-    streaming ``map_batches``.  At a 10^8-row table, swap the broadcast
-    for a key-partitioned ``tagged_union_join`` and add a min-count
-    floor mapping the tail to an OOV term.
+    :func:`scan_documents` wave, or :func:`ops.map_blocks` over ``docs``.
+    At a 10^8-row table, swap the broadcast for a key-partitioned
+    ``tagged_union_join`` and add a min-count floor mapping the tail to
+    an OOV term.
     """
     ref = ray.put(weights)
     keys = [c for c in weights.columns if c != "term"]
@@ -163,7 +168,7 @@ def _score_pass(
             out = out.with_columns((pl.col(score).cast(pl.Float64) / pl.col(n)).alias(f"mean_{score}"))
         return out.to_arrow()
 
-    return docs.map_batches(run, batch_format="pyarrow", zero_copy_batch=True)
+    return scan_documents(sf_dir, ["doc_id", "text"], run) if docs is None else ops.map_blocks(docs, run)
 
 
 # --- text extraction invariant over a clean wrapper ----------------------
@@ -194,9 +199,7 @@ def text_extract_roundtrip(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 # --- token / quality stats ------------------------------------------------
@@ -210,9 +213,7 @@ def token_stats(sf_dir: str) -> rd.Dataset:
             tokens.words().list.n_unique().cast(pl.Int64).alias("n_distinct_tokens"),
         ).to_arrow()
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 _BPE_PAT = r" ?\p{L}+| ?\p{N}+| ?[^\s\p{L}\p{N}]+|\s+"
@@ -233,9 +234,7 @@ def token_stats_bpe(sf_dir: str) -> rd.Dataset:
             pl.col("text").str.count_matches(_BPE_PAT).cast(pl.Int64).alias("n_bpe_tokens"),
         ).to_arrow()
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 def doc_quality(sf_dir: str) -> rd.Dataset:
@@ -264,9 +263,7 @@ def doc_quality(sf_dir: str) -> rd.Dataset:
             .to_arrow()
         )
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 def repetition_metrics(sf_dir: str) -> rd.Dataset:
@@ -346,9 +343,7 @@ def repetition_metrics(sf_dir: str) -> rd.Dataset:
         )
         return out.to_arrow()
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 def unigram_logprob(sf_dir: str) -> rd.Dataset:
@@ -389,11 +384,7 @@ def unigram_logprob(sf_dir: str) -> rd.Dataset:
     terms = [math.floor(math.log(c / float(total)) * 1_000_000 + 0.5) for c in counts]
     weights = pl.from_arrow(vocab).select("w", pl.Series("term", terms, dtype=pl.Int64))
     return _score_pass(
-        documents_dataset(sf_dir, ["doc_id", "text"]),
-        weights,
-        lambda df: tokens.counts(df, ["doc_id"]),
-        "n_tokens",
-        "logprob_micro",
+        sf_dir, None, weights, lambda df: tokens.counts(df, ["doc_id"]), "n_tokens", "logprob_micro"
     )
 
 
@@ -492,10 +483,8 @@ def dsir_scores(sf_dir: str, docs: rd.Dataset | None = None) -> rd.Dataset:
     import math
 
     if docs is None:
-        # two passes = two pruned parquet scans: pass 1 a scan wave in
-        # front of the exchange, pass 2 a streaming read
+        # two passes = two pruned parquet scan waves
         freq = _token_totals(sf_dir, target=pl.col("doc_id") % 10 == 0)
-        docs = documents_dataset(sf_dir, ["doc_id", "text"])
     else:
         # injected pipeline output: pin once so pass 1 and pass 2
         # don't re-execute the upstream graph
@@ -515,7 +504,8 @@ def dsir_scores(sf_dir: str, docs: rd.Dataset | None = None) -> rd.Dataset:
     ]
     weights = pl.from_arrow(vocab).select("w", pl.Series("term", terms, dtype=pl.Int64))
     return _score_pass(
-        docs, weights, lambda df: tokens.counts(df, ["doc_id"]), "n_tokens", "dsir_micro", mean=False
+        sf_dir, docs, weights, lambda df: tokens.counts(df, ["doc_id"]), "n_tokens", "dsir_micro",
+        mean=False,
     )
 
 
@@ -796,9 +786,7 @@ def c4_filters(sf_dir: str) -> rd.Dataset:
         )
         return out.to_arrow()
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 def _planted_lines(df: pl.DataFrame) -> pl.DataFrame:
@@ -861,9 +849,7 @@ def fingerprints(sf_dir: str) -> rd.Dataset:
             {"doc_id": batch.column("doc_id"), "fingerprint": pa.array(fps, pa.uint64())}
         )
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 # --- deduplication --------------------------------------------------------
@@ -2246,7 +2232,7 @@ def token_heavy_hitters(
 #
 # The CCNet/Dolma-style cleaning stages a 100-TB pretraining pipeline
 # runs between the crawl and the tokenizer.  All are embarrassingly
-# parallel map_batches except the sample/funnel/contamination ops,
+# parallel batch maps except the sample/funnel/contamination ops,
 # whose exchanges move only keys + counters (never corpus text).
 
 
@@ -2282,7 +2268,7 @@ def clean_text(sf_dir: str) -> rd.Dataset:
     lowercase → trim → collapse whitespace runs → drop consecutive
     duplicate tokens.  Pure per-batch polars expressions (the
     duplicate collapse is a vectorized ``list.eval`` shift-compare,
-    not a Python loop); no exchange, streams at any corpus size.
+    not a Python loop); no exchange, linear in corpus size.
     """
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -2298,9 +2284,7 @@ def clean_text(sf_dir: str) -> rd.Dataset:
             .to_arrow()
         )
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        stage, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], stage)
 
 
 _PII_PATTERNS = (
@@ -2357,9 +2341,7 @@ def pii_scrub(sf_dir: str, extra_terms: tuple[str, ...] = ("spark", "stream")) -
             red = red.str.replace_all(term_pat, "[TERM]")
         return df.select("doc_id", *counts, red.alias("text_scrubbed")).to_arrow()
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        stage, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], stage)
 
 
 def domain_balanced_sample(sf_dir: str, per_source: int = 5) -> rd.Dataset:
@@ -2548,7 +2530,7 @@ def dataset_split(sf_dir: str) -> rd.Dataset:
     reproducible everywhere: bucket = first 4 hex chars mod 100
     (0..65535 → ~0.1% deviation from uniform), train < 80 ≤ val < 90
     ≤ test.  The per-row md5 is a Python loop by necessity, but it
-    runs inside map_batches on a single-column pruned scan (~1 µs/row)
+    runs inside the batch function of a single-column scan (~1 µs/row)
     — the scan's IO dominates at scale, and hash portability (the SQL
     oracle recomputes the identical bucket with DuckDB's md5()) is the
     requirement, not hash speed.  Reference has no analogue; this is
@@ -2575,9 +2557,7 @@ def dataset_split(sf_dir: str) -> rd.Dataset:
             .alias("split"),
         ).to_arrow()
 
-    return documents_dataset(sf_dir, columns=["doc_id"]).map_batches(
-        split, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id"], split)
 
 
 def compression_ratio(sf_dir: str, flag_below: float = 0.35) -> rd.Dataset:
@@ -2620,9 +2600,7 @@ def compression_ratio(sf_dir: str, flag_below: float = 0.35) -> rd.Dataset:
             }
         )
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 def _entropy_micro(df: pl.DataFrame, keys: list[str]) -> pl.DataFrame:
@@ -2650,7 +2628,7 @@ def token_entropy(sf_dir: str) -> rd.Dataset:
     to :func:`compression_ratio`'s codec view of the same property.
 
     Entirely per-document, so the whole computation lives inside one
-    ``map_batches`` (explode → per-(doc, token) counts → per-term
+    batch function (explode → per-(doc, token) counts → per-term
     p·ln(p)) with ZERO exchanges — linear in corpus tokens.  Each term
     is quantized to integer micro-nats, ``floor(p·ln(p)·−10⁶ + 0.5)``
     (polars' f64 ln is bit-identical to DuckDB's — pinned by the
@@ -2665,9 +2643,7 @@ def token_entropy(sf_dir: str) -> rd.Dataset:
         nats = pc.divide(pc.cast(out.column("entropy_micro"), pa.float64()), 1000000.0)
         return out.append_column("entropy_nats", nats)
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 _BADWORDS = ("slow", "dup", "spam", "crash")
@@ -2706,9 +2682,7 @@ def badwords_filter(sf_dir: str, threshold: float = 0.05) -> rd.Dataset:
             .to_arrow()
         )
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 def chunk_documents(sf_dir: str, size: int = 128, stride: int = 96) -> rd.Dataset:
@@ -2740,17 +2714,18 @@ def chunk_documents(sf_dir: str, size: int = 128, stride: int = 96) -> rd.Datase
                 (pl.col("s") // stride).cast(pl.Int64).alias("chunk_id"),
                 pl.col("s").cast(pl.Int64).alias("start_token"),
                 (pl.col("end") - pl.col("s")).cast(pl.Int64).alias("n_chunk_tokens"),
+                # the element cast keeps the type on a zero-row batch,
+                # where polars' list.slice returns List(Null)
                 pl.col("ws")
                 .list.slice(pl.col("s"), pl.col("end") - pl.col("s"))
+                .list.eval(pl.element().cast(pl.String))
                 .list.join(" ")
                 .alias("chunk_text"),
             )
             .to_arrow()
         )
 
-    return documents_dataset(sf_dir, ["doc_id", "text"]).map_batches(
-        run, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return scan_documents(sf_dir, ["doc_id", "text"], run)
 
 
 def line_dedup(sf_dir: str) -> rd.Dataset:
@@ -2943,7 +2918,8 @@ def bigram_logprob(sf_dir: str, lam: float = 0.75) -> rd.Dataset:
         np.log(lam * pbi + (1.0 - lam) * puni) * 1000000.0 + 0.5
     ).astype(np.int64)
     return _score_pass(
-        documents_dataset(sf_dir, ["doc_id", "text"]),
+        sf_dir,
+        None,
         big_df.select("v", "wt", pl.Series("term", term, dtype=pl.Int64)),
         lambda df: bigrams(df, ["doc_id"]),
         "n_bigrams",

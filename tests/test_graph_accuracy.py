@@ -151,3 +151,68 @@ def test_link_overlap_hll_large_planted():
     assert abs(r["referring_b_est"] - 9000) / 9000 < 0.025
     assert abs(r["union_est"] - 18000) / 18000 < 0.025
     assert abs(r["intersection_est"] - 3000) / 3000 < 0.30
+
+
+def _edge_frame(table):
+    """An edge table as a polars frame sorted on every column (the list
+    column joined), for a multiset comparison."""
+    import polars as pl
+
+    df = pl.from_arrow(table).with_columns(pl.col("rel_attributes").list.join("\x00"))
+    return df.sort(df.columns)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_edges_scan_equals_lazy_extraction(tmp_path, monkeypatch):
+    """edges_dataset, one ops.scan wave, gives the rows (as a multiset)
+    and the schema of the lazy read + map_batches(ExtractLinksStage())
+    over a corpus of two files of several row groups; no task extracts
+    more than EDGE_PAGES_PER_TASK pages.  A corpus of zero pages gives
+    zero rows with the nine edge columns."""
+    import os
+    import uuid
+
+    import pyarrow.parquet as pq
+
+    from link_profiler_repo_ray import ops
+    from link_profiler_repo_ray.pipelines import graph
+    from link_profiler_repo_ray.stages import ExtractLinksStage
+
+    cols = ["url", "warc_ts", "html"]
+    pages = pq.read_table(graph.corpus_files(SF), columns=cols)
+    files = [str(tmp_path / "pages_0.parquet"), str(tmp_path / "pages_1.parquet")]
+    pq.write_table(pages.slice(0, 300), files[0], row_group_size=70)
+    pq.write_table(pages.slice(300), files[1], row_group_size=45)
+    assert min(pq.read_metadata(f).num_row_groups for f in files) > 1
+    monkeypatch.setattr(graph, "corpus_files", lambda sf_dir, multiplier=1: files)
+    limit = 64
+    monkeypatch.setattr(graph, "EDGE_PAGES_PER_TASK", limit)
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def recording():
+        stage = ExtractLinksStage()
+
+        def run(batch):
+            open(os.path.join(calls, f"{batch.num_rows}-{uuid.uuid4().hex}"), "w").close()
+            return stage(batch)
+
+        return run
+
+    monkeypatch.setattr(graph, "ExtractLinksStage", recording)
+    got = ops.collect_table(graph.edges_dataset(SF))
+    rows = [int(f.split("-")[0]) for f in os.listdir(calls)]
+    assert sum(rows) == pages.num_rows and max(rows) <= limit
+    assert len(rows) == -(-pages.num_rows // limit)
+    exp = ops.collect_table(graph.pages_dataset(SF, columns=cols).map_batches(
+        ExtractLinksStage(), batch_format="pyarrow", zero_copy_batch=True))
+    assert got.num_rows > pages.num_rows
+    assert got.schema.equals(exp.schema)
+    assert _edge_frame(got).equals(_edge_frame(exp))
+
+    pq.write_table(pages.slice(0, 0), files[0])
+    monkeypatch.setattr(graph, "corpus_files", lambda sf_dir, multiplier=1: files[:1])
+    empty = graph.edges_dataset(SF)
+    assert empty.count() == 0
+    assert empty.schema().names == exp.schema.names
+    assert len(exp.schema.names) == 9

@@ -412,13 +412,23 @@ def _text_ops():
     return {**ops, "bm25_topk": bm25_topk}
 
 
+# the map-only ops: one scan_documents wave each
+_MAP_OPS = (
+    "token_stats", "token_stats_bpe", "doc_quality", "repetition_metrics", "token_entropy",
+    "text_extract_roundtrip", "c4_filters", "fingerprints", "clean_text", "pii_scrub",
+    "dataset_split", "compression_ratio", "badwords_filter", "chunk_documents",
+)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_text_ops_on_a_zero_row_documents_table(tmp_path):
     """A documents table with no rows gives every ported op (and
-    vocab_top_tokens and contamination_ngrams) zero rows.  The ops whose
-    last exchange is a hash_aggregate fed by a scan keep their output
-    columns; an op that sends its rows through a hash_group_apply first
-    has none, as hash_group_apply never calls its function on zero rows."""
+    vocab_top_tokens, contamination_ngrams and the map-only ops) zero
+    rows.  The ops whose last exchange is a hash_aggregate fed by a scan
+    keep their output columns, and so do the map-only ops (a scan calls
+    its function once on the empty table); an op that sends its rows
+    through a hash_group_apply first has none, as hash_group_apply never
+    calls its function on zero rows."""
     import pyarrow.parquet as pq
 
     pq.write_table(pq.read_table(f"{SF}/documents.parquet").slice(0, 0),
@@ -427,9 +437,16 @@ def test_text_ops_on_a_zero_row_documents_table(tmp_path):
         "unigram_logprob": ["doc_id", "n_tokens", "logprob_micro", "mean_logprob_micro"],
         "bm25_topk": ["query_id", "rank", "doc_id", "n_terms", "score_micro", "score"],
         "vocab_top_tokens": ["token", "doc_freq"],
+        "token_stats": ["doc_id", "n_chars", "n_tokens", "n_distinct_tokens"],
+        "doc_quality": ["doc_id", "n_chars", "n_tokens", "mean_token_len", "stopword_ratio"],
+        "repetition_metrics": ["doc_id", "top2gram_frac", "top3gram_frac", "dup5gram_frac",
+                               "repetition_flagged"],
+        "token_entropy": ["doc_id", "n_tokens", "n_distinct_tokens", "entropy_micro",
+                          "entropy_nats"],
     }
     ops = {**_text_ops(), "vocab_top_tokens": textdata.vocab_top_tokens,
-           "contamination_ngrams": textdata.contamination_ngrams}
+           "contamination_ngrams": textdata.contamination_ngrams,
+           **{name: getattr(textdata, name) for name in _MAP_OPS}}
     for name, op in ops.items():
         ds = op(str(tmp_path)).materialize()
         assert ds.count() == 0, name
@@ -490,12 +507,15 @@ def test_irregular_whitespace_matches_the_oracle(name, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_text_ops_start_no_ray_data_execution(monkeypatch):
-    """The scans and maps in front of a text op's barriers run as task
-    waves: building each result starts no Ray Data execution, and
-    unigram_logprob's streaming score pass starts one only when its
-    caller materializes it."""
+def test_text_ops_start_no_ray_data_execution(monkeypatch, tmp_path):
+    """The scans and maps of the text ops run as task waves: building
+    and materializing each result (the exchange ops, the map-only ops
+    and the three score passes) starts no Ray Data execution.  The
+    edges extraction starts none either; writing its edges starts one,
+    the sink's."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from link_profiler_repo_ray.pipelines import graph
 
     started = []
     execute = StreamingExecutor.execute
@@ -505,10 +525,16 @@ def test_text_ops_start_no_ray_data_execution(monkeypatch):
         return execute(self, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    for name, op in _text_ops().items():
+    ops = {**_text_ops(), **{name: getattr(textdata, name) for name in (
+        *_MAP_OPS, "dsir_scores", "bigram_logprob")}}
+    for name, op in ops.items():
         before = len(started)
         ds = op(SF)
+        ds.materialize()
         assert len(started) == before, f"{name} started {len(started) - before} Ray Data executions"
-        if name == "unigram_logprob":
-            assert ds.materialize().count() == 500
-            assert len(started) > before
+
+    edges = graph.edges_dataset(SF)
+    assert edges.count() > 0
+    assert not started
+    edges.write_parquet(str(tmp_path / "edges"))
+    assert len(started) == 1
