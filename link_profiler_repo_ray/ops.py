@@ -59,10 +59,14 @@ one final task over the thinned blocks.
     min-label components).  ``dense_graph`` numbers the vertices of an
     edge Dataset once — int64 id = rank in key order (string or
     integer keys), range-partitioned — and keeps one numpy edge layout
-    per partition as an ObjectRef.  ``superstep`` is then two waves of
-    plain Ray tasks (scatter, gather) with no Ray Data execution, so
-    an iteration costs two task round trips instead of several
-    sort-shuffles, and no loop materializes a Dataset per iteration.
+    per partition as an ObjectRef.  It is the one place parallel edges
+    merge: each (src, dst) pair is one layout row whose ``w`` counts its
+    input rows, and an undirected build adds ``dir`` bits (which of the
+    two directions the input holds), so graph ops build straight from
+    raw edge rows.  ``superstep`` is then two waves of plain Ray tasks
+    (scatter, gather) with no Ray Data execution, so an iteration costs
+    two task round trips instead of several sort-shuffles, and no loop
+    materializes a Dataset per iteration.
 """
 
 from __future__ import annotations
@@ -602,14 +606,19 @@ def tagged_union_join(
 # A partition's layout is a dict: ``names`` (its vertices' keys, sorted,
 # as a pyarrow array of the input's key type), ``base`` (the id of its
 # first vertex), ``n``, and its out-edges ``src`` (local index), ``dst``
-# (global id) and ``w``, sorted by (dst, src).  Algorithms may add
-# per-vertex or per-edge arrays of their own with :meth:`DenseGraph.map`;
-# per-vertex state may be any picklable value (an array, a dict of
-# arrays such as HyperBall's counter matrix and its sums).
+# (global id) and ``w`` (input rows per pair; undirected builds add
+# ``dir``), one row per distinct (src, dst), sorted by (dst, src).
+# Algorithms may add per-vertex or per-edge arrays of their own with
+# :meth:`DenseGraph.map`; per-vertex state may be any picklable value
+# (an array, a dict of arrays such as HyperBall's counter matrix and its
+# sums).
 
 # sampled names per build chunk for the range boundaries; the driver
 # holds at most this many names per partition
 _BOUND_SAMPLES = 64
+
+# how the rows of one (src, dst) pair merge, per edge column
+_MERGE = {"w": np.add, "dir": np.bitwise_or}
 
 
 @dataclass(frozen=True)
@@ -635,21 +644,23 @@ class DenseGraph:
         )
 
 
-def _build_edges(src, dst, weight, undirected, key_type, *tables):
-    """Build wave 1: one chunk of input blocks → (s, d, w) edge frame,
-    its sorted distinct vertex names and an even sample of them."""
-    cols = [src, dst] + ([weight] if weight else [])
-    frames = [pl.from_arrow(t.select(cols)) for t in tables if t.num_rows]
+def _build_edges(src, dst, undirected, key_type, *tables):
+    """Build wave 1: one chunk of input blocks → its (s, d, w[, dir])
+    edges combined to one row per pair, its sorted distinct vertex
+    names and an even sample of them."""
+    frames = [pl.from_arrow(t.select([src, dst])) for t in tables if t.num_rows]
     if frames:
-        df = pl.concat(frames).select(
-            pl.col(src).alias("s"),
-            pl.col(dst).alias("d"),
-            (pl.col(weight) if weight else pl.lit(1, pl.Int64)).alias("w"),
-        )
+        df = pl.concat(frames).select(pl.col(src).alias("s"), pl.col(dst).alias("d"))
     else:
-        df = pl.DataFrame(schema={"s": key_type, "d": key_type, "w": pl.Int64})
+        df = pl.DataFrame(schema={"s": key_type, "d": key_type})
+    merge = [pl.len().cast(pl.Int64).alias("w")]
     if undirected:
-        df = pl.concat([df, df.select(pl.col("d").alias("s"), pl.col("s").alias("d"), "w")])
+        df = pl.concat([
+            df.with_columns(pl.lit(1, pl.UInt8).alias("dir")),
+            df.select(pl.col("d").alias("s"), pl.col("s").alias("d"), pl.lit(2, pl.UInt8).alias("dir")),
+        ])
+        merge.append(pl.col("dir").bitwise_or())
+    df = df.group_by("s", "d").agg(merge)
     names = pl.concat([df["s"], df["d"]]).unique().sort()
     pick = np.unique(np.linspace(0, len(names) - 1, min(len(names), _BOUND_SAMPLES)).astype(np.int64))
     return df, names, names.gather(pick)
@@ -672,31 +683,39 @@ def _build_own(bounds, q, n_chunks, *pieces):
         "s",
         pl.lit(q, pl.Int64).alias("dq"),
         names.search_sorted(df["d"], "left").cast(pl.Int64).alias("dl"),
-        "w",
+        pl.exclude("s", "d"),
     )
     owner = bounds.search_sorted(df["s"], "right").to_numpy().astype(np.int64)
     return (names, len(names), *_route(df, owner, len(bounds) + 1))
 
 
-def _layout(names: pa.Array, base: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> dict:
+def _layout(names: pa.Array, base: int, src: np.ndarray, dst: np.ndarray, edge_cols: dict) -> dict:
+    """A partition layout: edges sorted by (dst, src), the rows of one
+    (src, dst) pair merged into one (``w`` summed, ``dir`` OR-ed)."""
     order = np.lexsort((src, dst))
+    src, dst = src[order], dst[order]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    starts = np.flatnonzero(first)
+    merged = {c: _MERGE[c].reduceat(v[order], starts) for c, v in edge_cols.items()}
     return {"names": names, "base": base, "n": len(names),
-            "src": src[order], "dst": dst[order], "w": w[order]}
+            "src": src[starts], "dst": dst[starts], **merged}
 
 
 def _build_layout(offsets, p, names, *pieces):
-    """Build wave 4 (partition p): src names → local index; the push layout."""
+    """Build wave 4 (partition p): src names → local index; the push
+    layout, where the rows one pair got from several chunks merge."""
     df = pl.concat(pieces)
     src = names.search_sorted(df["s"], "left").to_numpy().astype(np.int64)
     dst = offsets[df["dq"].to_numpy()] + df["dl"].to_numpy()
-    return _layout(names.to_arrow(), int(offsets[p]), src, dst, df["w"].to_numpy())
+    edge_cols = {c: df[c].to_numpy() for c in df.columns if c not in ("s", "dq", "dl")}
+    return _layout(names.to_arrow(), int(offsets[p]), src, dst, edge_cols)
 
 
 def dense_graph(
     ds: rd.Dataset,
     src: str,
     dst: str,
-    weight: str | None = None,
     undirected: bool = False,
     num_partitions: int | None = None,
 ) -> DenseGraph:
@@ -704,15 +723,19 @@ def dense_graph(
     :func:`superstep`.
 
     The vertex set is every ``src``/``dst`` name (strings or integers, one
-    dtype for both columns).  Names are sorted and
-    cut into ``num_partitions`` (default: cluster CPUs) ranges at
+    dtype for both columns; other columns are ignored).  Names are sorted
+    and cut into ``num_partitions`` (default: cluster CPUs) ranges at
     boundaries sampled from the data; a vertex's id is its rank in name
     order, so "smallest id" is "smallest name".  Two routed exchanges of
     plain Ray tasks attach the dst id and then the src id, leaving each
-    edge at its source's partition.  Parallel edges stay separate (a
-    combine sums them); ``undirected`` adds every edge reversed, a
-    self-loop included.  The driver holds only the P − 1 boundary names
-    and the P + 1 offsets.
+    edge at its source's partition.  Parallel edges merge: the layout
+    holds each (src, dst) pair once, with ``w`` (int64) the number of
+    input rows for it; each build chunk combines its own rows first, and
+    the layout wave merges what several chunks sent.  ``undirected``
+    adds every row reversed (so a self-loop row counts twice in its
+    pair's ``w``) and gives each pair ``dir`` bits: 1 when ``src → dst``
+    is an input row, 2 when ``dst → src`` is.  The driver holds only
+    the P − 1 boundary names and the P + 1 offsets.
     """
     P = num_partitions or cluster_cpus()
     # materialize first: on a lazy Dataset ``to_arrow_refs`` runs the
@@ -723,7 +746,7 @@ def dense_graph(
     key_type = (pl.from_arrow(schema.base_schema.empty_table()).schema[src]
                 if schema is not None else pl.Utf8)
     chunks = [blocks[i::P] for i in range(max(1, min(P, len(blocks))))]
-    built = _wave(_build_edges, [(src, dst, weight, undirected, key_type, *c) for c in chunks], 3)
+    built = _wave(_build_edges, [(src, dst, undirected, key_type, *c) for c in chunks], 3)
     sample = pl.concat(ray.get([b[2] for b in built])).unique().sort()
     if len(sample) == 0:
         # no vertices: the bounds are never compared with a name
@@ -799,7 +822,7 @@ def _reverse_scatter(part, _state, _scalars):
 
 def _reverse_gather(part, _state, msgs, _scalars):
     return _layout(part["names"], part["base"], msgs["dst"].to_numpy(),
-                   msgs["src"].to_numpy(), msgs["w"].to_numpy()), None
+                   msgs["src"].to_numpy(), {"w": msgs["w"].to_numpy()}), None
 
 
 def reverse_graph(g: DenseGraph) -> DenseGraph:

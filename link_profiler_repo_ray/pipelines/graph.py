@@ -24,12 +24,14 @@ iteration is a scatter wave and a gather wave of plain Ray tasks that
 exchange combined per-target messages — no Ray Data exchange and no
 driver collection inside the loop.
 
-The undirected family — triangles, clustering, degree assortativity,
-reciprocal links and k-core — shares one layout on the same kernel:
-``host_graph``'s pairs as (min, max, direction bits), numbered
-undirected and merged per partition to one row per neighbour, with
-each host's degree.  Triangles (compact-forward), clustering and
-assortativity are supersteps on it; reciprocity reads the merged
+Every graph op builds its layout straight from the edge rows:
+``ops.dense_graph`` merges parallel edges itself (``w`` counts a
+pair's rows), so no host-pair aggregate runs in front of it.  The
+undirected family — triangles, clustering, degree assortativity,
+reciprocal links and k-core — shares one undirected layout of the
+edges without self-loops: one row per neighbour, with the merged
+direction bits of the pair.  Triangles (compact-forward), clustering
+and assortativity are supersteps on it; reciprocity reads the
 direction bits.  No string-keyed join runs in any of them.
 """
 
@@ -42,6 +44,7 @@ import os
 import numpy as np
 import polars as pl
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
@@ -105,6 +108,11 @@ def edges_dataset(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
                     ExtractLinksStage(), EDGE_PAGES_PER_TASK)
 
 
+def _edges(sf_dir: str, multiplier: int, edges: rd.Dataset | None) -> rd.Dataset:
+    """``edges`` when the caller passes them, else :func:`edges_dataset`."""
+    return edges if edges is not None else edges_dataset(sf_dir, multiplier)
+
+
 # --- A1: link profiles ----------------------------------------------------
 
 def link_profiles(sf_dir: str, multiplier: int = 1, edges: rd.Dataset | None = None) -> rd.Dataset:
@@ -122,9 +130,6 @@ def link_profiles(sf_dir: str, multiplier: int = 1, edges: rd.Dataset | None = N
     count.  The previous two-hash_aggregate plan paid a second
     sort-shuffle for no extra information.
     """
-    if edges is None:
-        edges = edges_dataset(sf_dir, multiplier)
-
     def pre(df: pl.DataFrame) -> pl.DataFrame:
         return df.group_by(["target_url", "source_host"]).agg(
             pl.len().cast(pl.Int64).alias("n"),
@@ -145,7 +150,7 @@ def link_profiles(sf_dir: str, multiplier: int = 1, edges: rd.Dataset | None = N
             *[pl.col(f"{t}_backlinks").sum() for t in _LINK_TYPES],
         )
 
-    return hash_group_apply(edges, ["target_url"], profile, pre=pre)
+    return hash_group_apply(_edges(sf_dir, multiplier, edges), ["target_url"], profile, pre=pre)
 
 
 def _count_anchor_rows(df: pl.DataFrame) -> pl.DataFrame:
@@ -163,9 +168,6 @@ def top_anchor_profiles(sf_dir: str, multiplier: int = 1, k: int = 10) -> rd.Dat
     per core/models.py:481,489.  Keys are pre-counted per block
     (combiner), the apply stage does one vectorized top-k per partition.
     """
-    edges = edges_dataset(sf_dir, multiplier).select_columns(
-        ["target_url", "anchor_text", "source_host"]
-    )
 
     def topk(df: pl.DataFrame) -> pl.DataFrame:
         def top_map(sub: pl.DataFrame, col: str) -> pl.DataFrame:
@@ -184,7 +186,8 @@ def top_anchor_profiles(sf_dir: str, multiplier: int = 1, k: int = 10) -> rd.Dat
         d = top_map(df, "source_host")
         return a.join(d, on="target_url", how="full", coalesce=True)
 
-    return hash_group_apply(edges, ["target_url"], topk, pre=_count_anchor_rows)
+    return hash_group_apply(edges_dataset(sf_dir, multiplier), ["target_url"], topk,
+                            pre=_count_anchor_rows)
 
 
 def top_anchors_referrers(sf_dir: str, multiplier: int = 1, k: int = 10) -> rd.Dataset:
@@ -195,9 +198,6 @@ def top_anchors_referrers(sf_dir: str, multiplier: int = 1, k: int = 10) -> rd.D
     (target_url, kind, item, cnt, rank) rows — exactly hashable by the
     driver's value-compare, with a closed-form DuckDB oracle.
     """
-    edges = edges_dataset(sf_dir, multiplier).select_columns(
-        ["target_url", "anchor_text", "source_host"]
-    )
 
     def topk(df: pl.DataFrame) -> pl.DataFrame:
         outs = []
@@ -220,22 +220,23 @@ def top_anchors_referrers(sf_dir: str, multiplier: int = 1, k: int = 10) -> rd.D
             )
         return pl.concat(outs)
 
-    return hash_group_apply(edges, ["target_url"], topk, pre=_count_anchor_rows)
+    return hash_group_apply(edges_dataset(sf_dir, multiplier), ["target_url"], topk,
+                            pre=_count_anchor_rows)
 
 
 # --- host-pair rollup (the salted groupby of the north star) -------------
 
 def host_graph(sf_dir: str, multiplier: int = 1, edges: rd.Dataset | None = None) -> rd.Dataset:
-    """(source_host, target_host) edge counts.
+    """(source_host, target_host) edge counts (a registry query; the
+    graph ops build from the edges, ``ops.dense_graph`` merges the
+    pairs itself).
 
     Hub-domain skew is absorbed by the combine stage: a hub pair is
     reduced to ONE partial row per block before the exchange, so the
     reduce side receives O(blocks) rows per hot pair, never O(edges).
     """
-    if edges is None:
-        edges = edges_dataset(sf_dir, multiplier)
     return hash_aggregate(
-        edges,
+        _edges(sf_dir, multiplier, edges),
         ["source_host", "target_host"],
         combine=[pl.len().cast(pl.Int64).alias("n_links")],
         merge=[pl.col("n_links").sum()],
@@ -296,8 +297,7 @@ def _pagerank(
     seeds: tuple | None = None,
 ) -> rd.Dataset:
     """The one PageRank body: uniform teleport, or uniform over ``seeds``."""
-    hg = host_graph(sf_dir, multiplier, edges=edges)
-    g = ops.dense_graph(hg, "source_host", "target_host", "n_links")
+    g = ops.dense_graph(_edges(sf_dir, multiplier, edges), "source_host", "target_host")
     prep = g.map(_pagerank_prepare, g.num_vertices, seeds, num_returns=3)
     g = ops.DenseGraph(g.offsets, [p[0] for p in prep])
     rank, dangling = [p[1] for p in prep], [p[2] for p in prep]
@@ -322,8 +322,9 @@ def host_pagerank(
     outbound links of the source host; the rank held by hosts with no
     out-links (dangling mass) is spread uniformly.
 
-    Scale shape: ``host_graph`` and ``ops.dense_graph`` run once; each
-    iteration is one ``ops.superstep``.  Scatter pushes w·rank along
+    Scale shape: ``ops.dense_graph`` runs once over the edges (its
+    ``w`` is the pair's n_links); each iteration is one
+    ``ops.superstep``.  Scatter pushes w·rank along
     each partition's out-edges and sums per target (``segment_reduce``);
     gather applies the update and returns the partition's dangling
     mass, which the next gather reads as a ref — the driver waits on
@@ -397,8 +398,7 @@ def host_hits(
     (and the final table) divides by the norm of those P refs, so the
     driver never waits inside the loop.
     """
-    g = ops.dense_graph(host_graph(sf_dir, multiplier, edges=edges),
-                        "source_host", "target_host", "n_links")
+    g = ops.dense_graph(_edges(sf_dir, multiplier, edges), "source_host", "target_host")
     rg = ops.reverse_graph(g)
     hub = auth = g.map(lambda part: np.ones(part["n"]))
     hub_sq = auth_sq = []
@@ -476,64 +476,44 @@ def host_components(
     services/competitive_analysis_service.py; components are the
     graph-native version of that grouping).
 
-    :func:`min_label_components` over ``host_graph`` — the same vertex
+    :func:`min_label_components` over the edges — the same vertex
     program as MinHash dedup survivor selection
     (``textdata.near_dup_survivors``).  ``root_host`` is the
     component's smallest host name, the "smallest id" rule of
     :func:`host_communities`.
     """
-    hg = host_graph(sf_dir, multiplier, edges=edges)
-    return min_label_components(hg, "source_host", "target_host", ("host", "root_host"), max_iters)
+    return min_label_components(_edges(sf_dir, multiplier, edges), "source_host", "target_host",
+                                ("host", "root_host"), max_iters)
 
 
 # --- the undirected host layout: triangles, clustering, assortativity,
 # reciprocity and k-core are programs on it --------------------------------
 
 
-def _undirected_rows(batch: pa.Table) -> pa.Table:
-    """host_graph rows → (a = min, b = max, dir), self-loops dropped;
-    ``dir`` is 1 for a→b and 2 for b→a."""
-    s, t = pl.col("source_host"), pl.col("target_host")
-    return (
-        pl.from_arrow(batch)
-        .filter(s != t)
-        .select(
-            pl.min_horizontal(s, t).alias("a"),
-            pl.max_horizontal(s, t).alias("b"),
-            pl.when(s < t).then(1).otherwise(2).cast(pl.Int64).alias("dir"),
-        )
-        .to_arrow()
-    )
-
-
-def _merge_parallel(part: dict) -> dict:
-    """One row per (src, dst) with its rows' dir bits OR-ed (3 = the
-    pair links both ways), plus ``deg``: each vertex's distinct
-    neighbours.  Parallel rows are adjacent in the (dst, src) order."""
-    src, dst = part["src"], part["dst"]
-    first = np.ones(len(src), dtype=bool)
-    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    starts = np.flatnonzero(first)
-    return {**part, "src": src[starts], "dst": dst[starts],
-            "w": np.bitwise_or.reduceat(part["w"], starts),
-            "deg": np.bincount(src[starts], minlength=part["n"])}
+def _no_self_loops(batch: pa.Table) -> pa.Table:
+    pairs = batch.select(["source_host", "target_host"])
+    return pairs.filter(pc.not_equal(pairs["source_host"], pairs["target_host"]))
 
 
 def _undirected_host_graph(sf_dir: str, multiplier: int, edges: rd.Dataset | None) -> ops.DenseGraph:
-    """The undirected host graph on ``ops.dense_graph``: each distinct
-    host pair once in each direction, ``w`` its dir bits, and ``deg``
-    per vertex.  ``host_graph``'s aggregate is its only Ray Data
-    exchange."""
-    und = host_graph(sf_dir, multiplier, edges=edges).map_batches(
-        _undirected_rows, batch_format="pyarrow", zero_copy_batch=True)
-    g = ops.dense_graph(und, "a", "b", "dir", undirected=True)
-    return ops.DenseGraph(g.offsets, g.map(_merge_parallel))
+    """The undirected host graph on ``ops.dense_graph``: every distinct
+    pair of two different hosts once in each direction, with its
+    ``dir`` bits.  Self-loops go first (one ``ops.map_blocks`` wave), so
+    a host whose only edge is a self-loop is no vertex; the build is
+    the only exchange."""
+    edges = ops.map_blocks(_edges(sf_dir, multiplier, edges), _no_self_loops)
+    return ops.dense_graph(edges, "source_host", "target_host", undirected=True)
+
+
+def _deg(part: dict) -> np.ndarray:
+    """Per vertex of an undirected layout: its distinct neighbours."""
+    return np.bincount(part["src"], minlength=part["n"])
 
 
 def _degree_scatter(part: dict, _state, _scalars) -> pl.DataFrame:
     """Every vertex's id and degree to each of its neighbours."""
     return pl.DataFrame({"dst": part["dst"], "u": part["base"] + part["src"],
-                         "du": part["deg"][part["src"]]})
+                         "du": _deg(part)[part["src"]]})
 
 
 def _degree_gather(part: dict, _state, msgs: pl.DataFrame, _scalars):
@@ -542,7 +522,7 @@ def _degree_gather(part: dict, _state, msgs: pl.DataFrame, _scalars):
     Σ(j+k), Σjk, Σ(j²+k²)) of the endpoint degrees j, k over the
     partition's edges with u < v, so each edge counts once."""
     v, u, du = (msgs[c].to_numpy() for c in ("dst", "u", "du"))
-    dv, vid = part["deg"][v], part["base"] + v
+    dv, vid = _deg(part)[v], part["base"] + v
     j, k = du[u < vid], dv[u < vid]
     moments = (len(j), int((j + k).sum()), int((j * k).sum()), int((j * j + k * k).sum()))
     fwd = (du > dv) | ((du == dv) & (u > vid))
@@ -634,9 +614,10 @@ def host_triangle_counts(
     instead of Σ deg² (a 10^6-degree hub contributes ZERO wedges if
     its neighbors all have lower degree, because its edges point IN).
 
-    Scale shape: one undirected host layout (``host_graph``'s aggregate
-    is its only Ray Data exchange), then three ``ops.superstep``s of
-    plain Ray tasks over int64 host ids, whose order is name order.
+    Scale shape: one undirected host layout (built straight from the
+    edges; its build is the only exchange), then three
+    ``ops.superstep``s of plain Ray tasks over int64 host ids, whose
+    order is name order.
     Every host sends its degree to its neighbours and keeps its forward
     list (the neighbours after it in (degree, id) order); every host
     sends that list to each forward neighbour, which semi-joins it
@@ -650,10 +631,10 @@ def host_triangle_counts(
 
 
 def _reciprocal_table(part: dict) -> pa.Table:
-    both = np.bincount(part["src"][part["w"] == 3], minlength=part["n"])
+    both = np.bincount(part["src"][part["dir"] == 3], minlength=part["n"])
     return pl.DataFrame([
         _host_names(part),
-        pl.Series("partners", part["deg"], pl.Int64),
+        pl.Series("partners", _deg(part), pl.Int64),
         pl.Series("reciprocal_partners", both, pl.Int64),
     ]).to_arrow()
 
@@ -675,9 +656,9 @@ def host_reciprocal_links(
     directions exist.
 
     Shape: no superstep.  On the undirected host layout a host's
-    ``deg`` is its partner count, and a pair whose merged dir bits are
-    3 links both ways, so one wave of P tasks reads both counts off
-    each partition.
+    neighbour rows are its partners, and a pair whose merged ``dir``
+    bits are 3 links both ways, so one wave of P tasks reads both
+    counts off each partition.
     """
     g = _undirected_host_graph(sf_dir, multiplier, edges)
     return _vertex_dataset(g, _reciprocal_table)
@@ -722,8 +703,6 @@ def related_hosts_cocitation(
                 UserWarning,
                 stacklevel=2,
             )
-    if edges is None:
-        edges = edges_dataset(sf_dir, multiplier)
 
     def pre(df: pl.DataFrame) -> pl.DataFrame:
         return (
@@ -746,12 +725,7 @@ def related_hosts_cocitation(
             pl.col("target_host_r").alias("y"),
         )
 
-    cand = hash_group_apply(
-        edges.select_columns(["source_host", "target_host"]),
-        ["source_host"],
-        pairs,
-        pre=pre,
-    )
+    cand = hash_group_apply(_edges(sf_dir, multiplier, edges), ["source_host"], pairs, pre=pre)
     counts = hash_aggregate(
         cand,
         ["x", "y"],
@@ -806,7 +780,7 @@ def _clustering_table(part: dict, tri: np.ndarray) -> pa.Table:
     deg = pl.col("deg")
     return pl.DataFrame([
         _host_names(part),
-        pl.Series("deg", part["deg"], pl.Int64),
+        pl.Series("deg", _deg(part), pl.Int64),
         pl.Series("triangles", tri, pl.Int64),
     ]).with_columns(
         pl.when(deg >= 2)
@@ -829,10 +803,11 @@ def host_clustering(
     degree = a densely interlinked network (link farm / PBN
     signature); near 0 = an organically earned hub.  Runs
     :func:`host_triangle_counts`'s supersteps on the undirected host
-    layout, whose ``deg`` it reads, and computes the coefficient per
-    partition with no join (hosts in no triangle get 0); the division
-    is done in one fixed expression order and rounded to 6 decimals so
-    the DuckDB oracle reproduces it bit-identically (libm is shared).
+    layout, whose neighbour counts are the degrees, and computes the
+    coefficient per partition with no join (hosts in no triangle get
+    0); the division is done in one fixed expression order and rounded
+    to 6 decimals so the DuckDB oracle reproduces it bit-identically
+    (libm is shared).
     """
     g = _undirected_host_graph(sf_dir, multiplier, edges)
     return _vertex_dataset(g, _clustering_table, per_part=(_triangles(g),))
@@ -894,13 +869,13 @@ def host_kcore(
     iterative operators rather than returning a wrong fixed point.
 
     Scale shape: the undirected host layout is built once and every
-    host starts at its ``deg``; each sweep is one ``ops.superstep``
+    host starts at its degree; each sweep is one ``ops.superstep``
     whose scatter sends per-target (value, count) histograms and whose
     gather returns the partition's changed count — the driver waits
     on P ints per sweep.
     """
     g = _undirected_host_graph(sf_dir, multiplier, edges)
-    val = g.map(lambda part: part["deg"])
+    val = g.map(_deg)
     for _ in range(max_iters):
         val, changed = ops.superstep(g, val, _kcore_scatter, _kcore_gather)
         if not sum(ray.get(changed)):
@@ -917,8 +892,6 @@ def referring_domains_exact(sf_dir: str, multiplier: int = 1, edges: rd.Dataset 
     """Exact distinct source hosts per target host (test-scale ground
     truth).  One exchange keyed target_host: per-batch distinct pairs,
     partition-side distinct + count."""
-    if edges is None:
-        edges = edges_dataset(sf_dir, multiplier)
 
     def pre(df: pl.DataFrame) -> pl.DataFrame:
         return df.select(["target_host", "source_host"]).unique()
@@ -930,12 +903,8 @@ def referring_domains_exact(sf_dir: str, multiplier: int = 1, edges: rd.Dataset 
             .agg(pl.len().cast(pl.Int64).alias("referring_domains"))
         )
 
-    return hash_group_apply(
-        edges.select_columns(["target_host", "source_host"]),
-        ["target_host"],
-        count_distinct,
-        pre=pre,
-    )
+    return hash_group_apply(_edges(sf_dir, multiplier, edges), ["target_host"], count_distinct,
+                            pre=pre)
 
 
 def _target_groups(df: pl.DataFrame) -> tuple[np.ndarray, list]:
@@ -1025,11 +994,8 @@ def referring_domains_hll(sf_dir: str, multiplier: int = 1, p: int = 12, edges: 
             {"target_host": hosts_in_order, "referring_domains_est": est}
         )
 
-    if edges is None:
-        edges = edges_dataset(sf_dir, multiplier)
-    return hash_group_apply(
-        edges, ["target_host"], merge, pre=lambda df: pl.from_arrow(partial(df.to_arrow()))
-    )
+    return hash_group_apply(_edges(sf_dir, multiplier, edges), ["target_host"], merge,
+                            pre=lambda df: pl.from_arrow(partial(df.to_arrow())))
 
 
 # --- J2: link intersect ---------------------------------------------------
@@ -1037,17 +1003,15 @@ def referring_domains_hll(sf_dir: str, multiplier: int = 1, p: int = 12, edges: 
 def link_intersect(sf_dir: str, host_a: str, host_b: str, multiplier: int = 1) -> rd.Dataset:
     """Source hosts linking to BOTH targets (backlink_service.py:627-653).
 
-    Semi-join shape: broadcast two-host predicate inside map_batches
-    (no shuffle), distinct pairs, then per-source target count == 2.
+    Semi-join shape: the two-host predicate and a per-chunk distinct
+    run in the exchange's route wave, then per-source target count == 2.
     """
 
-    def pick(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
+    def pick(df: pl.DataFrame) -> pl.DataFrame:
         return (
             df.filter(pl.col("target_host").is_in([host_a, host_b]))
             .select(["source_host", "target_host"])
             .unique()
-            .to_arrow()
         )
 
     def intersect(df: pl.DataFrame) -> pl.DataFrame:
@@ -1059,12 +1023,7 @@ def link_intersect(sf_dir: str, host_a: str, host_b: str, multiplier: int = 1) -
             .select("source_host")
         )
 
-    picked = (
-        edges_dataset(sf_dir, multiplier)
-        .select_columns(["source_host", "target_host"])
-        .map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    return hash_group_apply(picked, ["source_host"], intersect)
+    return hash_group_apply(edges_dataset(sf_dir, multiplier), ["source_host"], intersect, pre=pick)
 
 
 # --- A6: link velocity ----------------------------------------------------
@@ -1078,11 +1037,7 @@ def link_velocity(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             pl.col("target_host"), pl.col("crawl_ts").dt.truncate("1d").alias("day")
         ).to_arrow()
 
-    daily = (
-        edges_dataset(sf_dir, multiplier)
-        .select_columns(["target_host", "crawl_ts"])
-        .map_batches(add_day, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    daily = ops.map_blocks(edges_dataset(sf_dir, multiplier), add_day)
     return hash_aggregate(
         daily,
         ["target_host", "day"],
@@ -1137,7 +1092,7 @@ def _hyperball(sf_dir, multiplier, edges, mode, p, max_iters):
     ``[N(1), N(2), …]`` with ``N(r) = Σ_v |ball_r(v)|``)."""
     if mode not in ("bitset", "hll"):
         raise ValueError(f"unknown mode {mode!r}")
-    g = ops.dense_graph(host_graph(sf_dir, multiplier, edges=edges), "source_host", "target_host")
+    g = ops.dense_graph(_edges(sf_dir, multiplier, edges), "source_host", "target_host")
     width = (g.num_vertices + 7) // 8 if mode == "bitset" else 1 << p
     union = np.bitwise_or if mode == "bitset" else np.maximum
     state = g.map(_hyperball_init, mode, p, width)
@@ -1299,16 +1254,16 @@ def host_communities(
     community follows weight density (a weakly-attached bridge host
     joins the side that links to it more).
 
-    Scale shape: ``host_graph`` and an undirected ``ops.dense_graph``
-    (every pair in both directions, so a pair linked both ways weighs
-    the sum) run once.  Labels are int64 host ids, so the tie rule is
-    "smallest id".  Each round is one ``ops.superstep``: scatter sums
+    Scale shape: one undirected ``ops.dense_graph`` of the edges runs
+    once; a pair's ``w`` counts its rows in both directions, so a pair
+    linked both ways weighs the sum.  Labels are int64 host ids, so the
+    tie rule is "smallest id".  Each round is one ``ops.superstep``: scatter sums
     weight per (target, label), gather takes the per-host argmax.  One
     last superstep routes each host to its label's owner, which turns
     the id back into a host name.
     """
-    hg = host_graph(sf_dir, multiplier, edges=edges)
-    g = ops.dense_graph(hg, "source_host", "target_host", "n_links", undirected=True)
+    g = ops.dense_graph(_edges(sf_dir, multiplier, edges), "source_host", "target_host",
+                        undirected=True)
     labels = g.map(lambda part: part["base"] + np.arange(part["n"]))
     for _ in range(rounds):
         labels, _ = ops.superstep(g, labels, _lpa_scatter, _lpa_gather)
@@ -1339,26 +1294,14 @@ def link_overlap_hll(
     triage signal (which competitor pairs overlap enough to intersect
     exactly), not a replacement for the exact path.
     """
-    if edges is None:
-        edges = edges_dataset(sf_dir, multiplier)
-
-    targets = {host_a, host_b}
+    partial = _hll_sparse_partial(p)
 
     def keep(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .filter(pl.col("target_host").is_in(list(targets)))
-            .select("target_host", "source_host")
-            .to_arrow()
-        )
+        df = pl.from_arrow(batch).filter(pl.col("target_host").is_in([host_a, host_b]))
+        return partial(df.select("target_host", "source_host").to_arrow())
 
-    partials = (
-        edges.select_columns(["target_host", "source_host"])
-        .map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(_hll_sparse_partial(p), batch_format="pyarrow", zero_copy_batch=True)
-    )
-    # bounded take_all: ≤ 2 sparse rows per block
-    rows = partials.take_all()
+    # bounded collection: ≤ 2 sparse rows per block
+    rows = ops.collect_table(ops.map_blocks(_edges(sf_dir, multiplier, edges), keep)).to_pylist()
     m = 1 << p
     dense = {host_a: np.zeros(m, dtype=np.uint8), host_b: np.zeros(m, dtype=np.uint8)}
     for r in rows:

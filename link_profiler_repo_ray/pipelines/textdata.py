@@ -1861,8 +1861,7 @@ def near_dup_survivors(
 
     if pairs is None:
         pairs = minhash_lsh_dups(sf_dir, threshold=threshold, extra_docs=extra_docs)
-    return min_label_components(pairs.select_columns(["doc_a", "doc_b"]), "doc_a", "doc_b",
-                                ("doc_id", "survivor_id"), max_iters)
+    return min_label_components(pairs, "doc_a", "doc_b", ("doc_id", "survivor_id"), max_iters)
 
 
 def knn_lsh(
@@ -2892,6 +2891,9 @@ def bigram_logprob(sf_dir: str, lam: float = 0.75) -> rd.Dataset:
                 *keys, v=ws.list.slice(0, ws.list.len() - 1), wt=ws.list.slice(1, ws.list.len() - 1)
             )
             .explode(["v", "wt"])
+            # the cast keeps the type on a zero-row frame, where polars'
+            # list.slice returns List(Null)
+            .cast({"v": pl.String, "wt": pl.String})
             .group_by(*keys, "v", "wt")
             .len("c")
             .with_columns(pl.col("c").cast(pl.Int64))

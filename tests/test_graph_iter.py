@@ -2,6 +2,8 @@
 dense numpy power-iteration oracle; edge snapshot merge vs DuckDB;
 bucketed embedding near-dups recall vs the exact variant."""
 
+import functools
+
 import duckdb
 import numpy as np
 import polars as pl
@@ -578,6 +580,47 @@ def test_undirected_family_logs_no_schema_mismatch():
     assert not [m for m in seen if "RefBundle with a different schema" in m]
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_graph_ops_start_no_ray_data_execution(monkeypatch):
+    """Over the materialized edges, every graph op builds its layout or
+    runs its exchange from task waves alone: materializing each result
+    starts no Ray Data execution (no projection or lazy map in front of
+    a barrier or a dense build)."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from link_profiler_repo_ray.pipelines import graph, textdata
+
+    started = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        started.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    edges = graph.edges_dataset(SF)
+    on_edges = {name: getattr(graph, name) for name in (
+        "host_pagerank", "host_hits", "host_components", "host_communities", "host_kcore",
+        "host_reciprocal_links", "host_clustering", "host_degree_assortativity",
+        "host_harmonic_centrality", "related_hosts_cocitation", "referring_domains_exact")}
+    ops_ = {
+        **{name: functools.partial(op, SF, edges=edges) for name, op in on_edges.items()},
+        "top_anchor_profiles": functools.partial(graph.top_anchor_profiles, SF),
+        "top_anchors_referrers": functools.partial(graph.top_anchors_referrers, SF),
+        "link_overlap_hll": lambda: rd.from_arrow(graph.link_overlap_hll(
+            SF, "h1.example.com", "h2.example.com", edges=edges)),
+        "link_velocity": functools.partial(graph.link_velocity, SF),
+        "link_intersect": functools.partial(graph.link_intersect, SF, "h1.example.com",
+                                            "h2.example.com"),
+        "near_dup_survivors": functools.partial(textdata.near_dup_survivors, SF),
+    }
+    for name, op in ops_.items():
+        before = len(started)
+        assert op().materialize().count() > 0, name
+        assert len(started) == before, f"{name} started {len(started) - before} Ray Data executions"
+
+
 def _ref_harmonic(pairs: "pl.DataFrame") -> dict[str, tuple[int, float]]:
     """Per-node BFS oracle: H(v) = sum over u != v of 1/d(u -> v),
     n_reachable(v) = |{u : d(u -> v) < inf}| (v included at d=0)."""
@@ -1059,7 +1102,9 @@ def test_superstep_ops_match_oracles_at_any_partition_count(seed, n, m, monkeypa
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("num_partitions", [1, 2, 5])
 def test_superstep_primitive_degrees_and_ids(num_partitions):
-    """The primitive itself: ids are ranks in name order, one superstep
+    """The primitive itself: ids are ranks in name order; a layout holds
+    each (src, dst) pair once, sorted by (dst, src), with ``w`` its
+    input rows and, undirected, ``dir`` its directions; one superstep
     counts in-degree (parallel edges counted), the transpose counts
     out-degree, and an empty edge set builds an empty graph."""
     import collections
@@ -1077,6 +1122,29 @@ def test_superstep_primitive_degrees_and_ids(num_partitions):
     g = ops.dense_graph(edges, "s", "t", num_partitions=num_partitions)
     hosts = sorted({h for pr in pairs for h in pr})
     assert len(g.parts) == num_partitions and g.num_vertices == len(hosts)
+
+    def layout_rows(graph_):
+        rows = {}
+        for part in ray.get(graph_.parts):
+            src, dst = part["src"], part["dst"]
+            assert (np.lexsort((src, dst)) == np.arange(len(src))).all()
+            assert part["w"].dtype == np.int64
+            for i, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
+                key = (hosts[part["base"] + a], hosts[b])
+                assert key not in rows, key
+                rows[key] = (int(part["w"][i]), int(part["dir"][i]) if "dir" in part else None)
+        return rows
+
+    assert layout_rows(g) == {pr: (c, None) for pr, c in collections.Counter(pairs).items()}
+    und_w, und_dir = collections.Counter(), collections.defaultdict(int)
+    for s, t in pairs:
+        und_w[(s, t)] += 1
+        und_w[(t, s)] += 1
+        und_dir[(s, t)] |= 1
+        und_dir[(t, s)] |= 2
+    und = ops.dense_graph(edges, "s", "t", undirected=True, num_partitions=num_partitions)
+    assert und.num_vertices == len(hosts)
+    assert layout_rows(und) == {pr: (c, und_dir[pr]) for pr, c in und_w.items()}
 
     def count(part, _state, _scalars):
         return ops.segment_reduce(part["dst"], part["w"].astype(np.float64))

@@ -423,8 +423,8 @@ _MAP_OPS = (
 @pytest.mark.usefixtures("ray_session")
 def test_text_ops_on_a_zero_row_documents_table(tmp_path):
     """A documents table with no rows gives every ported op (and
-    vocab_top_tokens, contamination_ngrams and the map-only ops) zero
-    rows.  The ops whose last exchange is a hash_aggregate fed by a scan
+    vocab_top_tokens, contamination_ngrams, bigram_logprob and the
+    map-only ops) zero rows.  The ops whose last exchange is a hash_aggregate fed by a scan
     keep their output columns, and so do the map-only ops (a scan calls
     its function once on the empty table); an op that sends its rows
     through a hash_group_apply first has none, as hash_group_apply never
@@ -446,6 +446,7 @@ def test_text_ops_on_a_zero_row_documents_table(tmp_path):
     }
     ops = {**_text_ops(), "vocab_top_tokens": textdata.vocab_top_tokens,
            "contamination_ngrams": textdata.contamination_ngrams,
+           "bigram_logprob": textdata.bigram_logprob,
            **{name: getattr(textdata, name) for name in _MAP_OPS}}
     for name, op in ops.items():
         ds = op(str(tmp_path)).materialize()
