@@ -17,13 +17,19 @@ Canonical form produced here (the BASELINE.json contract:
 
 These functions are pure and batch-oriented: they take/return equal
 length sequences so they can run inside ``map_batches`` without any
-per-row Python in the *driver* — the per-URL work is a single compiled
-``urlsplit`` + string ops per value, the practical floor for URL
-parsing without a native extension.
+per-row Python in the *driver*.  Href resolution (``resolve``, behind
+``resolve_batch`` and ``htmlx.parse_batch``) computes what a page URL
+contributes once per page (``base_context``) and each href once: a
+plain absolute http(s) href or a plain root-relative path is
+canonicalized by one ASCII regex match and string ops, an href with
+an explicit non-web scheme is dropped unjoined, and every other href
+takes ``urljoin`` + one ``urlsplit``, whose result serves both the
+canonical target and the raw joined netloc the SEO parse counts.
 """
 
 from __future__ import annotations
 
+import re
 from urllib.parse import urljoin, urlsplit, urlunsplit, unquote
 
 import numpy as np
@@ -40,6 +46,51 @@ __all__ = [
 
 _WEB_SCHEMES = ("http", "https")
 
+# A plain absolute http(s) href: ASCII, no whitespace, port, userinfo or
+# ``;`` params.  ``urljoin`` keeps such an href as written (an absolute
+# href is never dot-resolved), so the groups (s, host, path, query) are
+# its ``urlsplit`` parts.  Explicit case classes under re.ASCII: an
+# IGNORECASE class would also match U+017F and U+212A, which fold to
+# "s" and "k".
+_PLAIN_ABS_RE = re.compile(
+    r"[Hh][Tt][Tt][Pp]([Ss]?)://([A-Za-z0-9.-]+)"
+    r"(/[A-Za-z0-9_.~!$&'()*+,=:@%/-]*)?(?:\?([A-Za-z0-9_.~!$&'()*+,;=:@%/?-]*))?"
+    r"(?:#[\x21-\x7e]*)?",
+    re.ASCII,
+)
+# a plain root-relative path; the caller also rules out "//" (a netloc)
+# and "/." (a dot segment, which ``urljoin`` would resolve)
+_PLAIN_PATH_RE = re.compile(r"/[A-Za-z0-9_.~/-]*", re.ASCII)
+
+
+def _kept_query(query: str) -> str:
+    """A query without its ``utm_*`` parameters, percent-decoded."""
+    kept = [
+        kv for kv in query.split("&") if kv and not kv.split("=", 1)[0].lower().startswith("utm_")
+    ]
+    return "&".join(unquote(kv) for kv in kept)
+
+
+def _host(scheme: str, netloc: str) -> str:
+    """The lowercased netloc without the scheme's default port."""
+    host = netloc.lower()
+    if scheme == "http" and host.endswith(":80"):
+        return host[:-3]
+    if scheme == "https" and host.endswith(":443"):
+        return host[:-4]
+    return host
+
+
+def _canonical_parts(parts) -> tuple[str, str] | None:
+    """(canonical URL, its host) of a ``urlsplit`` result, or None."""
+    scheme = parts.scheme.lower()
+    if scheme not in _WEB_SCHEMES or not parts.netloc:
+        return None
+    host = _host(scheme, parts.netloc)
+    path = unquote(parts.path) or "/"
+    query = _kept_query(parts.query) if parts.query else ""
+    return urlunsplit((scheme, host, path, query, "")), host
+
 
 def canonicalize(url: str) -> str | None:
     """Canonicalize one absolute URL.  Returns None for non-web URLs."""
@@ -47,27 +98,8 @@ def canonicalize(url: str) -> str | None:
         parts = urlsplit(url)
     except ValueError:
         return None
-    scheme = parts.scheme.lower()
-    if scheme not in _WEB_SCHEMES:
-        return None
-    host = parts.netloc.lower()
-    if not host:
-        return None
-    # strip default ports
-    if scheme == "http" and host.endswith(":80"):
-        host = host[:-3]
-    elif scheme == "https" and host.endswith(":443"):
-        host = host[:-4]
-    path = unquote(parts.path) or "/"
-    query = ""
-    if parts.query:
-        kept = [
-            kv
-            for kv in parts.query.split("&")
-            if kv and not kv.split("=", 1)[0].lower().startswith("utm_")
-        ]
-        query = "&".join(unquote(kv) for kv in kept)
-    return urlunsplit((scheme, host, path, query, ""))
+    c = _canonical_parts(parts)
+    return None if c is None else c[0]
 
 
 def canonicalize_batch(urls) -> list:
@@ -75,27 +107,87 @@ def canonicalize_batch(urls) -> list:
     return [canonicalize(u) for u in urls]
 
 
-def resolve_batch(base_urls, hrefs) -> list:
-    """Resolve hrefs against their page URLs, then canonicalize.
+def base_context(base) -> tuple:
+    """What resolving hrefs against page URL ``base`` needs, computed
+    once per page: ``(base, prefix, host, netloc)``.  ``netloc`` is
+    :func:`host_of` the base.  For an http(s) base with a host,
+    ``prefix`` is its canonical ``scheme://host`` and ``host`` that
+    canonical host; otherwise both are None and every href of the page
+    takes the general ``urljoin`` path."""
+    m = _PLAIN_ABS_RE.fullmatch(base) if isinstance(base, str) else None
+    if m is not None:
+        host = m.group(2).lower()
+        return base, ("https://" if m.group(1) else "http://") + host, host, host
+    try:
+        parts = urlsplit(base)
+    except ValueError:
+        return base, None, None, ""
+    netloc = parts.netloc.lower()
+    if not isinstance(base, str) or parts.scheme not in _WEB_SCHEMES or not netloc:
+        return base, None, None, netloc
+    host = _host(parts.scheme, netloc)
+    return base, f"{parts.scheme}://{host}", host, netloc
 
-    Mirrors LinkExtractor._resolve_url (link_extractor.py:81-92): any
-    explicit non-http(s) scheme is dropped *before* joining.
-    """
+
+def resolve(ctx: tuple, href: str, netloc: bool = False) -> tuple:
+    """Resolve one stripped ``href`` against a :func:`base_context`:
+    ``(canonical target | None, its host | None, joined netloc)``.
+
+    The target mirrors LinkExtractor._resolve_url
+    (link_extractor.py:81-92): any explicit non-http(s) scheme is
+    dropped *before* joining.  The joined netloc is
+    ``urlsplit(urljoin(base, href)).netloc.lower()`` (None when the join
+    raises), the SEO parse's internal/external test; it is computed for
+    a dropped scheme only when ``netloc`` is set, and it comes from the
+    same join as the target.  Plain absolute http(s) hrefs and plain
+    root-relative paths against a regular base skip ``urljoin``."""
+    base, prefix, host, base_netloc = ctx
+    if prefix is not None:
+        m = _PLAIN_ABS_RE.fullmatch(href)
+        if m is not None:
+            s, t_host, path, query = m.groups()
+            t_host = t_host.lower()
+            # what _canonical_parts builds from these parts
+            if not path:
+                path = "/"
+            elif "%" in path:
+                path = unquote(path)
+            url = ("https://" if s else "http://") + t_host + path
+            if query:
+                query = _kept_query(query)
+                if query:
+                    url += "?" + query
+            return url, t_host, t_host
+        if _PLAIN_PATH_RE.fullmatch(href) and href[:2] != "//" and "/." not in href:
+            return prefix + href, host, base_netloc
+    scheme_end = href.find(":")
+    web = not (
+        scheme_end > 0
+        and href[:scheme_end].isalpha()
+        and href[:scheme_end].lower() not in _WEB_SCHEMES
+    )
+    if not (web or netloc):
+        return None, None, None
+    try:
+        parts = urlsplit(urljoin(base, href))
+    except ValueError:
+        return None, None, None
+    c = _canonical_parts(parts) if web else None
+    if c is None:
+        return None, None, parts.netloc.lower()
+    return c[0], c[1], parts.netloc.lower()
+
+
+def resolve_batch(base_urls, hrefs) -> list:
+    """Resolve hrefs against their page URLs, then canonicalize
+    (:func:`resolve`'s target, one base context per distinct base)."""
+    ctxs: dict = {}
     out = []
     for base, href in zip(base_urls, hrefs):
-        href = href.strip()
-        scheme_end = href.find(":")
-        if scheme_end > 0 and href[:scheme_end].isalpha():
-            scheme = href[:scheme_end].lower()
-            if scheme not in _WEB_SCHEMES:
-                out.append(None)
-                continue
-        try:
-            joined = urljoin(base, href)
-        except ValueError:
-            out.append(None)
-            continue
-        out.append(canonicalize(joined))
+        ctx = ctxs.get(base)
+        if ctx is None:
+            ctx = ctxs[base] = base_context(base)
+        out.append(resolve(ctx, href.strip())[0])
     return out
 
 

@@ -71,6 +71,7 @@ import glob
 import json
 import os
 import shutil
+import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +83,7 @@ import ray
 
 from .. import schemas
 from ..functions import canonical as can
-from ..functions.htmlx import extract_links, extract_text_batch
+from ..functions import htmlx
 from ..sources import corpus as corpus_mod
 from ..state.politeness import RobotsIndex, DEFAULT_MAX_PER_HOST_PER_ROUND
 
@@ -302,6 +303,7 @@ def _parse_and_emit(
     collect_edges,
     frontier_shards,
     persister,
+    split,
     latencies=None,
     ai_stage=None,
     alert_stage=None,
@@ -311,76 +313,54 @@ def _parse_and_emit(
     and actor→actor staging of expansion candidates.  Used by both the
     corpus-replay and the real-HTTP fetch actors — the fetch transport
     is the ONLY difference between the two (web_crawler.py:100-194's
-    post-fetch pipeline)."""
+    post-fetch pipeline).
+
+    The batch runs three kernels: ``extract_text_batch`` for the text,
+    one ``htmlx.parse_batch`` pass over the 200 pages for their edges
+    and SEO score fields (a 404/503 row gets null SEO and no edges),
+    and ``quality.quality_table`` over the whole text column (a failed
+    fetch scores the empty text).  ``split`` accumulates the seconds of
+    the parse (kernels, tables, AI scoring, alerts), the persistence
+    and the candidate staging under ``parse_s``/``persist_s``/``stage_s``."""
+    # imported here, as the per-row scorers were: only the fetch actors
+    # run this, so the driver never loads the quality module
+    from ..functions.quality import quality_table
+
+    t0 = _time.perf_counter()
     html_strs = ["" if h is None else bytes(h).decode("utf-8", errors="replace") for h in htmls]
-    texts = extract_text_batch(html_strs)
+    texts = htmlx.extract_text_batch(html_strs)
     # per-page scoring, as the reference's crawl loop does between
     # fetch and persist (crawl_service.py:545-593: content quality
     # M6 + SEO metrics M4/M8)
-    from ..functions.htmlx import parse_seo
-    from ..functions.quality import quality_metrics
-
-    qual = [quality_metrics(t) for t in texts]
-    seo = [
-        parse_seo(u, h) if st == 200 else None
-        for u, h, st in zip(urls, html_strs, status)
-    ]
+    parsed = htmlx.parse_batch(urls, html_strs, [st == 200 for st in status], seo="score")
+    qual = quality_table(texts)
+    seo = parsed.seo
+    ts_arr = pa.array(tss, pa.timestamp("us"))
     pages = pa.table(
         {
             "url": pa.array(urls, pa.string()),
-            "warc_ts": pa.array(tss, pa.timestamp("us")),
+            "warc_ts": ts_arr,
             "html": pa.array(htmls, pa.binary()),
             "text": pa.array(texts, pa.large_string()),
             "lang": pa.array(langs, pa.string()),
             "status": pa.array(status, pa.int16()),
             "depth": pa.array(depths, pa.int16()),
-            "word_count": pa.array([q["word_count"] for q in qual], pa.int32()),
-            "readability_score": pa.array([q["readability_score"] for q in qual], pa.float64()),
-            "spam_score": pa.array([q["spam_score"] for q in qual], pa.float64()),
-            "quality_score": pa.array([q["quality_score"] for q in qual], pa.float64()),
-            "content_hash": pa.array([q["content_hash"] for q in qual], pa.string()),
-            "seo_score": pa.array(
-                [None if s is None else s["seo_score"] for s in seo], pa.float64()
-            ),
-            "title_length": pa.array(
-                [None if s is None else s["title_length"] for s in seo], pa.int32()
-            ),
-            "h1_count": pa.array(
-                [None if s is None else s["h1_count"] for s in seo], pa.int32()
-            ),
+            **{
+                c: qual.column(c)
+                for c in ("word_count", "readability_score", "spam_score", "quality_score", "content_hash")
+            },
+            **{
+                f: pa.array([None if s is None else s[f] for s in seo], t)
+                for f, t in (
+                    ("seo_score", pa.float64()),
+                    ("title_length", pa.int32()),
+                    ("h1_count", pa.int32()),
+                )
+            },
         }
     )
-
-    src, tgt, anchor, ltype, rels, ctx, ets, tdepth = [], [], [], [], [], [], [], []
-    for u, html, st, ts, dep in zip(urls, html_strs, status, tss, depths):
-        if st != 200:
-            continue
-        d1 = dep + 1  # discovered-at depth, recorded inline (no
-        #               per-batch source→depth join needed downstream)
-        for link in extract_links(u, html):
-            src.append(u)
-            tgt.append(link["target_url"])
-            anchor.append(link["anchor_text"])
-            ltype.append(link["link_type"])
-            rels.append(link["rel_attributes"])
-            ctx.append(link["context_text"])
-            ets.append(ts)
-            tdepth.append(d1)
-    tgt_hosts = can.host_of_batch(tgt)
-    edges = pa.table(
-        {
-            "source_url": pa.array(src, pa.string()),
-            "target_url": pa.array(tgt, pa.string()),
-            "source_host": pa.array(can.host_of_batch(src), pa.string()),
-            "target_host": pa.array(tgt_hosts, pa.string()),
-            "anchor_text": pa.array(anchor, pa.string()),
-            "link_type": pa.array(ltype, pa.string()),
-            "rel_attributes": pa.array(rels, pa.list_(pa.string())),
-            "context_text": pa.array(ctx, pa.string()),
-            "crawl_ts": pa.array(ets, pa.timestamp("us")),
-        },
-        schema=schemas.EDGES,
-    )
+    edges = htmlx.edges_table(parsed, urls, ts_arr)
+    tgt_hosts = parsed.edges["target_host"]
 
     if ai_stage is not None:
         # T10: the per-page AI scoring the reference runs between fetch
@@ -403,9 +383,6 @@ def _parse_and_emit(
         # wasted evaluation.
         alerts = alert_stage(pages)
 
-    if persist_dir is not None:
-        persister.add(persist_dir, shard_tag, pages, edges, alerts)
-
     meta = pa.table(
         {
             "url": pa.array(urls, pa.string()),
@@ -415,6 +392,13 @@ def _parse_and_emit(
             ),
         }
     )
+    t1 = _time.perf_counter()
+    split["parse_s"] += t1 - t0
+    if persist_dir is not None:
+        persister.add(persist_dir, shard_tag, pages, edges, alerts)
+    t2 = _time.perf_counter()
+    split["persist_s"] += t2 - t1
+
     # per-batch expansion candidates, pushed DIRECTLY to the owning
     # frontier shards (actor→actor) — the driver never touches
     # expansion data.  Raw (target_url, host, depth) rows are staged
@@ -424,11 +408,14 @@ def _parse_and_emit(
     # pre-reduce here cost ~15 ms fixed per tiny call and dominated
     # the fetch actors' busy time (round-4 stage-timer A/B).
     if edges.num_rows:
+        # discovered-at depth, recorded inline (no per-batch
+        # source→depth join needed downstream)
+        page = np.asarray(parsed.edges["page"], dtype=np.int64)
         cand = pa.table(
             {
                 "target_url": edges.column("target_url"),
-                "host": pa.array(tgt_hosts, pa.string()),
-                "depth": pa.array(tdepth, pa.int16()),
+                "host": edges.column("target_host"),
+                "depth": pa.array(np.asarray(depths, dtype=np.int64)[page] + 1, pa.int16()),
             }
         )
         if frontier_shards:
@@ -465,7 +452,23 @@ def _parse_and_emit(
     else:
         stage_refs = []
         cand_out = None
+    split["stage_s"] += _time.perf_counter() - t2
     return meta, cand_out, (edges if collect_edges else None), stage_refs
+
+
+def _busy_split() -> dict:
+    """A fetch actor's busy seconds by part (see ``_parse_and_emit``);
+    the rest of ``busy_s`` is the fetch itself."""
+    return {"parse_s": 0.0, "persist_s": 0.0, "stage_s": 0.0}
+
+
+def _timed_flush(actor) -> None:
+    """Write a fetch actor's persist buffer out, as busy persist time."""
+    t0 = _time.perf_counter()
+    actor.persister.flush()
+    dt = _time.perf_counter() - t0
+    actor.busy_s += dt
+    actor.split["persist_s"] += dt
 
 
 @ray.remote(num_cpus=1)
@@ -554,17 +557,19 @@ class FetchParseActor:
         self._attempted: set[str] = set()
         self.collisions = 0  # 64-bit hash collisions observed in probes
         self.busy_s = 0.0  # cumulative in-actor fetch_parse seconds (A8)
+        self.split = _busy_split()
         self.persister = _PersistBuffer()
 
     def ready(self) -> int:
         return self.table.num_rows
 
     def flush_persist(self) -> None:
-        self.persister.flush()
+        _timed_flush(self)
 
     def perf_stats(self) -> dict:
         return {
             "busy_s": self.busy_s,
+            **self.split,
             "collisions": self.collisions,
             "alerts_fired": self.alert_stage.fired_total if self.alert_stage else 0,
         }
@@ -585,8 +590,6 @@ class FetchParseActor:
         (target_url, target_host, depth) with min depth.  Shipping full
         pages driver-ward every round was the crawl's scaling ceiling.
         """
-        import time as _time
-
         _t0 = _time.perf_counter()
         urls = batch.column("url").to_pylist()
         depths = batch.column("depth").to_pylist()
@@ -662,6 +665,7 @@ class FetchParseActor:
         out = _parse_and_emit(
             urls, depths, status, tss, htmls, langs,
             persist_dir, shard_tag, collect_edges, self.frontier_shards, self.persister,
+            self.split,
             ai_stage=self.ai_stage,
             alert_stage=self.alert_stage,
         )
@@ -733,7 +737,7 @@ def _fetch_wave(
         if e is not None and e.num_rows:
             edges_out.append(e)
     if flush:
-        actor.persister.flush()
+        _timed_flush(actor)
     meta = (
         pa.concat_tables(metas)
         if metas
@@ -1397,6 +1401,9 @@ def _run_prepared(engine: CrawlEngine) -> CrawlResult:
     # to look at when pages/sec drops (round-3 verdict item 1)
     fetch_perf = ray.get([f.perf_stats.remote() for f in fetchers])
     counters["fetch_busy_s"] = round(sum(p["busy_s"] for p in fetch_perf), 3)
+    # busy_s by part: the rest is the fetch itself (replay lookup/HTTP)
+    for part in _busy_split():
+        counters[f"fetch_{part}"] = round(sum(p[part] for p in fetch_perf), 3)
     counters["hash_collisions"] = sum(p["collisions"] for p in fetch_perf)
     counters["alerts_fired"] = sum(p.get("alerts_fired", 0) for p in fetch_perf)
     shard_sizes = ray.get([s.sizes.remote() for s in shards])

@@ -117,21 +117,25 @@ class RealFetchActor:
         else:
             self.alert_stage = None
         self.pool = ThreadPoolExecutor(max_workers=max_parallel)
-        from .crawl import _PersistBuffer
+        from .crawl import _PersistBuffer, _busy_split
 
         self.persister = _PersistBuffer()
 
         self.busy_s = 0.0
+        self.split = _busy_split()
 
     def ready(self) -> int:
         return 1
 
     def flush_persist(self) -> None:
-        self.persister.flush()
+        from .crawl import _timed_flush
+
+        _timed_flush(self)
 
     def perf_stats(self) -> dict:
         return {
             "busy_s": self.busy_s,
+            **self.split,
             "collisions": 0,
             "alerts_fired": self.alert_stage.fired_total if self.alert_stage else 0,
         }
@@ -223,6 +227,7 @@ class RealFetchActor:
             collect_edges,
             self.frontier_shards,
             self.persister,
+            self.split,
             latencies=lats,
             ai_stage=self.ai_stage,
             alert_stage=self.alert_stage,

@@ -899,9 +899,13 @@ def dns_enrichment(sf_dir: str, doh_url: str | None = None) -> rd.Dataset:
             ).alias("host")
         ).to_arrow()
 
-    ds = _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        hosts, batch_format="pyarrow", zero_copy_batch=True
-    )
+    # a scan wave drops the blocks whose documents hold no host, so
+    # every block the actor pool gets, and so every output block, has
+    # rows and the stage's columns; a Ray Data map would pass a
+    # zero-row block through untouched, without the dns columns
+    ds = ops.scan(os.path.join(sf_dir, "documents.parquet"), ["doc_id"], hosts)
+    if ds.count() == 0:
+        return ops.map_blocks(ds, DnsEnrichStage(doh_url=doh_url))
     return ds.map_batches(
         DnsEnrichStage,
         fn_constructor_kwargs={"doh_url": doh_url},

@@ -15,7 +15,7 @@ import ray
 
 from ..functions import canonical as can
 from ..functions import htmlx
-from ..functions.quality import quality_metrics
+from ..functions.quality import quality_table
 
 
 def _html_to_str(col: pa.ChunkedArray | pa.Array) -> list[str]:
@@ -76,35 +76,14 @@ class ExtractLinksStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column(self.url_col).to_pylist()
-        htmls = _html_to_str(batch.column(self.html_col))
-        tss = (
-            batch.column(self.ts_col).to_pylist()
-            if self.ts_col and self.ts_col in batch.schema.names
-            else [None] * len(urls)
-        )
-        src, tgt, anchor, ltype, rels, ctx, ts_out = [], [], [], [], [], [], []
-        for url, html, ts in zip(urls, htmls, tss):
-            for link in htmlx.extract_links(url, html):
-                src.append(url)
-                tgt.append(link["target_url"])
-                anchor.append(link["anchor_text"])
-                ltype.append(link["link_type"])
-                rels.append(link["rel_attributes"])
-                ctx.append(link["context_text"])
-                ts_out.append(ts)
-        return pa.table(
-            {
-                "source_url": pa.array(src, pa.string()),
-                "target_url": pa.array(tgt, pa.string()),
-                "source_host": pa.array(can.host_of_batch(src), pa.string()),
-                "target_host": pa.array(can.host_of_batch(tgt), pa.string()),
-                "anchor_text": pa.array(anchor, pa.string()),
-                "link_type": pa.array(ltype, pa.string()),
-                "rel_attributes": pa.array(rels, pa.list_(pa.string())),
-                "context_text": pa.array(ctx, pa.string()),
-                "crawl_ts": pa.array(ts_out, pa.timestamp("us")),
-            }
-        )
+        parsed = htmlx.parse_batch(urls, _html_to_str(batch.column(self.html_col)))
+        if self.ts_col and self.ts_col in batch.schema.names:
+            ts = batch.column(self.ts_col)
+            if ts.type != pa.timestamp("us"):
+                ts = pa.array(ts.to_pylist(), pa.timestamp("us"))
+        else:
+            ts = pa.nulls(len(urls), pa.timestamp("us"))
+        return htmlx.edges_table(parsed, urls, ts)
 
 
 class SeoStage:
@@ -129,7 +108,7 @@ class SeoStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column(self.url_col).to_pylist()
         htmls = _html_to_str(batch.column(self.html_col))
-        metrics = [htmlx.parse_seo(u, h) for u, h in zip(urls, htmls)]
+        metrics = htmlx.parse_batch(urls, htmls, seo="full", edges=False).seo
         cols: dict = {"url": pa.array(urls, pa.string())}
         for f in self._INT_FIELDS:
             cols[f] = pa.array([m[f] for m in metrics], pa.int32())
@@ -150,13 +129,9 @@ class QualityStage:
         self.keep_cols = keep_cols
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_col).to_pylist()
-        metrics = [quality_metrics(t or "") for t in texts]
+        quality = quality_table(t or "" for t in batch.column(self.text_col).to_pylist())
         cols = {c: batch.column(c) for c in self.keep_cols if c in batch.schema.names}
-        cols["word_count"] = pa.array([m["word_count"] for m in metrics], pa.int32())
-        for f in ("readability_score", "spam_score", "duplicate_score", "quality_score"):
-            cols[f] = pa.array([m[f] for m in metrics], pa.float64())
-        cols["content_hash"] = pa.array([m["content_hash"] for m in metrics], pa.string())
+        cols.update(zip(quality.column_names, quality.columns))
         return pa.table(cols)
 
 

@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 import duckdb
+import pyarrow as pa
 import pytest
 
 from link_profiler_repo_ray.functions.dnsenrich import (
@@ -91,3 +92,30 @@ FROM hosts ORDER BY host
     assert mine.columns.tolist() == ["host", "dns_a", "dns_ns_count", "dns_mx"]
     for c in mine.columns:
         assert mine[c].tolist() == oracle[c].tolist(), c
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_dns_enrichment_blocks_all_carry_the_stage_columns():
+    """Every block of the result has the stage's columns, so its blocks
+    concatenate; an untyped zero-row block used to sit next to the
+    typed one.  Zero documents give one typed empty block."""
+    import ray
+
+    from link_profiler_repo_ray.pipelines.research import dns_enrichment
+
+    cols = ["host", "dns_a", "dns_ns_count", "dns_mx"]
+    blocks = ray.get(dns_enrichment(SF).materialize().to_arrow_refs())
+    assert blocks and all(b.schema.names == cols for b in blocks)
+    assert pa.concat_tables(blocks).num_rows == 10
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_dns_enrichment_zero_documents(tmp_path):
+    import pyarrow.parquet as pq
+
+    from link_profiler_repo_ray.pipelines.research import dns_enrichment
+
+    docs = pq.read_table(f"{SF}/documents.parquet").slice(0, 0)
+    pq.write_table(docs, tmp_path / "documents.parquet")
+    out = dns_enrichment(str(tmp_path)).materialize()
+    assert out.count() == 0 and out.schema().names == ["host", "dns_a", "dns_ns_count", "dns_mx"]

@@ -146,3 +146,89 @@ class TestLinkExtraction:
         )
         links = extract_links("https://a.com/", html)
         assert [l["target_url"] for l in links] == ["https://a.com/one"]
+
+
+# --- the batch kernel against the per-row references ------------------------
+
+import pyarrow as pa  # noqa: E402
+
+import parse_reference as ref  # noqa: E402
+
+from link_profiler_repo_ray.functions import quality  # noqa: E402
+from link_profiler_repo_ray.pipelines.crawl import _busy_split, _parse_and_emit  # noqa: E402
+
+
+def test_parse_batch_planted_pages_equal_references():
+    """Every planted href against every planted base, with the planted
+    texts: edges, full and score SEO and quality equal the per-row
+    references page by page."""
+    urls, htmls = [], []
+    for base in ref.PLANTED_BASES:
+        for k, text in enumerate(ref.PLANTED_TEXTS):
+            urls.append(base)
+            htmls.append(ref.page_html(ref.PLANTED_HREFS, text, canonical=ref.PLANTED_HREFS[k]))
+    urls += ["https://h.example.com/", "https://h.example.com/x"]
+    htmls += ["", "<a href='/only'>only</a><link rel=canonical href='mailto:x'><link rel=canonical href=/late>"]
+    ref.assert_batch_equals_reference(urls, htmls)
+    ref.assert_batch_equals_reference(urls[:1], htmls[:1], ref.PLANTED_TEXTS)
+
+
+def test_parse_batch_single_href_pages():
+    """One page per planted href, so a failing href names itself."""
+    for base in ref.PLANTED_BASES[:3]:
+        for href in ref.PLANTED_HREFS:
+            ref.assert_batch_equals_reference([base], [ref.page_html([href], canonical=href)])
+
+
+def test_quality_table_zero_rows_and_planted_texts():
+    empty = quality.quality_table([])
+    assert empty.num_rows == 0
+    assert empty.schema.names == [
+        "word_count", "readability_score", "spam_score", "duplicate_score", "quality_score", "content_hash"
+    ]
+    texts = list(ref.PLANTED_TEXTS) + ["word " * 250 + "end.", "x. " * 1200]
+    assert quality.quality_table(texts).to_pylist() == [ref.quality_metrics(t) for t in texts]
+
+
+class _Capture:
+    """A persist buffer that keeps what it is given."""
+
+    def __init__(self):
+        self.pages, self.edges = [], []
+
+    def add(self, persist_dir, tag, pages, edges, alerts=None):
+        self.pages.append(pages)
+        self.edges.append(edges)
+
+
+def test_crawl_tables_equal_per_page_references():
+    """The fetch actors' pages and edges tables equal the per-page
+    build: 200 pages, a 404 and a 503 (null SEO, the empty text's
+    quality, no edges), a 200 without html and a page of planted hrefs."""
+    from datetime import datetime
+
+    urls = [f"https://h{k}.example.com/doc/{k}" for k in range(7)]
+    htmls = [
+        ref.page_html(ref.PLANTED_HREFS, ref.PLANTED_TEXTS[3], canonical="/c").encode(),
+        None,
+        None,
+        None,
+        ref.page_html(["/a", "https://x.example.org/"], ref.PLANTED_TEXTS[4]).encode(),
+        b"",
+        "<p>caf\xe9</p><a href='../up'>up</a>".encode("latin-1"),
+    ]
+    status = [200, 404, 503, 200, 200, 200, 200]
+    tss = [datetime(2024, 3, k + 1) if s == 200 else None for k, s in enumerate(status)]
+    depths = [0, 1, 2, 3, 4, 5, 6]
+    langs = ["en", None, None, None, "de", "en", "fr"]
+    persister, split = _Capture(), _busy_split()
+    meta, cand, edges, refs = _parse_and_emit(
+        urls, depths, status, tss, htmls, langs, "unused", "0", True, [], persister, split
+    )
+    pages, want_edges, want_depths = ref.crawl_tables(urls, depths, status, tss, htmls, langs)
+    assert persister.pages[0].equals(pages)
+    assert edges.equals(want_edges) and persister.edges[0].equals(want_edges)
+    assert cand.column("depth").to_pylist() == want_depths
+    assert cand.column("host").to_pylist() == want_edges.column("target_host").to_pylist()
+    assert meta.column("status").to_pylist() == status and refs == []
+    assert all(v >= 0 for v in split.values()) and split["parse_s"] > 0

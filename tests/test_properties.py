@@ -178,3 +178,44 @@ def test_bpe_split_reconstructs_word(w, merges):
     # segmentation is lossless: concatenating subwords restores word + EOW
     assert "".join(syms) == w + "</w>"
     assert all(s for s in syms)
+
+
+# --- the batch parse kernel against the per-row references -----------------
+
+import parse_reference as ref  # noqa: E402
+
+# href pieces: planted hrefs, and scheme/path fragments glued to random
+# text (quotes, tags, escapes, tabs, non-ASCII and the case-fold letters
+# U+017F and U+212A included)
+_href_char = st.sampled_from(list("aZ09./:?#&=%;@_-~ \t\n<>'\"ſKäİ") + ["%41", "..", "//"])
+_href_tail = st.lists(_href_char, max_size=12).map("".join)
+_href = st.one_of(
+    st.sampled_from(ref.PLANTED_HREFS),
+    st.builds(
+        lambda head, tail: head + tail,
+        st.sampled_from(["https://", "HTTP://h.example.com", "//", "/", "../", "mailto:", "ftp://", ""]),
+        _href_tail,
+    ),
+)
+_page = st.tuples(
+    st.sampled_from(ref.PLANTED_BASES),
+    st.lists(_href, max_size=6),
+    st.one_of(st.sampled_from(ref.PLANTED_TEXTS), st.text(max_size=120)),
+    st.one_of(st.none(), _href),
+)
+
+
+@given(pages=st.lists(_page, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_parse_batch_equals_per_page_references(pages):
+    urls = [base for base, _, _, _ in pages]
+    htmls = [ref.page_html(hrefs, text, canonical=canon) for _, hrefs, text, canon in pages]
+    ref.assert_batch_equals_reference(urls, htmls)
+
+
+@given(texts=st.lists(st.one_of(st.text(max_size=200), _doc, st.sampled_from(ref.PLANTED_TEXTS)), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_quality_table_equals_per_text_reference(texts):
+    from link_profiler_repo_ray.functions.quality import quality_table
+
+    assert quality_table(texts).to_pylist() == [ref.quality_metrics(t) for t in texts]

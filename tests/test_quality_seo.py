@@ -1,15 +1,32 @@
-"""M6 quality metrics, M7 bot detection, M4/M8 SEO parse + score."""
+"""M6 quality metrics, M7 bot detection, M4/M8 SEO parse + score.
+
+The quality fields come from the batch kernel ``quality_table`` on a
+one-text batch; each is also held to the per-row reference."""
 
 import math
 
+import parse_reference as ref
+
 from link_profiler_repo_ray.functions.htmlx import parse_seo, seo_score
-from link_profiler_repo_ray.functions.quality import (
-    bot_indicators,
-    duplicate_score,
-    quality_metrics,
-    readability,
-    spam_score,
-)
+from link_profiler_repo_ray.functions.quality import bot_indicators, quality_table
+
+
+def quality_metrics(text: str) -> dict:
+    row = quality_table([text]).to_pylist()[0]
+    assert row == ref.quality_metrics(text)
+    return row
+
+
+def readability(text: str) -> float:
+    return quality_metrics(text)["readability_score"]
+
+
+def spam_score(text: str) -> float:
+    return quality_metrics(text)["spam_score"]
+
+
+def duplicate_score(text: str) -> float:
+    return quality_metrics(text)["duplicate_score"]
 
 
 class TestQuality:

@@ -123,3 +123,16 @@ def test_stats_jsonl_survives_resume_without_duplicates(tmp_path):
     # the merged stream still reconstructs the full-run totals
     full = run_crawl(SF, CrawlConfig(num_seen_shards=2, num_fetchers=2))
     assert sum(r["pages_fetched"] for r in rows) == full.counters["pages_fetched"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_fetch_busy_split_within_busy_time(tmp_path):
+    """The fetch actors' busy time splits into parse, persistence and
+    candidate staging; the three parts add up to no more than the busy
+    time (up to the counters' rounding to 1 ms), the rest being the fetch."""
+    cfg = CrawlConfig(num_seen_shards=2, num_fetchers=2, checkpoint_dir=str(tmp_path / "ck"))
+    c = run_crawl(SF, cfg).counters
+    parts = [c["fetch_parse_s"], c["fetch_persist_s"], c["fetch_stage_s"]]
+    assert all(p >= 0 for p in parts)
+    assert c["fetch_parse_s"] > 0 and c["fetch_persist_s"] > 0
+    assert sum(parts) <= c["fetch_busy_s"] + 0.002
