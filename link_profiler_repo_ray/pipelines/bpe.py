@@ -14,24 +14,29 @@ Scale shape:
   token-keyed exchange collapses the 100-TB corpus to a vocab-scale
   histogram (Zipf: ~10⁶ distinct words for web text), and every merge
   round after that touches only the histogram.
-- **each merge round** = one vectorized pair-count pass over the
-  histogram (map_batches partials → ``hash_aggregate`` keyed pair →
-  ``block_topk`` for the argmax) + a driver-side broadcast of ONE
-  winning pair.  k merges = k small bounded exchanges; pair tables
-  are vocab-scale, never corpus-scale.
+- **each merge round** = waves of plain Ray tasks, no Ray Data
+  execution: a map wave (``ops.map_blocks``) applies the previous
+  round's winning merge to the histogram's blocks; one exchange
+  (``ops._exchange``) counts the symbol pairs per route chunk, sums
+  them per hash partition and keeps each partition's top pair; the
+  driver picks the winner from at most P rows.  k merges = k small
+  bounded exchanges; pair tables are vocab-scale, never corpus-scale.
 - **ties break deterministically** (count desc, then lexicographic
   (left, right) asc) so the distributed argmax equals the sequential
   oracle's bit-for-bit — the pytest oracle re-learns the merge list
   with an independent pure-Python implementation.
-- **apply** is embarrassingly parallel: the merge table broadcasts
-  once via ``ray.put``; each actor memoizes word → subword splits
-  (Zipf again: the cache hit-rate makes per-word merge application
-  amortize to a dict lookup).
+- **one merge step** (:func:`_merge`): training applies each winner
+  with it and the segmenter :func:`bpe_split_word` replays the merge
+  list with it.
+- **apply** is embarrassingly parallel: the trainer's merge list
+  broadcasts once via ``ray.put``; each scan task memoizes word →
+  subword splits (Zipf again: the cache hit-rate makes per-word merge
+  application amortize to a dict lookup).
 
-The histogram materializes on the driver-coordinated loop ONLY as a
-Dataset (never collected); the one driver scalar per round is the
-winning pair.  Iterative + stateful ⇒ pytest-oracled (no SQL oracle),
-same class as PageRank/HyperBall.
+The histogram lives only as the blocks of a materialized Dataset
+(never collected); the one driver scalar per round is the winning
+pair.  Iterative + stateful ⇒ pytest-oracled (no SQL oracle), same
+class as PageRank/HyperBall.
 """
 
 from __future__ import annotations
@@ -43,14 +48,31 @@ import ray.data as rd
 
 from .. import ops
 from ..functions import tokens
-from ..ops import hash_aggregate, hash_group_apply
+from ..ops import hash_group_apply
 from .textdata import _token_totals, scan_documents
 
-__all__ = ["bpe_train", "bpe_apply_counts", "bpe_learn_merges", "bpe_split_word", "bpe_sequence_packing"]
+__all__ = ["bpe_train", "bpe_apply_counts", "bpe_split_word", "bpe_sequence_packing"]
 
 # end-of-word marker (the standard '</w>' sentinel keeps merges from
 # crossing word boundaries)
 _EOW = "</w>"
+
+# the oracle's pair order: count desc, then (left, right) asc
+_BEST = {"by": ["cnt", "a", "b"], "descending": [True, False, False]}
+
+
+def _merge(syms: list[str], a: str, b: str) -> list[str]:
+    """One merge step: left to right, each ``a`` directly followed by
+    ``b`` becomes ``a + b`` (matches never overlap)."""
+    out, i = [], 0
+    while i < len(syms):
+        if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b:
+            out.append(a + b)
+            i += 2
+        else:
+            out.append(syms[i])
+            i += 1
+    return out
 
 
 def bpe_split_word(w: str, merges: list[tuple[str, str]]) -> list[str]:
@@ -58,48 +80,70 @@ def bpe_split_word(w: str, merges: list[tuple[str, str]]) -> list[str]:
     merge in rank order (the standard greedy BPE segmenter)."""
     syms = list(w) + [_EOW]
     for a, b in merges:
-        i = 0
-        merged = []
-        while i < len(syms):
-            if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b:
-                merged.append(a + b)
-                i += 2
-            else:
-                merged.append(syms[i])
-                i += 1
-        syms = merged
+        syms = _merge(syms, a, b)
     return syms
 
 
-def bpe_learn_merges(hist: list[tuple[str, int]], k: int) -> list[tuple[str, str, int]]:
-    """Pure-python sequential BPE on a (word, count) histogram — the
-    oracle the distributed trainer must match exactly."""
-    splits = {w: list(w) + [_EOW] for w, _ in hist}
+def _split_words(batch: pa.Table) -> pa.Table:
+    """Map wave of the first round: the ``(w, c)`` histogram (empty word
+    dropped) as ``(syms, n)``, each word split into chars + EOW."""
+    df = pl.from_arrow(batch).filter(pl.col("w") != "")
+    syms = [list(w) + [_EOW] for w in df["w"]]
+    return pa.table({"syms": pa.array(syms, pa.list_(pa.string())), "n": df["c"].to_arrow()})
+
+
+def _apply_merge(batch: pa.Table, a: str, b: str) -> pa.Table:
+    """Map wave of a later round: the previous winner merged into every
+    word's symbols."""
+    syms = [_merge(s, a, b) for s in batch.column("syms").to_pylist()]
+    return batch.set_column(0, "syms", pa.array(syms, pa.list_(pa.string())))
+
+
+def _pair_counts(df: pl.DataFrame) -> pl.DataFrame:
+    """Route-chunk combine: every neighbour symbol pair ``(a, b)`` with
+    ``cnt``, the summed counts of the words it occurs in."""
+    return (
+        df.select(
+            pl.col("syms").list.slice(0, pl.col("syms").list.len() - 1).alias("a"),
+            pl.col("syms").list.slice(1).alias("b"),
+            "n",
+        )
+        .explode("a", "b")
+        .drop_nulls()
+        .group_by("a", "b")
+        .agg(pl.col("n").sum().alias("cnt"))
+    )
+
+
+def _top_pair(df: pl.DataFrame) -> pl.DataFrame:
+    """Merge wave (one partition): its pair counts summed, then its best
+    pair in the oracle's order."""
+    return df.group_by("a", "b").agg(pl.col("cnt").sum()).sort(**_BEST).head(1)
+
+
+def _learn(sf_dir: str, k: int) -> list[tuple[str, str, int]]:
+    """The merge loop behind every query here: up to ``k`` merges
+    ``(left, right, pair_count)`` in learning order.  The word histogram
+    (``_token_totals``) split into symbols is the state, a materialized
+    Dataset of ``(syms, n)`` rows; a round is a map wave, one pair
+    exchange and a pick on the driver from at most P rows.  Learning
+    stops when no pair occurs at least twice."""
     merges: list[tuple[str, str, int]] = []
-    for _ in range(k):
-        pairs: dict[tuple[str, str], int] = {}
-        for w, n in hist:
-            syms = splits[w]
-            for a, b in zip(syms, syms[1:]):
-                pairs[(a, b)] = pairs.get((a, b), 0) + n
-        if not pairs:
+    for rnd in range(k):
+        if rnd == 0:
+            state = ops.map_blocks(_token_totals(sf_dir), _split_words)
+        else:
+            a, b, _ = merges[-1]
+            state = ops.map_blocks(state, lambda t, a=a, b=b: _apply_merge(t, a, b))
+        tops = ops.collect_table(ops._exchange(
+            [(state, ["a", "b"], _pair_counts, None)], _top_pair, None, ops.DEFAULT_EXCHANGE_BATCH
+        ))
+        if tops.num_rows == 0:
             break
-        (a, b), cnt = min(pairs.items(), key=lambda kv: (-kv[1], kv[0]))
+        a, b, cnt = pl.from_arrow(tops).sort(**_BEST).row(0)
         if cnt < 2:
             break
         merges.append((a, b, cnt))
-        for w in splits:
-            syms = splits[w]
-            i = 0
-            out = []
-            while i < len(syms):
-                if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b:
-                    out.append(a + b)
-                    i += 2
-                else:
-                    out.append(syms[i])
-                    i += 1
-            splits[w] = out
     return merges
 
 
@@ -109,89 +153,7 @@ def bpe_train(sf_dir: str, k: int = 24) -> rd.Dataset:
     Output: one row per learned merge —
     ``(rank, left, right, pair_count)`` in learning order.
     """
-    # the word histogram (the corpus (w, c) aggregate, empty word
-    # dropped) split into current symbols is the iterative state: a
-    # Dataset of (syms: list<str>, n) rows, histogram-scale (bounded by
-    # the vocabulary)
-    def init_splits(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).filter(pl.col("w") != "")
-        return df.select(
-            pl.col("w")
-            .map_elements(lambda w: list(w) + [_EOW], return_dtype=pl.List(pl.Utf8))
-            .alias("syms"),
-            pl.col("c").alias("n"),
-        ).to_arrow()
-
-    state = ops.map_blocks(_token_totals(sf_dir), init_splits)
-
-    merges: list[tuple[str, str, int]] = []
-    for rank in range(k):
-        def pair_partials(batch: pa.Table) -> pa.Table:
-            df = pl.from_arrow(batch)
-            return (
-                df.with_columns(
-                    pl.col("syms").list.slice(0, pl.col("syms").list.len() - 1).alias("a"),
-                    pl.col("syms").list.slice(1).alias("b"),
-                )
-                .explode("a", "b")
-                .drop_nulls()
-                .group_by("a", "b")
-                .agg(pl.col("n").sum().alias("cnt"))
-                .to_arrow()
-            )
-
-        pair_counts = hash_aggregate(
-            state.map_batches(pair_partials, batch_format="pyarrow", zero_copy_batch=True),
-            ["a", "b"],
-            combine=[pl.col("cnt").sum().alias("cnt")],
-            merge=[pl.col("cnt").sum()],
-        )
-
-        # distributed argmax with the oracle's exact tie order:
-        # block-local top-1 partials, tiny driver-side final pick
-        def block_top(batch: pa.Table) -> pa.Table:
-            df = pl.from_arrow(batch)
-            return df.sort(["cnt", "a", "b"], descending=[True, False, False]).head(1).to_arrow()
-
-        tops = ops.collect_table(
-            pair_counts.map_batches(block_top, batch_format="pyarrow", zero_copy_batch=True)
-        )  # <= one row per block — bounded by design
-        if tops.num_rows == 0:
-            break
-        best = (
-            pl.from_arrow(tops)
-            .sort(["cnt", "a", "b"], descending=[True, False, False])
-            .head(1)
-        )
-        a, b, cnt = best["a"][0], best["b"][0], int(best["cnt"][0])
-        if cnt < 2:
-            break
-        merges.append((a, b, cnt))
-
-        # broadcast the ONE winning pair; vectorized merge application
-        def apply_merge(batch: pa.Table, a=a, b=b) -> pa.Table:
-            df = pl.from_arrow(batch)
-
-            def merge_syms(syms: list[str]) -> list[str]:
-                i = 0
-                out = []
-                while i < len(syms):
-                    if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b:
-                        out.append(a + b)
-                        i += 2
-                    else:
-                        out.append(syms[i])
-                        i += 1
-                return out
-
-            return df.with_columns(
-                pl.col("syms").map_elements(merge_syms, return_dtype=pl.List(pl.Utf8))
-            ).to_arrow()
-
-        state = state.map_batches(
-            apply_merge, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
-
+    merges = _learn(sf_dir, k)
     return rd.from_arrow(
         pa.table(
             {
@@ -202,19 +164,6 @@ def bpe_train(sf_dir: str, k: int = 24) -> rd.Dataset:
             }
         )
     )
-
-
-def _load_merges_ref(sf_dir: str, k: int):
-    """Train k merges and broadcast the merge list once (shared by
-    bpe_apply_counts and bpe_sequence_packing)."""
-    merges_tbl = bpe_train(sf_dir, k).to_pandas()
-    # a 0-row Dataset can surface schema-less in pandas (k=0 / early stop)
-    merges = (
-        list(zip(merges_tbl["left"], merges_tbl["right"]))
-        if "left" in merges_tbl.columns
-        else []
-    )
-    return ray.put(merges)
 
 
 def _subword_counts(word_lists, merges) -> list[int]:
@@ -240,7 +189,7 @@ def bpe_apply_counts(sf_dir: str, k: int = 24) -> rd.Dataset:
     Output: (doc_id, n_subwords, n_words) — the packing/budgeting
     input.  The merge table broadcasts once via ``ray.put``; each task
     memoizes word → split (Zipf hit-rate)."""
-    ref = _load_merges_ref(sf_dir, k)
+    ref = ray.put([(a, b) for a, b, _ in _learn(sf_dir, k)])
 
     def run(batch: pa.Table) -> pa.Table:
         ms = ray.get(ref)
@@ -264,7 +213,7 @@ def bpe_sequence_packing(sf_dir: str, k: int = 24, budget: int = 512) -> rd.Data
     train-tokenizer → tokenize → pack loop the way ``encode_corpus``
     closed chunk → encode → index.
 
-    ``bpe_train``'s merge list broadcasts once via ``ray.put``; one
+    The trainer's merge list broadcasts once via ``ray.put``; one
     pruned documents pass tokenizes per doc (memoized word → split,
     Zipf hit-rate) emitting only ``(doc_id, source, n_tokens)`` — no
     text crosses the exchange — and the greedy first-fit pack runs
@@ -275,7 +224,7 @@ def bpe_sequence_packing(sf_dir: str, k: int = 24, budget: int = 512) -> rd.Data
     """
     from .textdata import greedy_pack_partition
 
-    ref = _load_merges_ref(sf_dir, k)
+    ref = ray.put([(a, b) for a, b, _ in _learn(sf_dir, k)])
 
     def count(batch: pa.Table) -> pa.Table:
         ms = ray.get(ref)

@@ -30,10 +30,11 @@ import os
 
 import polars as pl
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 from .. import ops
-from ..ops import hash_group_apply, tagged_union_join
+from ..ops import tagged_union_join
 
 __all__ = ["snapshot_diff", "redirect_chains", "profiles_incremental"]
 
@@ -144,6 +145,20 @@ def _is_redirect(col: pl.Expr) -> pl.Expr:
     return (col % 3 != 0) & (col > 0)
 
 
+def _advance(joined: pa.Table):
+    """Doubling wave (one block of the mapping joined with itself on
+    ``final_id`` = ``doc_id``): m_{k+1}(d) = m_k(m_k(d)) with the hops
+    added, and the number of rows whose cursor still redirects (its own
+    mapping moves it, ``hops_right`` > 0)."""
+    df = pl.from_arrow(joined)
+    out = df.select(
+        "doc_id",
+        pl.col("final_id_right").alias("final_id"),
+        (pl.col("hops") + pl.col("hops_right")).alias("hops"),
+    )
+    return (*ops._with_meta(out.to_arrow()), int((df["hops_right"] > 0).sum()))
+
+
 def redirect_chains(sf_dir: str, max_iters: int = 40) -> rd.Dataset:
     """(doc_id, final_id, hops): final destination of every doc's
     redirect chain.
@@ -151,81 +166,36 @@ def redirect_chains(sf_dir: str, max_iters: int = 40) -> rd.Dataset:
     The redirect TABLE is synthesized closed-form (see ``_step``) so a
     DuckDB recursive CTE can recompute the expected fixpoint, but the
     resolution itself is generic pointer doubling over that table:
-    mapping m0(d) = one hop (or d itself if terminal); each iteration
-    self-joins m through one partitioned exchange to form
-    m_{k+1}(d) = m_k(m_k(d)) with hops added, doubling the resolved
-    distance per round.  Convergence = no row's cursor is still a
-    redirecting node (cheap vectorized aggregate per round); loud
-    failure on non-convergence, like the min-label components program
-    (``graph.min_label_components``).  Pointer doubling is not an
-    edge-push program, so it stays on Dataset exchanges, not
-    ``ops.superstep``.
+    mapping m0(d) = one hop (or d itself if terminal), one ``ops.scan``
+    wave; each round joins m with itself through one
+    ``tagged_union_join`` (``final_id`` against ``doc_id``) and one wave
+    of plain Ray tasks forms m_{k+1}(d) = m_k(m_k(d)) with hops added,
+    doubling the resolved distance per round, and counts the rows of
+    m_k whose cursor still redirects.  Convergence = that count is 0;
+    loud failure on non-convergence, like the min-label components
+    program (``graph.min_label_components``).  Pointer doubling is a
+    self-join of the mapping, not an edge-push program, so it runs on
+    exchanges, not ``ops.superstep``; no round starts a Ray Data
+    execution.
     """
     def init_map(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
         red = _is_redirect(pl.col("doc_id"))
         return df.select(
             "doc_id",
-            pl.when(red).then(_step(pl.col("doc_id"))).otherwise(pl.col("doc_id")).alias("cur"),
-            pl.when(red).then(pl.lit(1, dtype=pl.Int64)).otherwise(pl.lit(0, dtype=pl.Int64)).alias("hops"),
+            pl.when(red).then(_step(pl.col("doc_id"))).otherwise(pl.col("doc_id")).alias("final_id"),
+            red.cast(pl.Int64).alias("hops"),
         ).to_arrow()
 
-    mapping = (
-        _documents(sf_dir, ["doc_id"])
-        .map_batches(init_map, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
-    )
-    m_schema = pa.schema([("doc_id", pa.int64()), ("cur", pa.int64()), ("hops", pa.int64())])
-
+    mapping = ops.scan(os.path.join(sf_dir, "documents.parquet"), ["doc_id"], init_map)
     for _ in range(max_iters):
-        # any row still parked on a redirecting node? (tiny aggregate)
-        def live(batch: pa.Table) -> pa.Table:
-            df = pl.from_arrow(batch)
-            return df.select(
-                _is_redirect(pl.col("cur")).cast(pl.Int64).sum().alias("n")
-            ).to_arrow()
-
-        remaining = mapping.map_batches(
-            live, batch_format="pyarrow", zero_copy_batch=True
-        ).sum("n")
-        if not remaining:
-            break
-
-        # m_{k+1}(d) = m_k(m_k(d)): probe side keyed on cur, lookup side
-        # keyed on doc_id — one partitioned exchange per doubling round
-        lookup = mapping.map_batches(
-            lambda b: pl.from_arrow(b)
-            .rename({"doc_id": "at", "cur": "nxt", "hops": "nxt_hops"})
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        l_schema = pa.schema([("at", pa.int64()), ("nxt", pa.int64()), ("nxt_hops", pa.int64())])
-        joined = tagged_union_join(
-            mapping, lookup, "cur", "at",
-            left_schema=m_schema, right_schema=l_schema,
-        )
-
-        def advance(batch: pa.Table) -> pa.Table:
-            df = pl.from_arrow(batch)
-            return df.select(
-                "doc_id",
-                pl.col("nxt").alias("cur"),
-                (pl.col("hops") + pl.col("nxt_hops")).alias("hops"),
-            ).to_arrow()
-
-        mapping = joined.map_batches(
-            advance, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
-    else:
-        raise RuntimeError(
-            f"redirect_chains: chains unresolved after {max_iters} doubling rounds"
-        )
-
-    return mapping.map_batches(
-        lambda b: pl.from_arrow(b).rename({"cur": "final_id"}).to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+        _, refs, _ = ops._blocks(tagged_union_join(mapping, mapping, "final_id", "doc_id"))
+        out = ops._wave(_advance, [(r,) for r in refs], 3)
+        if not sum(ray.get([o[2] for o in out])):
+            return mapping
+        mapping = ops._dataset([o[:2] for o in out])
+    raise RuntimeError(
+        f"redirect_chains: chains unresolved after {max_iters} doubling rounds"
     )
 
 
@@ -250,18 +220,18 @@ def profiles_incremental(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     Delta model: the snapshot_diff recrawl drops docs with
     ``doc_id % 41 == 6``; their out-edges enter the delta stream with
     sign −1.  Plan: one pair-keyed exchange builds the stored index,
-    the (tiny) delta aggregates through the same exchange shape, the
-    union re-merges per pair, dead pairs (n = 0) drop, and one
-    target-keyed exchange rolls up profiles.  Equality with a full
-    recompute over the surviving docs is pytest-pinned; the SQL
-    oracle recomputes profiles over edges whose source doc survives.
+    the (tiny) delta aggregates through the same exchange shape, and
+    one target-keyed exchange of both (a target's pairs all land in its
+    partition) re-merges each pair, drops dead pairs (n = 0) and rolls
+    up profiles.  Equality with a full recompute over the surviving
+    docs is pytest-pinned; the SQL oracle recomputes profiles over
+    edges whose source doc survives.
     """
     from .graph import edges_dataset
     from ..ops import hash_aggregate
 
-    edges = edges_dataset(sf_dir, multiplier).select_columns(
-        ["source_url", "target_url", "source_host", "link_type"]
-    ).materialize()
+    edges = edges_dataset(sf_dir, multiplier)
+    pair = ["target_url", "source_host"]
 
     def pair_combine(sign: int):
         return [
@@ -280,9 +250,7 @@ def profiles_incremental(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     ]
 
     # stored state: the full pair index of snapshot A
-    pairs_state = hash_aggregate(
-        edges, ["target_url", "source_host"], combine=pair_combine(+1), merge=_MERGE
-    )
+    pairs_state = hash_aggregate(edges, pair, combine=pair_combine(+1), merge=_MERGE)
 
     # delta stream: out-edges of the docs the recrawl removed, sign -1
     def removed_only(batch: pa.Table) -> pa.Table:
@@ -291,28 +259,25 @@ def profiles_incremental(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
         return df.filter(d % 41 == 6).to_arrow()
 
     pairs_delta = hash_aggregate(
-        edges.map_batches(removed_only, batch_format="pyarrow", zero_copy_batch=True),
-        ["target_url", "source_host"],
-        combine=pair_combine(-1),
-        merge=_MERGE,
+        ops.map_blocks(edges, removed_only), pair, combine=pair_combine(-1), merge=_MERGE
     )
 
-    merged = hash_aggregate(
-        pairs_state.union(pairs_delta),
-        ["target_url", "source_host"],
-        combine=_MERGE,
-        merge=_MERGE,
-    ).map_batches(
-        lambda b: pl.from_arrow(b).filter(pl.col("n") > 0).to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-    def profile(df: pl.DataFrame) -> pl.DataFrame:
-        return df.group_by("target_url").agg(
+    def profile(state: pl.DataFrame, delta: pl.DataFrame) -> pl.DataFrame:
+        merged = (
+            pl.concat([state, delta], how="vertical_relaxed")
+            .group_by(pair)
+            .agg(_MERGE)
+            .filter(pl.col("n") > 0)
+        )
+        return merged.group_by("target_url").agg(
             pl.col("n").sum().alias("total_backlinks"),
             pl.len().cast(pl.Int64).alias("unique_referring_domains"),
             *[pl.col(f"{t}_backlinks").sum() for t in _LINK_TYPES],
         )
 
-    return hash_group_apply(merged, ["target_url"], profile)
+    return ops._exchange(
+        [(pairs_state, ["target_url"], None, None), (pairs_delta, ["target_url"], None, None)],
+        profile,
+        None,
+        ops.DEFAULT_EXCHANGE_BATCH,
+    )

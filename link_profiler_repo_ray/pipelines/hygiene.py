@@ -21,6 +21,7 @@ import polars as pl
 import pyarrow as pa
 import ray.data as rd
 
+from .. import ops
 from ..ops import hash_aggregate, hash_group_apply, tagged_union_join
 
 __all__ = [
@@ -130,9 +131,7 @@ def host_spam_scores(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     """
     from .graph import edges_dataset
 
-    edges = edges_dataset(sf_dir, multiplier).select_columns(
-        ["source_host", "target_host", "anchor_text"]
-    ).materialize()
+    edges = edges_dataset(sf_dir, multiplier)
 
     outdeg = hash_aggregate(
         edges,
@@ -147,33 +146,21 @@ def host_spam_scores(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
         merge=[pl.col("indeg").sum()],
     )
     anchors = hash_group_apply(
-        edges.map_batches(
-            lambda b: pl.from_arrow(b).select("source_host", "anchor_text").to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
+        edges,
         ["source_host"],
         lambda df: df.group_by("source_host").agg(
             pl.col("anchor_text").n_unique().cast(pl.Int64).alias("distinct_anchors")
         ),
-        pre=lambda df: df.unique(subset=["source_host", "anchor_text"]),
+        pre=lambda df: df.select("source_host", "anchor_text").unique(),
     )
 
     out_side = tagged_union_join(
         outdeg,
-        anchors.map_batches(
-            lambda b: pl.from_arrow(b).rename({"source_host": "ahost"}).to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
+        anchors,
         "source_host",
-        "ahost",
+        "source_host",
         left_schema=pa.schema([("source_host", pa.string()), ("outdeg", pa.int64())]),
-        right_schema=pa.schema([("ahost", pa.string()), ("distinct_anchors", pa.int64())]),
-    ).map_batches(
-        lambda b: pl.from_arrow(b).select("source_host", "outdeg", "distinct_anchors").to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+        right_schema=pa.schema([("source_host", pa.string()), ("distinct_anchors", pa.int64())]),
     )
 
     joined = tagged_union_join(
@@ -203,7 +190,7 @@ def host_spam_scores(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             (spam >= 2000).alias("is_spam"),
         ).to_arrow()
 
-    return joined.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(joined, score)
 
 
 # --- RefinedWeb-style URL curation filter ---------------------------------
@@ -428,11 +415,11 @@ def anchor_fuzzy_pairs(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     from .graph import edges_dataset
 
     anchors = hash_aggregate(
-        edges_dataset(sf_dir, multiplier).select_columns(["anchor_text"]),
+        edges_dataset(sf_dir, multiplier),
         ["anchor_text"],
         combine=[pl.len().alias("c")],
         merge=[pl.col("c").sum()],
-    ).select_columns(["anchor_text"])
+    )
 
     def deletion_keys(batch: pa.Table) -> pa.Table:
         keys, strs = [], []
@@ -444,9 +431,7 @@ def anchor_fuzzy_pairs(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
                 strs.append(s)
         return pa.table({"k": pa.array(keys, pa.string()), "s": pa.array(strs, pa.string())})
 
-    blocked = anchors.map_batches(
-        deletion_keys, batch_format="pyarrow", zero_copy_batch=True
-    )
+    blocked = ops.map_blocks(anchors, deletion_keys)
 
     def pairs_in_block(df: pl.DataFrame) -> pl.DataFrame:
         df = df.unique()
@@ -469,10 +454,9 @@ def anchor_fuzzy_pairs(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
         combine=[pl.len().alias("c")],
         merge=[pl.col("c").sum()],
     )
-    return deduped.map_batches(
+    return ops.map_blocks(
+        deduped,
         lambda b: pl.from_arrow(b)
         .select("a", "b", pl.lit(1, dtype=pl.Int64).alias("dist"))
         .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )

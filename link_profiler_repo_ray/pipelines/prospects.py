@@ -84,7 +84,7 @@ def link_prospects(
 
     # --- strategy 1: ONE exchange keyed by source_host --------------
     host_flags = hash_aggregate(
-        edges.select_columns(["source_host", "target_host"]),
+        edges,
         ["source_host"],
         combine=[
             pl.col("target_host").is_in(comps).any().alias("links_comp"),

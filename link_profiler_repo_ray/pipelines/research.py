@@ -84,9 +84,7 @@ def domain_value_scores(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
 
     (domain_analyzer_service.py:25-159's shape: thresholded bonuses on
     inbound counts / referrer diversity / dofollow share)."""
-    edges = graph.edges_dataset(sf_dir, multiplier).select_columns(
-        ["target_host", "source_host", "link_type"]
-    )
+    edges = graph.edges_dataset(sf_dir, multiplier)
 
     # one exchange keyed target_host: per-batch (target, source) partials,
     # partition-side pair dedup + per-target rollup
@@ -121,7 +119,7 @@ def domain_value_scores(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             (s >= 50).alias("valuable"),
         ).to_arrow()
 
-    return per_host.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(per_host, score)
 
 
 def crawl_tier_assignment(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
@@ -264,10 +262,6 @@ def link_health_audit(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     """
     from . import graph
 
-    edges = graph.edges_dataset(sf_dir, multiplier).select_columns(
-        ["source_url", "target_url", "link_type"]
-    )
-
     def audit(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
         df = df.filter(~pl.col("link_type").is_in(["canonical", "redirect"]))
@@ -285,7 +279,7 @@ def link_health_audit(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             .to_arrow()
         )
 
-    return edges.map_batches(audit, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(graph.edges_dataset(sf_dir, multiplier), audit)
 
 
 # --- J4: anti-join ---------------------------------------------------------
@@ -485,17 +479,13 @@ def enriched_edges(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
 
     def enrich(batch: pa.Table) -> pa.Table:
         dim_l = pl.from_arrow(ray.get(ref))
-        df = pl.from_arrow(batch)
+        df = pl.from_arrow(batch).select("source_url", "target_url", "source_host", "link_type")
         out = df.join(dim_l, on="source_host", how="left")
         return out.filter(
             (pl.col("source_spam") <= 70) & (pl.col("source_authority") >= 5)
         ).to_arrow()
 
-    return (
-        graph.edges_dataset(sf_dir, multiplier)
-        .select_columns(["source_url", "target_url", "source_host", "link_type"])
-        .map_batches(enrich, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return ops.map_blocks(graph.edges_dataset(sf_dir, multiplier), enrich)
 
 
 # the six distinct enrichment feeds the reference fans out per domain
@@ -762,35 +752,18 @@ def edge_snapshot_merge(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     (clickhouse_loader.py:101-125).  Simulated re-crawl: snapshot 1 is
     the extracted edge table at its warc timestamps; snapshot 2 re-
     observes the edges of every page with doc_id % 3 == 0 seven days
-    later.  Merge = one hash aggregate keyed (source_url, target_url):
-    min ts → first_seen, max ts → last_seen, observation count.
+    later; one map wave over the edges emits both snapshots' rows.
+    Merge = one hash aggregate keyed (source_url, target_url): min ts →
+    first_seen, max ts → last_seen, observation count.
     """
-    e1 = graph.edges_dataset(sf_dir, multiplier).select_columns(
-        ["source_url", "target_url", "crawl_ts"]
-    )
-
-    def resnap(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        doc = (
-            pl.col("source_url").str.extract(r"/doc/(\d+)$").cast(pl.Int64)
-        )
-        return (
-            df.with_columns(doc.alias("_doc"))
-            .filter(pl.col("_doc") % 3 == 0)
-            .select(
-                "source_url",
-                "target_url",
-                (pl.col("crawl_ts") + pl.duration(days=7)).alias("crawl_ts"),
-            )
-            .to_arrow()
-        )
-
-    e2 = graph.edges_dataset(sf_dir, multiplier).select_columns(
-        ["source_url", "target_url", "crawl_ts"]
-    ).map_batches(resnap, batch_format="pyarrow", zero_copy_batch=True)
+    def snapshots(batch: pa.Table) -> pa.Table:
+        e1 = pl.from_arrow(batch).select("source_url", "target_url", "crawl_ts")
+        doc = pl.col("source_url").str.extract(r"/doc/(\d+)$").cast(pl.Int64)
+        e2 = e1.filter(doc % 3 == 0).with_columns(pl.col("crawl_ts") + pl.duration(days=7))
+        return pl.concat([e1, e2]).to_arrow()
 
     return hash_aggregate(
-        e1.union(e2),
+        ops.map_blocks(graph.edges_dataset(sf_dir, multiplier), snapshots),
         ["source_url", "target_url"],
         combine=[
             pl.col("crawl_ts").min().alias("first_seen"),

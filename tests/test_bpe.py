@@ -21,12 +21,45 @@ def _corpus_histogram(sf_dir):
     return sorted(c.items())
 
 
+def _learn_merges(hist, k):
+    """Pure-python sequential BPE on a (word, count) histogram — the
+    reference the distributed trainer must match merge for merge."""
+    eow = "</w>"
+    splits = {w: list(w) + [eow] for w, _ in hist}
+    merges = []
+    for _ in range(k):
+        pairs = {}
+        for w, n in hist:
+            syms = splits[w]
+            for a, b in zip(syms, syms[1:]):
+                pairs[(a, b)] = pairs.get((a, b), 0) + n
+        if not pairs:
+            break
+        (a, b), cnt = min(pairs.items(), key=lambda kv: (-kv[1], kv[0]))
+        if cnt < 2:
+            break
+        merges.append((a, b, cnt))
+        for w in splits:
+            syms = splits[w]
+            i = 0
+            out = []
+            while i < len(syms):
+                if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b:
+                    out.append(a + b)
+                    i += 2
+                else:
+                    out.append(syms[i])
+                    i += 1
+            splits[w] = out
+    return merges
+
+
 def test_bpe_train_matches_sequential_oracle(ray_session):
-    from link_profiler_repo_ray.pipelines.bpe import bpe_learn_merges, bpe_train
+    from link_profiler_repo_ray.pipelines.bpe import bpe_train
 
     k = 16
     got = bpe_train(SF, k=k).to_pandas()
-    want = bpe_learn_merges(_corpus_histogram(SF), k)
+    want = _learn_merges(_corpus_histogram(SF), k)
     assert len(got) == len(want)
     for i, (a, b, cnt) in enumerate(want):
         row = got.iloc[i]
@@ -47,14 +80,13 @@ def test_bpe_split_word():
 def test_bpe_apply_counts(ray_session):
     from link_profiler_repo_ray.pipelines.bpe import (
         bpe_apply_counts,
-        bpe_learn_merges,
         bpe_split_word,
     )
     import pyarrow.parquet as pq
 
     k = 8
     got = bpe_apply_counts(SF, k=k).to_pandas().set_index("doc_id")
-    merges = [(a, b) for a, b, _ in bpe_learn_merges(_corpus_histogram(SF), k)]
+    merges = [(a, b) for a, b, _ in _learn_merges(_corpus_histogram(SF), k)]
     t = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
     import random
 
@@ -80,7 +112,6 @@ def test_bpe_sequence_packing_matches_sequential_oracle(ray_session):
     import polars as pl
 
     from link_profiler_repo_ray.pipelines.bpe import (
-        bpe_learn_merges,
         bpe_sequence_packing,
         bpe_split_word,
     )
@@ -88,7 +119,7 @@ def test_bpe_sequence_packing_matches_sequential_oracle(ray_session):
     k, budget = 16, 256
     got = bpe_sequence_packing(SF, k=k, budget=budget).to_pandas().sort_values("doc_id")
 
-    merges = [(a, b) for a, b, _ in bpe_learn_merges(_corpus_histogram(SF), k)]
+    merges = [(a, b) for a, b, _ in _learn_merges(_corpus_histogram(SF), k)]
     docs = pl.read_parquet(f"{SF}/documents.parquet").select("doc_id", "source", "text")
     cache = {}
 
@@ -114,3 +145,19 @@ def test_bpe_sequence_packing_matches_sequential_oracle(ray_session):
     assert len(got) == len(expect)
     for r in got.itertuples():
         assert (r.bin_id, r.n_tokens) == expect[int(r.doc_id)], r.doc_id
+
+
+def test_bpe_train_on_a_zero_row_documents_table(ray_session, tmp_path):
+    """No documents: no merge, but the typed merge-list columns."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from link_profiler_repo_ray.pipelines.bpe import bpe_train
+
+    pq.write_table(pq.read_table(f"{SF}/documents.parquet").slice(0, 0),
+                   tmp_path / "documents.parquet")
+    ds = bpe_train(str(tmp_path)).materialize()
+    assert ds.count() == 0
+    assert ds.schema().base_schema == pa.schema(
+        [("rank", pa.int64()), ("left", pa.string()), ("right", pa.string()),
+         ("pair_count", pa.int64())])

@@ -581,24 +581,16 @@ def test_undirected_family_logs_no_schema_mismatch():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_graph_ops_start_no_ray_data_execution(monkeypatch):
+def test_graph_ops_start_no_ray_data_execution(ray_data_executions):
     """Over the materialized edges, every graph op builds its layout or
     runs its exchange from task waves alone: materializing each result
     starts no Ray Data execution (no projection or lazy map in front of
     a barrier or a dense build)."""
     import ray.data as rd
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from link_profiler_repo_ray.pipelines import graph, textdata
 
-    started = []
-    execute = StreamingExecutor.execute
-
-    def counted(self, *args, **kwargs):
-        started.append(1)
-        return execute(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    started = ray_data_executions
     edges = graph.edges_dataset(SF)
     on_edges = {name: getattr(graph, name) for name in (
         "host_pagerank", "host_hits", "host_components", "host_communities", "host_kcore",

@@ -78,6 +78,27 @@ class TestRedirectChains:
         # chains must be non-trivial for the doubling to be exercised
         assert max(h for _, h in expected.values()) >= 3
 
+    def test_unresolved_chains_raise(self, ray_session):
+        """With one round the convergence check sees only m0 (one hop
+        per doc), so the chains longer than one hop make it fail loudly."""
+        from link_profiler_repo_ray.pipelines.history import redirect_chains
+
+        with pytest.raises(RuntimeError, match="unresolved after 1 doubling rounds"):
+            redirect_chains(SF, max_iters=1)
+
+    def test_zero_row_documents_table(self, ray_session, tmp_path):
+        """No documents: zero rows with the typed output columns."""
+        import pyarrow as pa
+
+        from link_profiler_repo_ray.pipelines.history import redirect_chains
+
+        pq.write_table(pq.read_table(f"{SF}/documents.parquet").slice(0, 0),
+                       tmp_path / "documents.parquet")
+        ds = redirect_chains(str(tmp_path)).materialize()
+        assert ds.count() == 0
+        assert ds.schema().base_schema == pa.schema(
+            [("doc_id", pa.int64()), ("final_id", pa.int64()), ("hops", pa.int64())])
+
 
 class TestProfilesIncremental:
     def test_delta_merge_equals_full_recompute(self, ray_session):

@@ -33,10 +33,11 @@ def _oracle_names():
 
 
 @pytest.mark.parametrize("name", _oracle_names())
-def test_query_matches_oracle(name, entry_mod, con):
+def test_query_matches_oracle(name, entry_mod, con, execution_budget):
     from scripts.check_oracle import compare, to_pandas
 
-    mine = to_pandas(entry_mod.queries()[name](SF))
+    with execution_budget(name):
+        mine = to_pandas(entry_mod.queries()[name](SF))
     oracle = con.execute(entry_mod.oracle_sql()[name]).fetchdf()
     problems = compare(name, mine, oracle)
     assert not problems, problems

@@ -508,24 +508,15 @@ def test_irregular_whitespace_matches_the_oracle(name, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_text_ops_start_no_ray_data_execution(monkeypatch, tmp_path):
+def test_text_ops_start_no_ray_data_execution(ray_data_executions, tmp_path):
     """The scans and maps of the text ops run as task waves: building
     and materializing each result (the exchange ops, the map-only ops
     and the three score passes) starts no Ray Data execution.  The
     edges extraction starts none either; writing its edges starts one,
     the sink's."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
     from link_profiler_repo_ray.pipelines import graph
 
-    started = []
-    execute = StreamingExecutor.execute
-
-    def counted(self, *args, **kwargs):
-        started.append(1)
-        return execute(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    started = ray_data_executions
     ops = {**_text_ops(), **{name: getattr(textdata, name) for name in (
         *_MAP_OPS, "dsir_scores", "bigram_logprob")}}
     for name, op in ops.items():
@@ -539,3 +530,18 @@ def test_text_ops_start_no_ray_data_execution(monkeypatch, tmp_path):
     assert not started
     edges.write_parquet(str(tmp_path / "edges"))
     assert len(started) == 1
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_merge_loops_start_no_ray_data_execution(ray_data_executions):
+    """BPE merge learning and redirect pointer doubling run every round
+    as task waves: building and materializing each of the three BPE
+    queries and ``redirect_chains`` starts no Ray Data execution."""
+    from link_profiler_repo_ray.pipelines import bpe, history
+
+    for op in (bpe.bpe_train, bpe.bpe_apply_counts, bpe.bpe_sequence_packing,
+               history.redirect_chains):
+        before = len(ray_data_executions)
+        assert op(SF).materialize().count() > 0, op.__name__
+        n = len(ray_data_executions) - before
+        assert not n, f"{op.__name__} started {n} Ray Data executions"
