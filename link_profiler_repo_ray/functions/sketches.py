@@ -30,6 +30,7 @@ __all__ = [
     "cms_cells",
     "stride_summary",
     "weighted_quantile",
+    "histogram_rank_values",
 ]
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -297,3 +298,13 @@ def weighted_quantile(
         len(sv) - 1,
     )
     return sv[pos]
+
+
+def histogram_rank_values(values: np.ndarray, counts: np.ndarray, ranks) -> np.ndarray:
+    """The exact histogram rank rule over a ``(value, count)`` table
+    sorted by value: the value at 0-based rank t (0 ≤ t < Σcounts) is
+    the first value whose cumulative count exceeds t.  The caller picks
+    the rank formula (``floor(q·(n−1))``, ``(k·n)//P``, ...) that its
+    SQL oracle uses."""
+    cum = np.cumsum(counts)
+    return values[np.searchsorted(cum, np.asarray(ranks, dtype=np.int64), side="right")]

@@ -190,19 +190,24 @@ def read_parquet(paths, *, columns: list[str] | None = None, **kwargs) -> rd.Dat
 _PART_COL = "__part"
 
 
+def _range_block(column: str, lo: int, hi: int):
+    return _with_meta(pa.table({column: pa.array(np.arange(lo, hi, dtype=np.int64))}))
+
+
 def int_range(n: int, column: str) -> rd.Dataset:
     """Distributed ``[0, n)`` int64 column named ``column``.
 
     Use instead of materializing an arange block on the driver with
-    ``rd.from_arrow``: ``rd.range`` partitions the span into blocks,
-    so a 10^7-row fan-out source (e.g. one probe seed per host)
-    scales across the cluster instead of living in one driver block.
+    ``rd.from_arrow``: one wave of tasks builds the span as
+    ``max(min(P, n), ceil(n / DEFAULT_EXCHANGE_BATCH))`` blocks in
+    order, so a 10^7-row fan-out source (e.g. one probe seed per host)
+    lives across the cluster, not in one driver block.  The result is
+    materialized (map it with :func:`map_blocks`); ``n = 0`` gives one
+    typed empty block.
     """
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return pa.table({column: batch.column("id")})
-
-    return rd.range(n).map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+    k = max(1, min(cluster_cpus(), n), -(-n // DEFAULT_EXCHANGE_BATCH))
+    cuts = [n * c // k for c in range(k + 1)]
+    return _dataset(_wave(_range_block, [(column, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])], 2))
 
 
 def cluster_cpus() -> int:

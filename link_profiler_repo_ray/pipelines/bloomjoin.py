@@ -116,12 +116,11 @@ def _build_bloom(build: rd.Dataset, key: str, m_bits: int, k: int) -> BloomFilte
             acc |= np.frombuffer(b, dtype=np.uint64)
         return pl.DataFrame({"bm": [acc.tobytes()]}, schema={"bm": pl.Binary})
 
-    reduced = hash_group_apply(
-        build.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True), ["gid"], or_part
-    ).take_all()  # ≤ one row of m/8 bytes per partition — bounded by design
+    # ≤ one row of m/8 bytes per partition — bounded by design
+    reduced = ops.collect_table(hash_group_apply(ops.map_blocks(build, partial), ["gid"], or_part))
     bf = BloomFilter64(m_bits, k)
-    for row in reduced:
-        bf.merge_(BloomFilter64(m_bits, k, words=np.frombuffer(row["bm"], dtype=np.uint64).copy()))
+    for bm in reduced.column("bm").to_pylist():
+        bf.merge_(BloomFilter64(m_bits, k, words=np.frombuffer(bm, dtype=np.uint64).copy()))
     return bf
 
 
@@ -135,10 +134,6 @@ def bloom_semijoin(sf_dir: str, price_floor: float = 470000.0) -> rd.Dataset:
     additionally pins that the bloom actually pruned (candidates ≪
     probe rows) and that build/probe agree with a Python-set oracle.
     """
-    orders = ops.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
-    )
-
     def qualify(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
@@ -146,48 +141,32 @@ def bloom_semijoin(sf_dir: str, price_floor: float = 470000.0) -> rd.Dataset:
             ["o_custkey"]
         )
 
-    qualifying = orders.map_batches(
-        qualify, batch_format="pyarrow", zero_copy_batch=True
+    qualifying = ops.scan(
+        os.path.join(sf_dir, "orders.parquet"), ["o_custkey", "o_totalprice"], qualify
     )
-
-    bloom = _build_bloom(qualifying.materialize(), "o_custkey", m_bits=1 << 20, k=4)
-    bloom_ref = ray.put(bloom)
-
-    customer = ops.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_name"]
-    )
+    bloom_ref = ray.put(_build_bloom(qualifying, "o_custkey", m_bits=1 << 20, k=4))
 
     def probe(batch: pa.Table) -> pa.Table:
         bf: BloomFilter64 = ray.get(bloom_ref)
         keep = bf.contains(batch.column("c_custkey").to_numpy(zero_copy_only=False))
         return batch.filter(pa.array(keep))
 
-    candidates = customer.map_batches(
-        probe, batch_format="pyarrow", zero_copy_batch=True
+    candidates = ops.scan(
+        os.path.join(sf_dir, "customer.parquet"), ["c_custkey", "c_name"], probe
     )
 
     # exact verify: candidates ⋈ distinct qualifying keys through one
     # partitioned exchange (each side pre-thinned: bloom on the probe,
-    # per-block distinct in the combine stage of hash_aggregate)
-    distinct_keys = hash_aggregate(
-        qualifying,
-        ["o_custkey"],
-        combine=[pl.len().alias("n")],
-        merge=[pl.sum("n").alias("n")],
-    ).select_columns(["o_custkey"])
-
-    out = tagged_union_join(
+    # per-chunk distinct in the combine stage of hash_aggregate, whose
+    # empty aggregate list leaves the key column alone)
+    distinct_keys = hash_aggregate(qualifying, ["o_custkey"], combine=[], merge=[])
+    return tagged_union_join(
         candidates,
         distinct_keys,
         "c_custkey",
         "o_custkey",
         left_schema=pa.schema([("c_custkey", pa.int64()), ("c_name", pa.string())]),
         right_schema=pa.schema([("o_custkey", pa.int64())]),
-    )
-    return out.map_batches(
-        lambda b: pl.from_arrow(b).select("c_custkey", "c_name").to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
 
@@ -237,10 +216,8 @@ def contamination_bloom(
 
     shingled = scan_documents(sf_dir, ["doc_id", "text"], shingle)
 
-    test_h = shingled.map_batches(
-        lambda b: pl.from_arrow(b).filter(pl.col("is_test")).select("h").to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    test_h = ops.map_blocks(
+        shingled, lambda b: pl.from_arrow(b).filter(pl.col("is_test")).select("h").to_arrow()
     )
     bloom_ref = ray.put(_build_bloom(test_h, "h", m_bits, k))
 
@@ -252,36 +229,17 @@ def contamination_bloom(
         keep = bf.contains(df["h"].to_numpy())
         return df.filter(pl.Series(keep)).select("doc_id", "h").to_arrow()
 
-    candidates = shingled.map_batches(
-        probe, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    distinct_test = hash_aggregate(
-        test_h.map_batches(
-            lambda b: pl.from_arrow(b).rename({"h": "th"}).to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        ["th"],
-        combine=[pl.len().alias("c")],
-        merge=[pl.col("c").sum()],
-    ).select_columns(["th"])
-
     verified = tagged_union_join(
-        candidates,
-        distinct_test,
+        ops.map_blocks(shingled, probe),
+        hash_aggregate(test_h, ["h"], combine=[], merge=[]),  # distinct test hashes
         "h",
-        "th",
+        "h",
         left_schema=pa.schema([("doc_id", pa.int64()), ("h", pa.int64())]),
-        right_schema=pa.schema([("th", pa.int64())]),
+        right_schema=pa.schema([("h", pa.int64())]),
     )
 
     return hash_group_apply(
-        verified.map_batches(
-            lambda b: pl.from_arrow(b).select("doc_id", "h").to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
+        verified,
         ["doc_id"],
         lambda df: df.group_by("doc_id").agg(
             pl.col("h").n_unique().cast(pl.Int64).alias("n_shared_ngrams")

@@ -14,18 +14,18 @@ descent, where each epoch is one streaming pass over a feature table.
 
 Why this shape survives 100 TB:
 
-- **Featurize once.** The text is read in ONE pruned scan and reduced
-  to ``_DIM`` float64 features + one int8 label per document
-  (~50 B/doc — a 10^10-doc corpus becomes ~500 GB of features spread
-  across the cluster object store).  The feature Dataset is
-  ``materialize()``-d deliberately: epochs iterate over features, the
-  text is never re-read.  This is the documented bounded
-  materialization, not an accident.
-- **Per-epoch exchange is O(#blocks · DIM).** Each block emits ONE
-  partial row: its row count plus per-dimension gradient sums
-  quantized to integer micro-units *per row before summing*, so block
-  sums are exact int64 arithmetic and the total is independent of row
-  placement and reduce order — the distributed learner's weight
+- **Featurize once per query.** The text is read in ONE pruned scan
+  wave and reduced to ``_DIM`` float64 features + one int8 label per
+  document (~50 B/doc — a 10^10-doc corpus becomes ~500 GB of features
+  spread across the cluster object store).  The scan's blocks stay in
+  the object store for the query's epochs, so the text is never
+  re-read; nothing outlives the call that made it.
+- **Per-epoch exchange is O(#blocks · DIM).** Each epoch is one wave
+  of a task per feature block, and each block emits ONE partial row:
+  its row count plus per-dimension gradient sums quantized to integer
+  micro-units *per row before summing*, so block sums are exact int64
+  arithmetic and the total is independent of row placement and reduce
+  order — the distributed learner's weight
   trajectory is bit-identical to a sequential learner's
   (tests/test_classifier.py proves it).
 - **Weights broadcast, never re-learned per block.** The 6-float
@@ -43,13 +43,13 @@ distributed float reduction order-free by never reducing floats.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from .. import ops
 from .textdata import scan_documents
 
 __all__ = [
@@ -130,7 +130,9 @@ def _grad_partial(batch: pa.Table, w: np.ndarray) -> pa.Table:
 def train_weights(
     feats: rd.Dataset, epochs: int = 6, lr: float = 1.0
 ) -> tuple[np.ndarray, list[dict]]:
-    """Full-batch GD over a (materialized) feature Dataset.
+    """Full-batch GD over a (materialized) feature Dataset: per epoch
+    one ``ops.map_blocks`` wave of one partial row per block, read back
+    to the driver.
 
     Returns the final weight vector and one record per epoch
     ``{epoch, n, loss_micro, g*_micro, w*_nano(post-step)}``.  All
@@ -142,19 +144,14 @@ def train_weights(
     w = np.zeros(_DIM, dtype=np.float64)
     curve: list[dict] = []
     for epoch in range(epochs):
-        wq = w  # capture by value for this epoch's tasks
-        partials = feats.map_batches(
-            lambda b, _w=wq: _grad_partial(b, _w),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        # bounded take_all: one row per block (#blocks × (DIM+2) ints)
-        rows = partials.take_all()
-        n = sum(r["n"] for r in rows)
+        # bounded: one row per block (#blocks × (DIM+2) ints)
+        rows = ops.collect_table(ops.map_blocks(feats, lambda b, _w=w: _grad_partial(b, _w)))
+        tot = {c: sum(rows.column(c).to_pylist()) for c in rows.column_names}
+        n = tot["n"]
         if n == 0:
             raise ValueError("train_weights: empty feature dataset (no documents)")
-        g_int = [sum(r[f"g{j}"] for r in rows) for j in range(_DIM)]
-        loss_micro = sum(r["loss_micro"] for r in rows)
+        g_int = [tot[f"g{j}"] for j in range(_DIM)]
+        loss_micro = tot["loss_micro"]
         w = w - lr * (np.array(g_int, dtype=np.float64) / _Q) / float(n)
         rec = {"epoch": epoch, "n": n, "loss_micro": loss_micro}
         for j in range(_DIM):
@@ -166,16 +163,6 @@ def train_weights(
     return w, curve
 
 
-@functools.lru_cache(maxsize=4)
-def _trained(sf_dir: str, epochs: int, lr: float):
-    """Featurize + train ONCE per (sf_dir, epochs, lr) within a driver
-    session — both registry queries share the materialized feature
-    table and the trained weights instead of re-scanning the corpus."""
-    feats = featurize(sf_dir).materialize()  # bounded: DIM+2 numerics/doc
-    w, curve = train_weights(feats, epochs=epochs, lr=lr)
-    return feats, w, curve
-
-
 def quality_classifier_train(sf_dir: str, epochs: int = 6, lr: float = 1.0) -> pa.Table:
     """Registry query: the training curve (one row per epoch).
 
@@ -183,7 +170,7 @@ def quality_classifier_train(sf_dir: str, epochs: int = 6, lr: float = 1.0) -> p
     sequential learner (tests/test_classifier.py), no SQL oracle (the
     same class as ``bpe_train`` / PageRank).
     """
-    _, _, curve = _trained(sf_dir, epochs, lr)
+    _, curve = train_weights(featurize(sf_dir), epochs=epochs, lr=lr)
     cols = {k: pa.array([r[k] for r in curve], pa.int64()) for k in curve[0]}
     return pa.table(cols)
 
@@ -191,13 +178,14 @@ def quality_classifier_train(sf_dir: str, epochs: int = 6, lr: float = 1.0) -> p
 def quality_classifier_scores(sf_dir: str, epochs: int = 6, lr: float = 1.0) -> rd.Dataset:
     """Registry query: per-document trained-model scores.
 
-    Trains (one materialized feature table, ``epochs`` streaming
-    passes), then applies the final weights in a single vectorized
-    map over the same features: ``prob_micro`` is the quantized
-    sigmoid, ``predicted`` the 0.5-threshold class, ``y`` the
-    AIScoreStage label it was distilled from.
+    Trains (one feature scan, ``epochs`` gradient waves), then applies
+    the final weights in one more wave over the same features:
+    ``prob_micro`` is the quantized sigmoid, ``predicted`` the
+    0.5-threshold class, ``y`` the AIScoreStage label it was distilled
+    from.
     """
-    feats, w, _ = _trained(sf_dir, epochs, lr)
+    feats = featurize(sf_dir)
+    w, _ = train_weights(feats, epochs=epochs, lr=lr)
 
     def score(batch: pa.Table) -> pa.Table:
         x, y = _batch_xy(batch)
@@ -213,16 +201,16 @@ def quality_classifier_scores(sf_dir: str, epochs: int = 6, lr: float = 1.0) -> 
             }
         )
 
-    return feats.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(feats, score)
 
 
 def quality_classifier_eval(sf_dir: str, epochs: int = 6, lr: float = 1.0) -> pa.Table:
     """Registry query: one-row confusion matrix + accuracy of the
     trained classifier against its own distillation labels.
 
-    Counts reduce as integers inside ``map_batches`` partials (one row
-    per block), so the rollup is exact and order-free; accuracy_micro
-    = floor(1e6·correct/total + 0.5).  pytest-oracled via the scores
+    Counts reduce as integers in one partial row per block of the
+    scores this call computes, so the rollup is exact and order-free;
+    accuracy_micro = floor(1e6·correct/total + 0.5).  pytest-oracled via the scores
     oracle (tests/test_classifier.py)."""
     scores = quality_classifier_scores(sf_dir, epochs=epochs, lr=lr)
 
@@ -238,12 +226,9 @@ def quality_classifier_eval(sf_dir: str, epochs: int = 6, lr: float = 1.0) -> pa
             }
         )
 
-    # bounded take_all: one partial row per block
-    rows = scores.map_batches(part, batch_format="pyarrow", zero_copy_batch=True).take_all()
-    tp = sum(r["tp"] for r in rows)
-    tn = sum(r["tn"] for r in rows)
-    fp = sum(r["fp"] for r in rows)
-    fn = sum(r["fn"] for r in rows)
+    # bounded: one partial row per block
+    rows = ops.collect_table(ops.map_blocks(scores, part))
+    tp, tn, fp, fn = (sum(rows.column(c).to_pylist()) for c in ("tp", "tn", "fp", "fn"))
     total = tp + tn + fp + fn
     acc_micro = int(math.floor(1_000_000 * (tp + tn) / total + 0.5)) if total else 0
     return pa.table(

@@ -321,9 +321,7 @@ def range_partition_plan(sf_dir: str, num_parts: int = 8) -> rd.Dataset:
 
     import numpy as np
 
-    from ..ops import read_parquet
-
-    ev = read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["value"])
+    from ..functions.sketches import histogram_rank_values
 
     def cents_hist(batch: pa.Table) -> pa.Table:
         return (
@@ -336,7 +334,7 @@ def range_partition_plan(sf_dir: str, num_parts: int = 8) -> rd.Dataset:
         )
 
     hist = hash_aggregate(
-        ev.map_batches(cents_hist, batch_format="pyarrow", zero_copy_batch=True),
+        ops.scan(os.path.join(sf_dir, "events.parquet"), ["value"], cents_hist),
         ["cents"],
         combine=[pl.col("cnt").sum()],
         merge=[pl.col("cnt").sum()],
@@ -346,11 +344,8 @@ def range_partition_plan(sf_dir: str, num_parts: int = 8) -> rd.Dataset:
         df = df.sort("cents")
         cents = df["cents"].to_numpy()
         cnt = df["cnt"].to_numpy()
-        cum = np.cumsum(cnt)
-        n = int(cum[-1])
-        ranks = [(k * n) // num_parts for k in range(1, num_parts)]
-        # value at rank t = first cents whose cumulative count exceeds t
-        bounds = cents[np.searchsorted(cum, np.array(ranks), side="right")]
+        n = int(cnt.sum())
+        bounds = histogram_rank_values(cents, cnt, [(k * n) // num_parts for k in range(1, num_parts)])
         part = np.searchsorted(np.sort(bounds), cents, side="right")
         out = pl.DataFrame(
             {"part": part.astype("int64"), "cents": cents, "cnt": cnt}
@@ -363,10 +358,8 @@ def range_partition_plan(sf_dir: str, num_parts: int = 8) -> rd.Dataset:
 
     # one logical group: the plan needs the whole ordered histogram —
     # bounded by |distinct cents|, not |events|
-    keyed = hist.map_batches(
-        lambda b: pl.from_arrow(b).with_columns(pl.lit(0).alias("g")).to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    keyed = ops.map_blocks(
+        hist, lambda b: pl.from_arrow(b).with_columns(pl.lit(0).alias("g")).to_arrow()
     )
     return hash_group_apply(keyed, ["g"], lambda df: plan(df.drop("g")))
 

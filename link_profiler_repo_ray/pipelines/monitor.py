@@ -200,7 +200,7 @@ def security_audit_summary(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             ((pl.col("host_id") * 29 + 7 * pl.col("s") + 17) % 100).alias("sub_score")
         ).to_arrow()
 
-    probes = hosts.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
+    probes = ops.map_blocks(hosts, probe)
     agg = hash_aggregate(
         probes,
         ["host_id"],
@@ -325,4 +325,4 @@ def local_seo_nearby(
         )
 
     biz = ops.int_range(n_biz, "biz_id")
-    return biz.map_batches(nearby, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(biz, nearby)

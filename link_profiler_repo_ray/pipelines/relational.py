@@ -13,14 +13,17 @@ perturb the comparison.
 
 from __future__ import annotations
 
+import math
 import os
 
+import numpy as np
 import polars as pl
 import pyarrow as pa
 import ray
 import ray.data as rd
 
 from .. import ops
+from ..functions.sketches import histogram_rank_values, stride_summary, weighted_quantile
 from ..ops import hash_aggregate, hash_group_apply, tagged_union_join
 
 __all__ = [
@@ -41,8 +44,9 @@ __all__ = [
 ]
 
 
-def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
-    return ops.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=columns)
+def _scan(sf_dir: str, table: str, columns: list[str], fn=None) -> rd.Dataset:
+    """``ops.scan`` of ``table``'s ``columns``, through ``fn`` if given."""
+    return ops.scan(os.path.join(sf_dir, f"{table}.parquet"), columns, fn)
 
 
 def _cents(col: str) -> pl.Expr:
@@ -52,7 +56,7 @@ def _cents(col: str) -> pl.Expr:
 # --- grouped aggregate with per-block combiner (TPC-H Q1 shape) ----------
 
 def q1_lineitem(sf_dir: str) -> rd.Dataset:
-    li = _read(
+    li = _scan(
         sf_dir,
         "lineitem",
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
@@ -113,9 +117,7 @@ def revenue_by_nation(sf_dir: str) -> rd.Dataset:
             .to_arrow()
         )
 
-    joined = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
-        lookup, batch_format="pyarrow", zero_copy_batch=True
-    )
+    joined = _scan(sf_dir, "orders", ["o_custkey", "o_totalprice"], lookup)
     return hash_aggregate(
         joined,
         ["n_name"],
@@ -134,7 +136,7 @@ def order_priority_revenue(sf_dir: str) -> rd.Dataset:
 
     then revenue per o_orderpriority."""
     li = hash_aggregate(
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]),
+        _scan(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]),
         ["l_orderkey"],
         combine=[
             ((pl.col("l_extendedprice") * (1 - pl.col("l_discount"))) * 100 + 0.5)
@@ -145,7 +147,7 @@ def order_priority_revenue(sf_dir: str) -> rd.Dataset:
         ],
         merge=[pl.col("rev_cents").sum()],
     )
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
+    orders = _scan(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     joined = tagged_union_join(li, orders, "l_orderkey", "o_orderkey")
     return hash_aggregate(
         joined,
@@ -170,7 +172,7 @@ def top_parts_per_brand(sf_dir: str, k: int = 3) -> rd.Dataset:
         )
 
     return hash_group_apply(
-        _read(sf_dir, "part", ["p_brand", "p_partkey", "p_name", "p_retailprice"]),
+        _scan(sf_dir, "part", ["p_brand", "p_partkey", "p_name", "p_retailprice"]),
         ["p_brand"],
         topk,
     )
@@ -189,9 +191,7 @@ def events_by_day(sf_dir: str) -> rd.Dataset:
             pl.col("value"),
         ).to_arrow()
 
-    daily = _read(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
-        add_day, batch_format="pyarrow", zero_copy_batch=True
-    )
+    daily = _scan(sf_dir, "events", ["ts", "event_type", "value"], add_day)
     return hash_aggregate(
         daily,
         ["day", "event_type"],
@@ -229,7 +229,7 @@ def sessionize(sf_dir: str, gap_minutes: int = 30) -> rd.Dataset:
         )
 
     return hash_group_apply(
-        _read(sf_dir, "events", ["user_id", "event_id", "ts"]), ["user_id"], windows
+        _scan(sf_dir, "events", ["user_id", "event_id", "ts"]), ["user_id"], windows
     )
 
 
@@ -248,7 +248,7 @@ def events_rolling_window(sf_dir: str, days: int = 7) -> rd.Dataset:
     PRECEDING AND CURRENT ROW`` exactly, peers included (parity pinned
     in the oracle); sums are integer cents, so no float drift.
     """
-    ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
+    ev = _scan(sf_dir, "events", ["user_id", "ts", "value"])
 
     def pre(df: pl.DataFrame) -> pl.DataFrame:
         return (
@@ -278,7 +278,7 @@ def events_distinct_users(sf_dir: str) -> rd.Dataset:
     sibling of A4's referring-domain count (same pre-distinct combiner
     discipline: each block contributes its DISTINCT (type, user) pairs,
     so a hot type moves O(users) rows once, never O(events))."""
-    ev = _read(sf_dir, "events", ["event_type", "user_id"])
+    ev = _scan(sf_dir, "events", ["event_type", "user_id"])
 
     def pre(df: pl.DataFrame) -> pl.DataFrame:
         return df.unique(subset=["event_type", "user_id"])
@@ -318,26 +318,19 @@ def watermark_lateness(sf_dir: str, bucket_size: int = 4096) -> rd.Dataset:
     emits per-type integer partials.  Events cross exactly one
     exchange; lateness stays integer µs throughout.
     """
-    ev = _read(sf_dir, "events", ["event_id", "ts", "event_type"])
+    def with_arrival(batch: pa.Table) -> pa.Table:
+        return (
+            pl.from_arrow(batch)
+            .with_columns(arrival=(pl.col("event_id") // 8) * 8 + (7 - pl.col("event_id") % 8))
+            .with_columns(bucket=pl.col("arrival") // bucket_size)
+            .to_arrow()
+        )
 
-    def with_arrival(df: pl.DataFrame) -> pl.DataFrame:
-        return df.with_columns(
-            arrival=(pl.col("event_id") // 8) * 8 + (7 - pl.col("event_id") % 8)
-        ).with_columns(bucket=pl.col("arrival") // bucket_size)
+    ev = _scan(sf_dir, "events", ["event_id", "ts", "event_type"], with_arrival)
 
     # pass 1: per-bucket max(ts) — tiny rows to the driver
     bmax = hash_aggregate(
-        ev.map_batches(
-            lambda b: with_arrival(pl.from_arrow(b))
-            .group_by("bucket")
-            .agg(pl.col("ts").max())
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        ["bucket"],
-        combine=[pl.col("ts").max()],
-        merge=[pl.col("ts").max()],
+        ev, ["bucket"], combine=[pl.col("ts").max()], merge=[pl.col("ts").max()]
     )
     btab = (
         pl.from_arrow(ops.collect_table(bmax))
@@ -354,7 +347,7 @@ def watermark_lateness(sf_dir: str, bucket_size: int = 4096) -> rd.Dataset:
     )
 
     def scan(df: pl.DataFrame) -> pl.DataFrame:
-        df = with_arrival(df).sort(["bucket", "arrival"])
+        df = df.sort(["bucket", "arrival"])
         wm_in = pl.col("bucket").replace_strict(prefix, return_dtype=pl.Datetime("us"))
         wm_prev = (
             pl.col("ts").cum_max().shift(1).over("bucket").fill_null(wm_in)
@@ -373,7 +366,7 @@ def watermark_lateness(sf_dir: str, bucket_size: int = 4096) -> rd.Dataset:
             pl.col("late_us").sum().fill_null(0).cast(pl.Int64).alias("sum_lateness_us"),
         )
 
-    parts = hash_group_apply(ev, ["bucket"], scan, pre=with_arrival)
+    parts = hash_group_apply(ev, ["bucket"], scan)
     return hash_aggregate(
         parts,
         ["event_type"],
@@ -412,7 +405,7 @@ def event_funnel(
     partial count row per step per partition, then a tiny sum
     aggregate.  Events cross the exchange once; counters after.
     """
-    ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
+    ev = _scan(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def pre(df: pl.DataFrame) -> pl.DataFrame:
         return df.filter(pl.col("event_type").is_in(list(steps)))
@@ -465,7 +458,7 @@ def cohort_retention(sf_dir: str, anchor_event: str = "signup") -> rd.Dataset:
     (user, day) reduction are all partition-local — then one thin sum
     aggregate over (cohort_day, day_offset) partial counts.
     """
-    ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
+    ev = _scan(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def cohort(df: pl.DataFrame) -> pl.DataFrame:
         anchors = (
@@ -504,12 +497,10 @@ def events_hopping_window(sf_dir: str, window_min: int = 60, hop_min: int = 30) 
     ``window/hop`` overlapping windows that contain it, counted and
     summed per (window_start, event_type).
 
-    Vectorized expansion inside ``map_batches`` (truncate to the hop
-    grid, shift back k hops), then one hash aggregate — the Ray shape
-    of a streaming hopping window, fully SQL-mirrorable.
+    Vectorized expansion inside the scan (truncate to the hop grid,
+    shift back k hops), then one hash aggregate — the Ray shape of a
+    streaming hopping window, fully SQL-mirrorable.
     """
-    import pyarrow as pa
-
     n_hops = window_min // hop_min
 
     def expand(batch: pa.Table) -> pa.Table:
@@ -530,9 +521,7 @@ def events_hopping_window(sf_dir: str, window_min: int = 60, hop_min: int = 30) 
             )
         return pl.concat(parts).to_arrow()
 
-    expanded = _read(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
-        expand, batch_format="pyarrow", zero_copy_batch=True
-    )
+    expanded = _scan(sf_dir, "events", ["ts", "event_type", "value"], expand)
     return hash_aggregate(
         expanded,
         ["window_start", "event_type"],
@@ -557,7 +546,6 @@ def events_asof_join(sf_dir: str) -> rd.Dataset:
     to one row per (user_id, ts) (max event_id) so the tie case is
     deterministic on both engines.
     """
-    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def tag(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
@@ -606,7 +594,7 @@ def events_asof_join(sf_dir: str) -> rd.Dataset:
             pl.col("_sig_ts").alias("signup_ts"),
         )
 
-    tagged = ev.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+    tagged = _scan(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"], tag)
     return hash_group_apply(tagged, ["user_id"], asof)
 
 
@@ -629,7 +617,6 @@ def value_percentiles(sf_dir: str) -> rd.Dataset:
     discrete lower-interpolation quantile.  The rank is a
     double-multiply + floor on both engines — bit-identical.
     """
-    ev = _read(sf_dir, "events", ["event_type", "value"])
 
     def cents_stage(batch: pa.Table) -> pa.Table:
         return (
@@ -642,28 +629,28 @@ def value_percentiles(sf_dir: str) -> rd.Dataset:
         )
 
     hist = hash_aggregate(
-        ev.map_batches(cents_stage, batch_format="pyarrow", zero_copy_batch=True),
+        _scan(sf_dir, "events", ["event_type", "value"], cents_stage),
         ["event_type", "cents"],
         combine=[pl.col("cnt").sum()],
         merge=[pl.col("cnt").sum()],
     )
 
     def pick(df: pl.DataFrame) -> pl.DataFrame:
-        base = df.sort(["event_type", "cents"]).with_columns(
-            cum=pl.col("cnt").cum_sum().over("event_type"),
-            n=pl.col("cnt").sum().over("event_type"),
-        )
         outs = []
-        for q in _PCT_QS:
-            rank = (pl.lit(q) * (pl.col("n") - 1).cast(pl.Float64)).floor().cast(pl.Int64)
+        for (etype,), g in df.group_by("event_type"):
+            g = g.sort("cents")
+            n = int(g["cnt"].sum())
+            ranks = [math.floor(q * float(n - 1)) for q in _PCT_QS]
             outs.append(
-                base.filter(
-                    ((pl.col("cum") - pl.col("cnt")) <= rank) & (rank < pl.col("cum"))
-                ).select(
-                    "event_type",
-                    pl.lit(q).alias("q"),
-                    pl.col("cents").alias("pct_value_cents"),
-                    pl.col("n").alias("n_events"),
+                pl.DataFrame(
+                    {
+                        "event_type": [etype] * len(_PCT_QS),
+                        "q": list(_PCT_QS),
+                        "pct_value_cents": histogram_rank_values(
+                            g["cents"].to_numpy(), g["cnt"].to_numpy(), ranks
+                        ),
+                        "n_events": pl.Series([n] * len(_PCT_QS), dtype=pl.Int64),
+                    }
                 )
             )
         return pl.concat(outs)
@@ -682,11 +669,11 @@ def value_quantiles_sketch(sf_dir: str, eps: float = 0.005) -> rd.Dataset:
     Three bounded passes, each adding ≤ N/m weighted-rank error
     (m = ⌈4/eps⌉, sketches.stride_summary):
 
-    1. per input block: group by event_type, compact each group to m
-       weighted order statistics — ≤ types·m rows leave any block;
-    2. one re-stride ``map_batches`` over concatenated summaries
-       (batch of B summaries → m rows per type), so the final group
-       never sees O(blocks) rows;
+    1. per scan chunk: group by event_type, compact each group to m
+       weighted order statistics — ≤ types·m rows leave any chunk;
+    2. the ``pre`` of the exchange re-strides each route chunk of
+       concatenated summaries (at most ``DEFAULT_EXCHANGE_BATCH`` rows →
+       m rows per type), so the final group never sees O(blocks) rows;
     3. ``hash_group_apply`` per type: merge by concatenation + weighted
        quantile selection.
 
@@ -696,63 +683,32 @@ def value_quantiles_sketch(sf_dir: str, eps: float = 0.005) -> rd.Dataset:
     in tests/test_textdata.py style.  Fleet-stats percentile anchor:
     monitoring_service latency rollups (SURVEY.md A8).
     """
-    import numpy as np
-
-    from ..functions.sketches import stride_summary, weighted_quantile
-
     m = int(np.ceil(4.0 / eps))
-    ev = _read(sf_dir, "events", ["event_type", "value"])
 
-    def summarize(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        types, vals, wts = [], [], []
-        for (etype,), g in df.group_by("event_type"):
-            v, w = stride_summary(g["value"].to_numpy().astype(np.float64), None, m)
-            types.extend([etype] * len(v))
-            vals.append(v)
-            wts.append(w)
-        if not vals:
-            return pa.table(
-                {
-                    "event_type": pa.array([], pa.string()),
-                    "val": pa.array([], pa.float64()),
-                    "w": pa.array([], pa.float64()),
-                }
-            )
-        return pa.table(
-            {
-                "event_type": pa.array(types, pa.string()),
-                "val": np.concatenate(vals),
-                "w": np.concatenate(wts),
-            }
-        )
-
-    def restride(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        df = pl.from_arrow(batch)
-        types, vals, wts = [], [], []
+    def restride(df: pl.DataFrame) -> pl.DataFrame:
+        """(event_type, val, w) rows → ≤ m weighted rows per type."""
+        types, vals, wts = [], [np.empty(0)], [np.empty(0)]
         for (etype,), g in df.group_by("event_type"):
             v, w = stride_summary(g["val"].to_numpy(), g["w"].to_numpy(), m)
             types.extend([etype] * len(v))
             vals.append(v)
             wts.append(w)
-        return pa.table(
+        return pl.DataFrame(
             {
-                "event_type": pa.array(types, pa.string()),
+                "event_type": pl.Series(types, dtype=pl.Utf8),
                 "val": np.concatenate(vals),
                 "w": np.concatenate(wts),
             }
         )
 
-    summaries = ev.map_batches(
-        summarize, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(
-        restride,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=ops.DEFAULT_EXCHANGE_BATCH,
-    )
+    def summarize(batch: pa.Table) -> pa.Table:
+        return restride(
+            pl.from_arrow(batch).select(
+                "event_type", pl.col("value").cast(pl.Float64).alias("val"), pl.lit(1.0).alias("w")
+            )
+        ).to_arrow()
+
+    summaries = _scan(sf_dir, "events", ["event_type", "value"], summarize)
 
     def final(df: pl.DataFrame) -> pl.DataFrame:
         outs = []
@@ -772,7 +728,7 @@ def value_quantiles_sketch(sf_dir: str, eps: float = 0.005) -> rd.Dataset:
             )
         return pl.concat(outs).sort(["event_type", "q"])
 
-    return hash_group_apply(summaries, ["event_type"], final)
+    return hash_group_apply(summaries, ["event_type"], final, pre=restride)
 
 
 _RJ_HOUR_US = 3_600_000_000
@@ -811,7 +767,7 @@ def events_range_join(sf_dir: str) -> rd.Dataset:
     median window span so replication stays O(1) copies per window
     while hot buckets stay splittable by raising ``num_partitions``.
     """
-    n_events = _read(sf_dir, "events", ["event_id"]).count()
+    n_events = ops.parquet_num_rows(os.path.join(sf_dir, "events.parquet"))
     n_windows = n_events // 40 + 3
 
     def mk_windows(batch: pa.Table) -> pa.Table:
@@ -833,9 +789,7 @@ def events_range_join(sf_dir: str) -> rd.Dataset:
         )
         return copies.select("bucket", "w_id", "category", "start_us", "end_us").to_arrow()
 
-    windows = ops.int_range(n_windows, "w_id").map_batches(
-        mk_windows, batch_format="pyarrow", zero_copy_batch=True
-    )
+    windows = ops.map_blocks(ops.int_range(n_windows, "w_id"), mk_windows)
 
     def ev_tag(batch: pa.Table) -> pa.Table:
         return (
@@ -849,9 +803,7 @@ def events_range_join(sf_dir: str) -> rd.Dataset:
             .to_arrow()
         )
 
-    ev = _read(sf_dir, "events", ["ts", "value"]).map_batches(
-        ev_tag, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ev = _scan(sf_dir, "events", ["ts", "value"], ev_tag)
 
     joined = tagged_union_join(
         ev,
@@ -884,7 +836,7 @@ def events_range_join(sf_dir: str) -> rd.Dataset:
         )
 
     return hash_aggregate(
-        joined.map_batches(contain, batch_format="pyarrow", zero_copy_batch=True),
+        ops.map_blocks(joined, contain),
         ["w_id", "category"],
         combine=[
             pl.len().cast(pl.Int64).alias("n_events"),
@@ -915,30 +867,28 @@ def events_rollup(sf_dir: str) -> rd.Dataset:
             _cents("value").alias("cents"),
         ).to_arrow()
 
-    ev = _read(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
-        add_day, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ev = _scan(sf_dir, "events", ["ts", "event_type", "value"], add_day)
     _agg = [
         pl.col("n_events").sum(),
         pl.col("sum_value_cents").sum(),
     ]
-    finest = hash_aggregate(
-        ev,
-        ["event_type", "day"],
-        combine=[
-            pl.len().cast(pl.Int64).alias("n_events"),
-            pl.col("cents").sum().alias("sum_value_cents"),
-        ],
-        merge=_agg,
-    ).map_batches(
+    finest = ops.map_blocks(
+        hash_aggregate(
+            ev,
+            ["event_type", "day"],
+            combine=[
+                pl.len().cast(pl.Int64).alias("n_events"),
+                pl.col("cents").sum().alias("sum_value_cents"),
+            ],
+            merge=_agg,
+        ),
         lambda b: pl.from_arrow(b)
         .select("event_type", "day", "n_events", "sum_value_cents")
         .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
+    )
 
-    sub = hash_aggregate(finest, ["event_type"], combine=_agg, merge=_agg).map_batches(
+    sub = ops.map_blocks(
+        hash_aggregate(finest, ["event_type"], combine=_agg, merge=_agg),
         lambda b: pl.from_arrow(b)
         .select(
             "event_type",
@@ -947,15 +897,11 @@ def events_rollup(sf_dir: str) -> rd.Dataset:
             "sum_value_cents",
         )
         .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
     grand = hash_group_apply(
-        finest.map_batches(
-            lambda b: pl.from_arrow(b).with_columns(pl.lit(0).alias("g")).to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+        ops.map_blocks(
+            finest, lambda b: pl.from_arrow(b).with_columns(pl.lit(0).alias("g")).to_arrow()
         ),
         ["g"],
         lambda df: df.select(

@@ -7,6 +7,7 @@ SQL-reproducible.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -16,6 +17,7 @@ import ray
 import ray.data as rd
 
 from .. import ops
+from ..functions.sketches import histogram_rank_values
 from ..ops import hash_aggregate, hash_group_apply, tagged_union_join
 from ..stages import SeoStage
 from . import graph
@@ -41,20 +43,19 @@ __all__ = [
 ]
 
 
-def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
-    return ops.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=columns)
-
-
 # --- M4/M8: full-corpus SEO metrics (oracle-checked) ----------------------
 
 def seo_metrics(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     """Wide SEO struct per page via the regex parser (content_parser.py
 
     semantics); every field is a closed-form function of doc_id for the
-    synthetic corpus, so the DuckDB oracle recomputes it exactly."""
+    synthetic corpus, so the DuckDB oracle recomputes it exactly.  One
+    scan wave of at most ``graph.EDGE_PAGES_PER_TASK`` pages per task
+    (each page carries its whole HTML)."""
+    stage = SeoStage()
 
-    def finish(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
+    def seo(batch: pa.Table) -> pa.Table:
+        df = pl.from_arrow(stage(batch))
         return df.select(
             pl.col("url"),
             pl.col("title_length").cast(pl.Int64),
@@ -70,11 +71,8 @@ def seo_metrics(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             pl.col("seo_score").round(4),
         ).to_arrow()
 
-    return (
-        graph.pages_dataset(sf_dir, multiplier, columns=["url", "html"])
-        .map_batches(SeoStage(), batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return ops.scan(graph.corpus_files(sf_dir, multiplier), ["url", "html"], seo,
+                    graph.EDGE_PAGES_PER_TASK)
 
 
 # --- A3: domain value score ----------------------------------------------
@@ -131,48 +129,30 @@ def crawl_tier_assignment(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
 
     Thresholds use the repo's exact bounded-domain histogram rule
     (value_percentiles / ccnet_buckets): one tiny (score, count)
-    exchange, a single-block cumulative scan picks the
-    lower-interpolation ranks ``floor(q·(n−1))``, and the two driver
-    scalars gate a stateless vectorized bucket map — per-host rows
-    never leave their partition twice.
+    exchange, collected on the driver, where
+    ``sketches.histogram_rank_values`` picks the lower-interpolation
+    ranks ``floor(q·(n−1))``; the two driver scalars gate a stateless
+    vectorized bucket map — per-host rows never leave their partition
+    twice.
     """
-    scores = domain_value_scores(sf_dir, multiplier).materialize()
-
+    scores = domain_value_scores(sf_dir, multiplier)
     hist = hash_aggregate(
-        scores.map_batches(
-            lambda t: pl.from_arrow(t)
-            .group_by("value_score")
-            .len("cnt")
-            .with_columns(pl.col("cnt").cast(pl.Int64))
-            .to_arrow(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
+        scores,
         ["value_score"],
-        combine=[pl.col("cnt").sum()],
+        combine=[pl.len().cast(pl.Int64).alias("cnt")],
         merge=[pl.col("cnt").sum()],
     )
-
-    def pick(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).sort("value_score").with_columns(
-            cum=pl.col("cnt").cum_sum(), n=pl.col("cnt").sum()
+    # the histogram is bounded (one row per distinct score)
+    hist = pl.from_arrow(ops.collect_table(hist)).sort("value_score")
+    n = int(hist["cnt"].sum())
+    t50, t80 = (
+        int(v)
+        for v in histogram_rank_values(
+            hist["value_score"].to_numpy(),
+            hist["cnt"].to_numpy(),
+            [math.floor(q * float(n - 1)) for q in (0.5, 0.8)],
         )
-        outs = []
-        for q in (0.5, 0.8):
-            rank = (pl.lit(q) * (pl.col("n") - 1).cast(pl.Float64)).floor().cast(pl.Int64)
-            outs.append(
-                df.filter(
-                    ((pl.col("cum") - pl.col("cnt")) <= rank) & (rank < pl.col("cum"))
-                ).select(pl.col("value_score").alias("v"))
-            )
-        return pl.concat(outs).to_arrow()
-
-    t50, t80 = [
-        r["v"]
-        for r in hist.repartition(1)
-        .map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
-        .take(2)
-    ]
+    )
 
     def bucket(batch: pa.Table) -> pa.Table:
         tier = (
@@ -195,7 +175,7 @@ def crawl_tier_assignment(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             .to_arrow()
         )
 
-    return scores.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(scores, bucket)
 
 
 def expired_domain_finder(
@@ -238,7 +218,7 @@ def expired_domain_finder(
             .to_arrow()
         )
 
-    found = scored.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    found = ops.map_blocks(scored, finish)
     if limit is None:
         return found
     return ops.block_topk(found, ["value_score", "host"], [True, False], limit)
@@ -288,7 +268,7 @@ def customers_without_orders(sf_dir: str) -> rd.Dataset:
     """Anti-join shape (competitive_analysis_service.py:55-106's
 
     keyword-gap): broadcast the order-customer key set, mark inside
-    map_batches (no shuffle), roll up per market segment so the result
+    the scan (no shuffle), roll up per market segment so the result
     is schema-stable even when the gap set is empty."""
     import pyarrow.parquet as pq
 
@@ -308,8 +288,8 @@ def customers_without_orders(sf_dir: str) -> rd.Dataset:
         has = (pos < len(keys_l)) & (keys_l[safe] == cust) if len(keys_l) else np.zeros(len(cust), bool)
         return batch.append_column("no_orders", pa.array(~has))
 
-    marked = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
-        anti_mark, batch_format="pyarrow", zero_copy_batch=True
+    marked = ops.scan(
+        os.path.join(sf_dir, "customer.parquet"), ["c_custkey", "c_mktsegment"], anti_mark
     )
     return hash_aggregate(
         marked,
@@ -338,7 +318,7 @@ def latest_event_per_user(sf_dir: str) -> rd.Dataset:
         )
 
     return hash_group_apply(
-        _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"]),
+        ops.scan(os.path.join(sf_dir, "events.parquet"), ["user_id", "event_id", "ts", "event_type"]),
         ["user_id"],
         latest,
     )
@@ -367,7 +347,9 @@ def anomalous_events(sf_dir: str) -> rd.Dataset:
         )
 
     return hash_group_apply(
-        _read(sf_dir, "events", ["user_id", "event_id", "value"]), ["user_id"], flag
+        ops.scan(os.path.join(sf_dir, "events.parquet"), ["user_id", "event_id", "value"]),
+        ["user_id"],
+        flag,
     )
 
 
@@ -406,7 +388,7 @@ def anomalous_events_windowed(sf_dir: str, window: int = 10) -> rd.Dataset:
         ).select(["user_id", "event_id", "value_cents"])
 
     return hash_group_apply(
-        _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"]),
+        ops.scan(os.path.join(sf_dir, "events.parquet"), ["user_id", "event_id", "ts", "value"]),
         ["user_id"],
         flag,
     )
@@ -428,9 +410,7 @@ def props_json_rollup(sf_dir: str) -> rd.Dataset:
         )
         return pl.DataFrame({"k_bucket": (k // 10).cast(pl.Int64)}).to_arrow()
 
-    parsed = _read(sf_dir, "events", ["props"]).map_batches(
-        parse, batch_format="pyarrow", zero_copy_batch=True
-    )
+    parsed = ops.scan(os.path.join(sf_dir, "events.parquet"), ["props"], parse)
     return hash_aggregate(
         parsed,
         ["k_bucket"],
@@ -551,7 +531,7 @@ def domain_intelligence_sources(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             pl.when(av).then(pl.lit(100.0 / 6)).otherwise(0.0).alias("source_confidence"),
         ).to_arrow()
 
-    return hosts.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(hosts, expand)
 
 
 def domain_intelligence(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
@@ -565,13 +545,12 @@ def domain_intelligence(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     (:func:`domain_intelligence_sources`) — filter to the sources that
     answered, one hash aggregate keyed by host.
     """
-    avail = domain_intelligence_sources(sf_dir, multiplier).map_batches(
+    avail = ops.map_blocks(
+        domain_intelligence_sources(sf_dir, multiplier),
         lambda b: pl.from_arrow(b)
         .filter(pl.col("available"))
         .select("host", "sentiment")
         .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
     merged = hash_aggregate(
         avail,
@@ -592,7 +571,7 @@ def domain_intelligence(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             pl.col("n_sources"),
         ).to_arrow()
 
-    return merged.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(merged, finish)
 
 
 # pinned "now" for the WHOIS simulation — the corpus reference epoch
@@ -630,7 +609,7 @@ def whois_domain_age(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     — ``h{k}.example.com``, ``ext{k}.net``, ``probe{k}.test.com`` —
     so all three reference branches are exercised.  Per-domain
     metadata scale (3 × #hosts rows); the JSON round trip is a
-    per-row loop by necessity, inside map_batches.
+    per-row loop by necessity, inside the map wave.
     """
     import json
     from datetime import datetime, timedelta
@@ -741,7 +720,7 @@ def whois_domain_age(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             }
         )
 
-    return ks.map_batches(run, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(ks, run)
 
 
 def edge_snapshot_merge(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
@@ -825,9 +804,7 @@ def url_priority_scores(sf_dir: str) -> rd.Dataset:
             .to_arrow()
         )
 
-    return ops.read_parquet(files, columns=["url", "depth"]).map_batches(
-        score, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return ops.scan(files, ["url", "depth"], score)
 
 
 # --- O5: valuable-domain limit ---------------------------------------------
@@ -912,7 +889,9 @@ def recrawl_schedule(
     to per-(tier, interval) partials inside each batch, so the only
     other exchange is a ≤3-group ``hash_aggregate``.
     """
-    tiers = crawl_tier_assignment(sf_dir, multiplier).select_columns(["host", "tier"])
+    tiers = ops.map_blocks(
+        crawl_tier_assignment(sf_dir, multiplier), lambda t: t.select(["host", "tier"])
+    )
     intervals = {0: 6, 1: 24, 2: 168}
 
     def page_host(batch: pa.Table) -> pa.Table:
@@ -921,9 +900,7 @@ def recrawl_schedule(
             pl.col("url").str.extract(r"^https://([^/]+)/", 1).alias("host"),
         ).to_arrow()
 
-    pages = graph.pages_dataset(sf_dir, multiplier, columns=["url"]).map_batches(
-        page_host, batch_format="pyarrow", zero_copy_batch=True
-    )
+    pages = ops.scan(graph.corpus_files(sf_dir, multiplier), ["url"], page_host)
     with_tier = tagged_union_join(
         pages, tiers, "host", "host", how="left",
         left_schema=pa.schema([("doc_id", pa.int64()), ("host", pa.string())]),
@@ -958,7 +935,7 @@ def recrawl_schedule(
             .to_arrow()
         )
 
-    partials = with_tier.map_batches(per_page, batch_format="pyarrow", zero_copy_batch=True)
+    partials = ops.map_blocks(with_tier, per_page)
     sums = [
         pl.col(c).sum()
         for c in ("n_pages", "total_revisits", "total_changes", "total_missed")
@@ -981,4 +958,4 @@ def recrawl_schedule(
             .to_arrow()
         )
 
-    return rolled.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(rolled, finish)

@@ -36,6 +36,7 @@ from ..functions.htmlx import extract_text_batch
 from ..functions.sketches import (
     band_hashes,
     batch_shingle_hashes,
+    histogram_rank_values,
     minhash_signatures,
     simhash64,
     token_hashes,
@@ -396,13 +397,16 @@ def ccnet_buckets(sf_dir: str) -> rd.Dataset:
     n_tokens)`` (floor of one double division — bit-identical in
     DuckDB), then EXACT tertile thresholds by the repo's
     bounded-domain histogram rule — one hash exchange carrying only
-    (distinct mean value, count) rows, a single-block cumulative scan
-    picks the lower-interpolation ranks ``floor(q·(n−1))`` for q =
-    1/3, 2/3 — and a stateless vectorized bucket compare.  The two
+    (distinct mean value, count) rows, collected on the driver, where
+    ``sketches.histogram_rank_values`` picks the lower-interpolation
+    ranks ``floor(q·(n−1))`` for q = 1/3, 2/3 — and a stateless
+    vectorized bucket compare.  The two
     threshold scalars are the only driver-side values (PageRank's
     dangling-mass pattern); document text never crosses a second
     exchange.
     """
+    import math
+
     scores = ops.map_blocks(
         unigram_logprob(sf_dir),
         lambda t: pl.from_arrow(t)
@@ -424,22 +428,17 @@ def ccnet_buckets(sf_dir: str) -> rd.Dataset:
         merge=[pl.col("cnt").sum()],
     )
 
-    def pick(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).sort("mean_micro_floor").with_columns(
-            cum=pl.col("cnt").cum_sum(), n=pl.col("cnt").sum()
-        )
-        outs = []
-        for q in (1.0 / 3.0, 2.0 / 3.0):
-            rank = (pl.lit(q) * (pl.col("n") - 1).cast(pl.Float64)).floor().cast(pl.Int64)
-            outs.append(
-                df.filter(
-                    ((pl.col("cum") - pl.col("cnt")) <= rank) & (rank < pl.col("cum"))
-                ).select(pl.col("mean_micro_floor").alias("v"))
-            )
-        return pl.concat(outs).to_arrow()
-
     # the histogram is bounded (one row per distinct mean value)
-    t1, t2 = pick(ops.collect_table(hist)).column("v").to_pylist()[:2]
+    hist = pl.from_arrow(ops.collect_table(hist)).sort("mean_micro_floor")
+    n = int(hist["cnt"].sum())
+    t1, t2 = (
+        int(v)
+        for v in histogram_rank_values(
+            hist["mean_micro_floor"].to_numpy(),
+            hist["cnt"].to_numpy(),
+            [math.floor(q * float(n - 1)) for q in (1.0 / 3.0, 2.0 / 3.0)],
+        )
+    )
 
     def bucket(batch: pa.Table) -> pa.Table:
         return (

@@ -23,7 +23,12 @@ def to_pandas(result) -> pd.DataFrame:
         import ray.data as rd
 
         if isinstance(result, rd.Dataset):
-            return result.to_pandas()
+            df = result.to_pandas()
+            schema = None if len(df.columns) else result.schema()
+            if schema is not None:
+                # a typed zero-row Dataset keeps its columns
+                df = schema.base_schema.empty_table().to_pandas()
+            return df
     except ImportError:
         pass
     if isinstance(result, pa.Table):

@@ -34,9 +34,7 @@ def ray_session():
 
 # per registry query, the most Ray Data executions (StreamingExecutor.execute
 # calls) that running it at sf0.001 and reading the result into pandas may
-# start, counted for the query run alone (the three quality_classifier_*
-# queries share a per-session training cache, so each starts fewer after
-# another one ran); an entry may only go down
+# start; an entry may only go down
 EXECUTION_BUDGET = REPO / "tests" / "execution_budget.json"
 
 

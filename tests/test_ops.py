@@ -427,6 +427,11 @@ def test_scan_equals_read_parquet_map_batches(name, tmp_path, monkeypatch):
         # fn runs once, on the empty table of the columns
         assert rows == [0]
         assert got.num_rows == 0 and got.schema.names == columns + ["n"]
+        # the oracle helper reads the typed zero-row result with its columns
+        from scripts.check_oracle import to_pandas
+
+        empty = ops.scan(path, columns, fn, batch_size=batch_size)
+        assert list(to_pandas(empty).columns) == empty.schema().names == columns + ["n"]
         return
     assert len(rows) == max(min(ops.cluster_cpus(), total), -(-total // batch_size))
     assert max(rows) <= batch_size and sum(rows) == total
@@ -506,3 +511,22 @@ def test_map_blocks_equals_map_batches(tmp_path):
     empty = ops.map_blocks(rd.from_arrow(t.slice(0, 0)), fn)
     assert _calls(str(tmp_path)) == [0]
     assert empty.count() == 0 and empty.schema().names == ["id", "s", "n"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_int_range_is_one_wave_of_ordered_blocks(ray_data_executions):
+    """``int_range`` builds ``[0, n)`` as one task wave: the blocks cover
+    the span once and in order, ``max(min(P, n), ceil(n / batch))`` of
+    them, a typed empty int64 column for n = 0, and no Ray Data
+    execution."""
+    from link_profiler_repo_ray import ops
+
+    P, batch = ops.cluster_cpus(), ops.DEFAULT_EXCHANGE_BATCH
+    for n in (0, 1, P, 3 * batch + 1):
+        ds = ops.int_range(n, "k")
+        _, _, rows = ops._blocks(ds)
+        got = ops.collect_table(ds)
+        assert len(rows) == max(min(P, n), -(-n // batch)), n
+        assert got.schema == pa.schema([("k", pa.int64())]), n
+        assert np.array_equal(got.column("k").to_numpy(), np.arange(n)), n
+    assert not ray_data_executions
