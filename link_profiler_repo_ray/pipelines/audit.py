@@ -57,11 +57,17 @@ def ai_calibration(sf_dir: str) -> rd.Dataset:
     ≥ 30 tokens, unique-token ratio ≥ 0.65); this confusion rollup is
     how a curator decides whether the model can replace the gates (or
     vice versa) before spending a 100-TB inference pass.  One actor
-    pool scores, the gate is computed in the same batch, and only
-    (label, pass) pairs cross a tiny exchange.
+    pool scores, one map wave over its blocks computes the gate, and
+    only (label, pass) pairs cross a tiny exchange.
     """
     docs = ops.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text", "n_chars"]
+    )
+    scored = docs.map_batches(
+        AIScoreStage,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        concurrency=ops.auto_concurrency(),
     )
 
     def gate_and_thin(batch: pa.Table) -> pa.Table:
@@ -70,39 +76,33 @@ def ai_calibration(sf_dir: str) -> rd.Dataset:
             pl.from_arrow(batch).select("ai_classification", g3.alias("heuristic_pass")).to_arrow()
         )
 
-    scored = docs.map_batches(
-        AIScoreStage,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=ops.auto_concurrency(),
-    ).map_batches(gate_and_thin, batch_format="pyarrow", zero_copy_batch=True)
-
-    from ..ops import hash_aggregate
-
-    return hash_aggregate(
-        scored,
+    return ops.hash_aggregate(
+        ops.map_blocks(scored, gate_and_thin),
         ["ai_classification", "heuristic_pass"],
         combine=[pl.len().cast(pl.Int64).alias("n_docs")],
         merge=[pl.col("n_docs").sum()],
     )
 
 
+class _AIScoresStage(AIScoreStage):
+    """:class:`AIScoreStage` whose output drops the scored text."""
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return super().__call__(batch).drop_columns([self.text_col])
+
+
 def ai_content_scores(sf_dir: str) -> rd.Dataset:
     """T10 model stage over the documents table: one actor pool, weights
     in ``__init__``, batched vectorized scoring in ``__call__``."""
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return batch.drop_columns(["text"])
-
     docs = ops.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
     )
     return docs.map_batches(
-        AIScoreStage,
+        _AIScoresStage,
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=ops.auto_concurrency(),
-    ).map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    )
 
 
 def audit_scores(df: pl.DataFrame, keep: list[str]) -> pl.DataFrame:
@@ -171,9 +171,8 @@ def technical_audit(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             "audit_passed",
         ).to_arrow()
 
-    return graph.pages_dataset(sf_dir, multiplier, columns=["url", "html"]).map_batches(
-        audit, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return ops.scan(graph.corpus_files(sf_dir, multiplier), ["url", "html"], audit,
+                    graph.EDGE_PAGES_PER_TASK)
 
 
 _TECH_SCHEMA = pa.schema(
@@ -201,20 +200,15 @@ def full_seo_audit(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     ``seo_healthy`` when it passes the technical audit AND has no
     broken outbound links."""
     tech = technical_audit(sf_dir, multiplier)
-    edges = graph.edges_dataset(sf_dir, multiplier)
 
-    def broken(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        tdoc = pl.col("target_url").str.extract(r"/doc/(\d+)$", 1).cast(pl.Int64)
-        df = df.filter(
-            ~pl.col("link_type").is_in(["canonical", "redirect"]) & (tdoc % 17 == 0)
-        )
-        return df.select("source_url").to_arrow()
-
+    # counted in the combine, so a page whose out-links all resolve gets
+    # 0 here, and a page with no out-link gets its 0 from ``finish``
+    tdoc = pl.col("target_url").str.extract(r"/doc/(\d+)$", 1).cast(pl.Int64)
+    broken = ~pl.col("link_type").is_in(["canonical", "redirect"]) & (tdoc % 17 == 0)
     per_page_broken = ops.hash_aggregate(
-        edges.map_batches(broken, batch_format="pyarrow", zero_copy_batch=True),
+        graph.edges_dataset(sf_dir, multiplier),
         ["source_url"],
-        combine=[pl.len().cast(pl.Int64).alias("n_broken_links")],
+        combine=[broken.sum().cast(pl.Int64).alias("n_broken_links")],
         merge=[pl.col("n_broken_links").sum()],
     )
     joined = ops.tagged_union_join(
@@ -235,4 +229,4 @@ def full_seo_audit(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             (pl.col("audit_passed") & (pl.col("n_broken_links") == 0)).alias("seo_healthy")
         ).to_arrow()
 
-    return joined.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(joined, finish)

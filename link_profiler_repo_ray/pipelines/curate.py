@@ -1,7 +1,7 @@
 """End-to-end corpus curation: the composed pipeline a user runs
 between a crawl and the tokenizer.
 
-One streaming Ray Data flow chains the individual curation operators
+One flow chains the individual curation operators
 (``pipelines/textdata.py``) the way a 100-TB pretraining run would:
 
     read → clean/normalize → quality gates → exact dedup → PII scrub
@@ -9,7 +9,7 @@ One streaming Ray Data flow chains the individual curation operators
 
 Scale shape:
 - The cleaning/gating/scrubbing stages are embarrassingly parallel
-  ``map_batches`` (no exchange).
+  map waves (``ops.scan`` / ``ops.map_blocks``, no exchange).
 - Document text crosses exactly ONE exchange — the dedup partition by
   ``hash(text_clean)``; identical texts co-locate, survivors keep the
   minimum ``doc_id`` (ties impossible: doc_id is unique).
@@ -36,12 +36,7 @@ import ray.data as rd
 
 from .. import ops
 from ..ops import hash_aggregate, hash_group_apply
-from .textdata import (
-    _PII_PATTERNS,
-    clean_words,
-    documents_dataset,
-    greedy_pack_partition,
-)
+from .textdata import _PII_PATTERNS, clean_words, greedy_pack_partition
 
 __all__ = ["curate_dataset", "curated_documents", "curate_pages", "curate_corpus"]
 
@@ -86,21 +81,7 @@ def _dedup_partition(df: pl.DataFrame) -> pl.DataFrame:
     return df.filter(pl.col("doc_id") == pl.col("doc_id").min().over("text_clean"))
 
 
-_CURATED_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("source", pa.string()),
-        ("n_tokens", pa.int64()),
-        ("text_curated", pa.string()),
-    ]
-)
-
-
 def _scrub(batch: pa.Table) -> pa.Table:
-    if batch.num_rows == 0:
-        # a fully-gated-out input reaches here as a zero-column block
-        # (Ray's groupby of an empty dataset) — keep the schema stable
-        return _CURATED_SCHEMA.empty_table()
     df = pl.from_arrow(batch)
     red = pl.col("text_clean")
     for tag, pat in _PII_PATTERNS:
@@ -116,11 +97,9 @@ def curate_dataset(ds: rd.Dataset) -> rd.Dataset:
     documents table, a crawled page corpus, a WARC read, etc.
     Document text crosses exactly one exchange (the dedup partition).
     """
-    cleaned = ds.map_batches(
-        _clean_and_gate, batch_format="pyarrow", zero_copy_batch=True
-    )
+    cleaned = ops.map_blocks(ds, _clean_and_gate)
     survivors = hash_group_apply(cleaned, ["text_clean"], _dedup_partition)
-    return survivors.map_batches(_scrub, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(survivors, _scrub)
 
 
 def curated_documents(sf_dir: str) -> rd.Dataset:
@@ -128,9 +107,8 @@ def curated_documents(sf_dir: str) -> rd.Dataset:
     SQL-checkable registry surface.  Columns: (doc_id, source,
     n_tokens, text_curated); one row per surviving document.
     """
-    return curate_dataset(
-        documents_dataset(sf_dir, ["doc_id", "source", "text", "n_chars"])
-    )
+    return curate_dataset(ops.scan(os.path.join(sf_dir, "documents.parquet"),
+                                   ["doc_id", "source", "text", "n_chars"]))
 
 
 def curate_pages(pages: rd.Dataset) -> rd.Dataset:
@@ -154,9 +132,7 @@ def curate_pages(pages: rd.Dataset) -> rd.Dataset:
             pl.col("text").str.len_chars().cast(pl.Int64).alias("n_chars"),
         ).to_arrow()
 
-    return curate_dataset(
-        pages.map_batches(shape, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return curate_dataset(ops.map_blocks(pages, shape))
 
 
 def curate_corpus(sf_dir: str, out_dir: str, budget: int = 512) -> dict:
@@ -198,7 +174,7 @@ def curate_corpus(sf_dir: str, out_dir: str, budget: int = 512) -> dict:
     # manifest counters: collapse to one row per bin first (a bin's rows
     # may span file/batch boundaries after the write), then reduce each
     # block to O(1) counters — the driver only ever sums tiny partials
-    bins = ops.read_parquet(bins_dir, columns=["doc_id", "bin_id", "bin_tokens"])
+    bins = ops.scan(bins_dir, ["doc_id", "bin_id", "bin_tokens"])
     per_bin = hash_aggregate(
         bins,
         ["bin_id"],
@@ -216,15 +192,7 @@ def curate_corpus(sf_dir: str, out_dir: str, budget: int = 512) -> dict:
             }
         ).to_arrow()
 
-    agg = pl.from_arrow(
-        pa.concat_tables(
-            list(
-                per_bin.map_batches(
-                    _part_stats, batch_format="pyarrow", zero_copy_batch=True
-                ).iter_batches(batch_format="pyarrow")
-            )
-        )
-    )
+    agg = pl.from_arrow(ops.collect_table(ops.map_blocks(per_bin, _part_stats)))
     return {
         "n_docs_curated": int(agg.get_column("n_docs").sum()),
         "n_bins": int(agg.get_column("n_bins").sum()),

@@ -30,6 +30,7 @@ import os
 
 import polars as pl
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
@@ -39,15 +40,11 @@ from ..ops import tagged_union_join
 __all__ = ["snapshot_diff", "redirect_chains", "profiles_incremental"]
 
 
-def _documents(sf_dir: str, columns=None) -> rd.Dataset:
-    return ops.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=columns)
-
-
 def _md5_col(texts: list[str]) -> list[str]:
     # portable content hash: DuckDB's md5() recomputes the identical
     # digest, so the diff below is cross-engine exact (same rationale
     # as dataset_split's md5 bucket: portability over speed; the
-    # per-row loop runs inside map_batches on a pruned 2-column scan)
+    # per-row loop runs inside the scan wave of a pruned 2-column read)
     return [hashlib.md5(t.encode("utf-8")).hexdigest() for t in texts]
 
 
@@ -62,18 +59,21 @@ def snapshot_diff(sf_dir: str) -> rd.Dataset:
     content (text + " [updated]"), and each doc with
     ``doc_id % 23 == 3`` spawned one new page (doc_id + max_id + 1,
     text + " [new]").  The diff itself is generic: hash text per
-    block, full-outer-join the two (doc_id, hash) streams through one
-    partitioned exchange, classify added / removed / changed /
-    unchanged.  Reference: historical_data_service.py's
+    scan chunk, full-outer-join the two (doc_id, hash) streams through
+    one partitioned exchange whose merge also classifies added /
+    removed / changed / unchanged.  Reference: historical_data_service.py's
     snapshot-compare queries.
     """
-    # bounded aggregate on a single pruned int column → new-doc id base
-    base = int(_documents(sf_dir, ["doc_id"]).max("doc_id")) + 1
+    path = os.path.join(sf_dir, "documents.parquet")
+    # new-doc id base: one scan wave of per-chunk maxima of doc_id
+    maxima = ops.collect_table(ops.scan(path, ["doc_id"], lambda t: pa.table(
+        {"m": pa.array([pc.max(t["doc_id"]).as_py()], pa.int64())})))
+    base = (pc.max(maxima["m"]).as_py() or 0) + 1
 
     def hash_a(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
         return df.select(
-            "doc_id", pl.Series("h_a", _md5_col(df["text"].to_list()))
+            "doc_id", pl.Series("h_a", _md5_col(df["text"].to_list()), dtype=pl.Utf8)
         ).to_arrow()
 
     def synth_b(batch: pa.Table) -> pa.Table:
@@ -92,30 +92,11 @@ def snapshot_diff(sf_dir: str) -> rd.Dataset:
         b = pl.concat([kept, added])
         return b.select(
             pl.col("doc_id").alias("doc_id_b"),
-            pl.Series("h_b", _md5_col(b["text"].to_list())),
+            pl.Series("h_b", _md5_col(b["text"].to_list()), dtype=pl.Utf8),
         ).to_arrow()
 
-    cols = ["doc_id", "text"]
-    a = _documents(sf_dir, cols).map_batches(
-        hash_a, batch_format="pyarrow", zero_copy_batch=True
-    )
-    b = _documents(sf_dir, cols).map_batches(
-        synth_b, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    joined = tagged_union_join(
-        a,
-        b,
-        "doc_id",
-        "doc_id_b",
-        how="full",
-        left_schema=pa.schema([("doc_id", pa.int64()), ("h_a", pa.string())]),
-        right_schema=pa.schema([("doc_id_b", pa.int64()), ("h_b", pa.string())]),
-    )
-
-    def classify(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        return df.select(
+    def classify(a: pl.DataFrame, b: pl.DataFrame) -> pl.DataFrame:
+        return a.join(b, left_on="doc_id", right_on="doc_id_b", how="full").select(
             pl.coalesce(pl.col("doc_id"), pl.col("doc_id_b")).alias("doc_id"),
             pl.when(pl.col("h_a").is_null())
             .then(pl.lit("added"))
@@ -125,9 +106,20 @@ def snapshot_diff(sf_dir: str) -> rd.Dataset:
             .then(pl.lit("changed"))
             .otherwise(pl.lit("unchanged"))
             .alias("status"),
-        ).to_arrow()
+        )
 
-    return joined.map_batches(classify, batch_format="pyarrow", zero_copy_batch=True)
+    cols = ["doc_id", "text"]
+    return ops._exchange(
+        [
+            (ops.scan(path, cols, hash_a), ["doc_id"], None,
+             pa.schema([("doc_id", pa.int64()), ("h_a", pa.string())])),
+            (ops.scan(path, cols, synth_b), ["doc_id_b"], None,
+             pa.schema([("doc_id_b", pa.int64()), ("h_b", pa.string())])),
+        ],
+        classify,
+        None,
+        ops.DEFAULT_EXCHANGE_BATCH,
+    )
 
 
 # --- redirect resolution by pointer doubling ------------------------------

@@ -98,14 +98,13 @@ def robots_block_rates(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
         merge=[pl.col("n_urls").sum(), pl.col("n_blocked").sum()],
     )
 
-    return per_host.map_batches(
+    return ops.map_blocks(
+        per_host,
         lambda b: pl.from_arrow(b)
         .with_columns(
             ((pl.col("n_blocked") * 1000) // pl.col("n_urls")).alias("block_rate_milli")
         )
         .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
 
@@ -208,10 +207,10 @@ def url_filter_scores(
     Per page URL: length, digit count, digit_ratio_milli =
     floor(1000·digits/len), blocklisted-domain membership (the
     blocklist rides the task closure — a few MB even for real-world
-    lists), and the composite keep flag.  Pure vectorized map over a
-    single-column pruned scan; no exchange at all.
+    lists), and the composite keep flag.  One scan wave over the
+    single-column pruned read; no exchange at all.
     """
-    from .graph import pages_dataset
+    from .graph import corpus_files
     from ..functions import canonical as can
     from ..sources.corpus import corpus_n_docs, host_name, n_hosts
 
@@ -242,9 +241,7 @@ def url_filter_scores(
             ).alias("keep"),
         ).to_arrow()
 
-    return pages_dataset(sf_dir, multiplier, columns=["url"]).map_batches(
-        score, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return ops.scan(corpus_files(sf_dir, multiplier), ["url"], score)
 
 
 # --- partition-skew diagnostics -------------------------------------------
@@ -260,40 +257,38 @@ def shard_balance_report(sf_dir: str, multiplier: int = 1, num_shards: int = 32)
     The md5 loop runs over DISTINCT hosts only, after the per-block
     (host → count) combiner, so its cost is O(#hosts), not O(rows).
     """
-    from .graph import pages_dataset
+    from .graph import corpus_files
     from ..functions import canonical as can
 
     def to_host(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
         return pl.DataFrame(
-            {"host": can.host_of_batch(df["url"].to_list())}
+            {"host": can.host_of_batch(df["url"].to_list())}, schema={"host": pl.Utf8}
         ).to_arrow()
 
     per_host = hash_aggregate(
-        pages_dataset(sf_dir, multiplier, columns=["url"]).map_batches(
-            to_host, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        ops.scan(corpus_files(sf_dir, multiplier), ["url"], to_host),
         ["host"],
         combine=[pl.len().alias("n")],
         merge=[pl.col("n").sum()],
     )
 
-    def assign_shard(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
+    def assign_shard(df: pl.DataFrame) -> pl.DataFrame:
         shard = [
             int(hashlib.md5(h.encode()).hexdigest()[:4], 16) % num_shards
             for h in df["host"].to_list()
         ]
-        return df.with_columns(pl.Series("shard", shard, dtype=pl.Int64)).to_arrow()
+        return df.with_columns(pl.Series("shard", shard, dtype=pl.Int64))
 
     return hash_group_apply(
-        per_host.map_batches(assign_shard, batch_format="pyarrow", zero_copy_batch=True),
+        per_host,
         ["shard"],
         lambda df: df.group_by("shard").agg(
             pl.col("n").sum().alias("n_docs"),
             pl.len().cast(pl.Int64).alias("n_hosts"),
             pl.col("n").max().alias("max_host_docs"),
         ),
+        pre=assign_shard,
     )
 
 
@@ -358,10 +353,8 @@ def range_partition_plan(sf_dir: str, num_parts: int = 8) -> rd.Dataset:
 
     # one logical group: the plan needs the whole ordered histogram —
     # bounded by |distinct cents|, not |events|
-    keyed = ops.map_blocks(
-        hist, lambda b: pl.from_arrow(b).with_columns(pl.lit(0).alias("g")).to_arrow()
-    )
-    return hash_group_apply(keyed, ["g"], lambda df: plan(df.drop("g")))
+    return hash_group_apply(hist, ["g"], lambda df: plan(df.drop("g")),
+                            pre=lambda df: df.with_columns(pl.lit(0).alias("g")))
 
 
 # --- fuzzy self-join by deletion-neighborhood blocking ---------------------

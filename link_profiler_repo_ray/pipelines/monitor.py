@@ -167,9 +167,8 @@ def alert_rules_eval(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
         # casts back to the oracle's int64 exactly
         return stage(m.to_arrow()).cast(_ALERT_SCHEMA)
 
-    alerts = graph.pages_dataset(
-        sf_dir, multiplier, columns=["url", "warc_ts", "html"]
-    ).map_batches(evaluate, batch_format="pyarrow", zero_copy_batch=True)
+    alerts = ops.scan(graph.corpus_files(sf_dir, multiplier), ["url", "warc_ts", "html"],
+                      evaluate, graph.EDGE_PAGES_PER_TASK)
     return apply_cooldown(alerts)
 
 
@@ -254,7 +253,7 @@ def security_audit_summary(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             .alias("security_risk"),
         ).to_arrow()
 
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(agg, finish)
 
 
 _CENTER_LAT = 51.5074

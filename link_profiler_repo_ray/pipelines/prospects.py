@@ -16,10 +16,11 @@ implemented exactly.
 Scale shape (the part the reference's per-domain ``await`` loop cannot
 do): strategy 1 is ONE hash-partitioned exchange keyed by source host
 carrying two booleans per (host, block) partial; strategy 2 reuses the
-distributed SERP ingest; the union is deduped in ONE more exchange
-keyed by prospect URL.  Domain metrics are closed-form in host_id
+distributed SERP ingest; the two strategies are the two sides of ONE
+more exchange keyed by prospect URL, whose merge dedups and scores.
+Domain metrics are closed-form in host_id
 (``research.synthetic_domain_metrics``'s stand-in for the Postgres
-domains table), computed vectorized inside the final map — no metrics
+domains table), computed vectorized inside that merge — no metrics
 join, no broadcast, nothing on the driver.
 """
 
@@ -29,6 +30,7 @@ import polars as pl
 import pyarrow as pa
 import ray.data as rd
 
+from .. import ops
 from ..ops import hash_aggregate
 from . import graph
 
@@ -93,54 +95,30 @@ def link_prospects(
         merge=[pl.col("links_comp").any(), pl.col("links_primary").any()],
     )
 
-    def s1(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).filter(pl.col("links_comp") & ~pl.col("links_primary"))
-        return df.select(
+    def s1(df: pl.DataFrame) -> pl.DataFrame:
+        return df.filter(pl.col("links_comp") & ~pl.col("links_primary")).select(
             (pl.lit("https://") + pl.col("source_host")).alias("prospect_url"),
             pl.col("source_host").alias("host"),
             pl.lit(True).alias("links_to_competitor"),
             pl.lit(False).alias("ranks_for_keyword"),
-        ).to_arrow()
-
-    strat1 = host_flags.map_batches(s1, batch_format="pyarrow", zero_copy_batch=True)
+        )
 
     # --- strategy 2: distributed SERP ingest, excluded hosts dropped
     from ..sources import serpkw
 
-    def s2(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).filter(
+    def s2(df: pl.DataFrame) -> pl.DataFrame:
+        return df.filter(
             (pl.col("result_host") != primary) & ~pl.col("result_host").is_in(comps)
-        )
-        return df.select(
+        ).select(
             pl.col("result_url").alias("prospect_url"),
             pl.col("result_host").alias("host"),
             pl.lit(False).alias("links_to_competitor"),
             pl.lit(True).alias("ranks_for_keyword"),
-        ).to_arrow()
-
-    strat2 = serpkw.serp_results(sf_dir).map_batches(
-        s2, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    # --- dedup by prospect URL (reference dict keyed by URL, :74) ----
-    merged = hash_aggregate(
-        strat1.union(strat2),
-        ["prospect_url"],
-        combine=[
-            pl.col("host").first().alias("host"),
-            pl.col("links_to_competitor").any().alias("links_to_competitor"),
-            pl.col("ranks_for_keyword").any().alias("ranks_for_keyword"),
-        ],
-        merge=[
-            pl.col("host").first(),
-            pl.col("links_to_competitor").any(),
-            pl.col("ranks_for_keyword").any(),
-        ],
-    )
+        )
 
     # --- metrics + score, vectorized closed forms --------------------
-    def score(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).with_columns(_host_id().alias("hid"))
+    def score(df: pl.DataFrame) -> pl.DataFrame:
+        df = df.with_columns(_host_id().alias("hid"))
         df = df.with_columns(
             ((pl.col("hid") * 37 + 11) % 100).alias("authority_score"),
             ((pl.col("hid") * 53 + 7) % 100).alias("trust_score"),
@@ -170,9 +148,30 @@ def link_prospects(
             "ranks_for_keyword",
             raw.clip(0.0, 100.0).alias("score"),
             pl.lit("identified").alias("status"),
-        ).to_arrow()
+        )
 
-    return merged.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
+    # --- both strategies as the two sides of ONE exchange keyed by
+    # prospect URL: dedup (reference dict keyed by URL, :74), then score
+    def merge(one: pl.DataFrame, two: pl.DataFrame) -> pl.DataFrame:
+        return score(
+            pl.concat([one, two], how="vertical_relaxed")
+            .group_by("prospect_url")
+            .agg(
+                pl.col("host").first(),
+                pl.col("links_to_competitor").any(),
+                pl.col("ranks_for_keyword").any(),
+            )
+        )
+
+    return ops._exchange(
+        [
+            (host_flags, ["prospect_url"], s1, None),
+            (serpkw.serp_results(sf_dir), ["prospect_url"], s2, None),
+        ],
+        merge,
+        None,
+        ops.DEFAULT_EXCHANGE_BATCH,
+    )
 
 
 def outreach_campaign_stats(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
@@ -209,9 +208,8 @@ def outreach_campaign_stats(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             (pl.col("replied") & (pl.col("score") >= 60.0)).alias("acquired"),
         ).to_arrow()
 
-    tagged = pros.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
     return hash_aggregate(
-        tagged,
+        ops.map_blocks(pros, tag),
         ["campaign_id"],
         combine=[
             pl.len().cast(pl.Int64).alias("total_prospects"),

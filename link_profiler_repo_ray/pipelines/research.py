@@ -102,7 +102,10 @@ def domain_value_scores(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             pl.col("dofollow").sum().alias("dofollow_links"),
         )
 
-    per_host = hash_group_apply(edges, ["target_host"], rollup, pre=pre)
+    # the exchange itself, not hash_group_apply: ``rollup`` also types
+    # the empty result of an edge set with no rows
+    per_host = ops._exchange([(edges, ["target_host"], pre, None)], rollup, None,
+                             ops.DEFAULT_EXCHANGE_BATCH)
 
     def score(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
@@ -145,6 +148,7 @@ def crawl_tier_assignment(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
     # the histogram is bounded (one row per distinct score)
     hist = pl.from_arrow(ops.collect_table(hist)).sort("value_score")
     n = int(hist["cnt"].sum())
+    # no hosts, no ranks: the bucket map still types the empty result
     t50, t80 = (
         int(v)
         for v in histogram_rank_values(
@@ -152,7 +156,7 @@ def crawl_tier_assignment(sf_dir: str, multiplier: int = 1) -> rd.Dataset:
             hist["cnt"].to_numpy(),
             [math.floor(q * float(n - 1)) for q in (0.5, 0.8)],
         )
-    )
+    ) if n else (0, 0)
 
     def bucket(batch: pa.Table) -> pa.Table:
         tier = (

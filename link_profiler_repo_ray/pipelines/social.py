@@ -51,20 +51,12 @@ _PLATFORMS = ("twitter", "linkedin", "reddit")
 _SENTIMENTS = ("positive", "negative", "neutral")
 
 
-def _documents(sf_dir: str, columns) -> rd.Dataset:
-    return ops.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    return ops.parquet_num_rows(os.path.join(sf_dir, "documents.parquet"))
-
-
 def social_posts(sf_dir: str) -> rd.Dataset:
     """Simulated platform scrape: one row per (platform, keyword, i) —
     the distributed analogue of ``SocialMediaCrawler.scrape_platform``
     (one actor-pool API client per platform in a real deployment)."""
-    n = _n_docs(sf_dir)
-    k = max(20, n // 25)
+    path = os.path.join(sf_dir, "documents.parquet")
+    k = max(20, ops.parquet_num_rows(path) // 25)
 
     def gen(batch: pa.Table) -> pa.Table:
         df = (
@@ -103,9 +95,7 @@ def social_posts(sf_dir: str) -> rd.Dataset:
             sentiment.alias("sentiment"),
         ).to_arrow()
 
-    return _documents(sf_dir, ["doc_id"]).map_batches(
-        gen, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return ops.scan(path, ["doc_id"], gen)
 
 
 def social_engagement_rollup(sf_dir: str) -> rd.Dataset:
@@ -148,9 +138,7 @@ def web3_content_index(sf_dir: str) -> rd.Dataset:
             (1 + pl.col("doc_id") % 3).cast(pl.Int64).alias("n_links_found"),
         ).to_arrow()
 
-    return _documents(sf_dir, ["doc_id", "text"]).map_batches(
-        gen, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return ops.scan(os.path.join(sf_dir, "documents.parquet"), ["doc_id", "text"], gen)
 
 
 def content_gap_topics(
@@ -168,8 +156,8 @@ def content_gap_topics(
 
     Same scale shape as keyword_gap: per-batch distinct (host, topic)
     pre-reduce, one topic-hash exchange, local anti-join."""
-    n = _n_docs(sf_dir)
-    h = max(5, n // 50)
+    path = os.path.join(sf_dir, "documents.parquet")
+    h = max(5, ops.parquet_num_rows(path) // 50)
     comp = list(competitors)
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -187,9 +175,7 @@ def content_gap_topics(
             fine_topic.alias("topic"),
         ).to_arrow()
 
-    tagged = _documents(sf_dir, ["doc_id", "text"]).map_batches(
-        tag, batch_format="pyarrow", zero_copy_batch=True
-    )
+    tagged = ops.scan(path, ["doc_id", "text"], tag)
 
     def pre(df: pl.DataFrame) -> pl.DataFrame:
         return df.filter(pl.col("host").is_in([primary] + comp)).unique()

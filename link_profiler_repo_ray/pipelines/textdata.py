@@ -431,6 +431,7 @@ def ccnet_buckets(sf_dir: str) -> rd.Dataset:
     # the histogram is bounded (one row per distinct mean value)
     hist = pl.from_arrow(ops.collect_table(hist)).sort("mean_micro_floor")
     n = int(hist["cnt"].sum())
+    # no documents, no ranks: the bucket map still types the empty result
     t1, t2 = (
         int(v)
         for v in histogram_rank_values(
@@ -438,7 +439,7 @@ def ccnet_buckets(sf_dir: str) -> rd.Dataset:
             hist["cnt"].to_numpy(),
             [math.floor(q * float(n - 1)) for q in (1.0 / 3.0, 2.0 / 3.0)],
         )
-    )
+    ) if n else (0, 0)
 
     def bucket(batch: pa.Table) -> pa.Table:
         return (

@@ -41,14 +41,6 @@ __all__ = [
 ]
 
 
-def _documents(sf_dir: str) -> rd.Dataset:
-    return ops.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
-
-
-def _n_docs(sf_dir: str) -> int:
-    return ops.parquet_num_rows(os.path.join(sf_dir, "documents.parquet"))
-
-
 # --- deterministic synthetic records -------------------------------------
 #
 # host/url mirror sources/corpus.py; the CDX-only fields are:
@@ -62,8 +54,8 @@ def _n_docs(sf_dir: str) -> int:
 
 def cc_cdx_lines(sf_dir: str) -> rd.Dataset:
     """Synthetic Common-Crawl-style NDJSON index lines (one per doc)."""
-    n = _n_docs(sf_dir)
-    h = max(5, n // 50)
+    path = os.path.join(sf_dir, "documents.parquet")
+    h = max(5, ops.parquet_num_rows(path) // 50)
 
     def gen(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
@@ -103,13 +95,13 @@ def cc_cdx_lines(sf_dir: str) -> rd.Dataset:
         )
         return df.select(line.alias("line")).to_arrow()
 
-    return _documents(sf_dir).map_batches(gen, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.scan(path, ["doc_id"], gen)
 
 
 def wayback_cdx_lines(sf_dir: str) -> rd.Dataset:
     """Synthetic Wayback-style positional CDX lines (1 + d%3 snapshots/url)."""
-    n = _n_docs(sf_dir)
-    h = max(5, n // 50)
+    path = os.path.join(sf_dir, "documents.parquet")
+    h = max(5, ops.parquet_num_rows(path) // 50)
 
     def gen(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
@@ -154,7 +146,7 @@ def wayback_cdx_lines(sf_dir: str) -> rd.Dataset:
         )
         return df.select(line.alias("line")).to_arrow()
 
-    return _documents(sf_dir).map_batches(gen, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.scan(path, ["doc_id"], gen)
 
 
 # --- parsers (the S4/S5 operators proper) --------------------------------
@@ -197,7 +189,7 @@ def cc_cdx_parse(sf_dir: str, lines: rd.Dataset | None = None) -> rd.Dataset:
             pl.col("length").cast(pl.Int64),
         ).to_arrow()
 
-    return lines.map_batches(parse, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(lines, parse)
 
 
 def wayback_latest_snapshot(sf_dir: str, lines: rd.Dataset | None = None) -> rd.Dataset:
@@ -223,7 +215,7 @@ def wayback_latest_snapshot(sf_dir: str, lines: rd.Dataset | None = None) -> rd.
             parts.list.get(4).cast(pl.Int64).alias("status"),
         ).to_arrow()
 
-    snaps = lines.map_batches(parse, batch_format="pyarrow", zero_copy_batch=True)
+    snaps = ops.map_blocks(lines, parse)
     return hash_aggregate(
         snaps,
         ["url"],
@@ -259,7 +251,7 @@ def wayback_domain_age(sf_dir: str, lines: rd.Dataset | None = None) -> rd.Datas
             .alias("snap_ts"),
         ).to_arrow()
 
-    snaps = lines.map_batches(parse, batch_format="pyarrow", zero_copy_batch=True)
+    snaps = ops.map_blocks(lines, parse)
     return hash_aggregate(
         snaps,
         ["host"],
@@ -297,7 +289,7 @@ def cdx_seed_frontier(sf_dir: str, lines: rd.Dataset | None = None) -> rd.Datase
             pl.col("fetch_ts"),
         ).to_arrow()
 
-    shaped = recs.map_batches(shape, batch_format="pyarrow", zero_copy_batch=True)
+    shaped = ops.map_blocks(recs, shape)
     dedup = hash_aggregate(
         shaped,
         ["url", "host"],
@@ -313,4 +305,4 @@ def cdx_seed_frontier(sf_dir: str, lines: rd.Dataset | None = None) -> rd.Datase
             pl.lit(schemas.PRIORITY_MEDIUM).cast(pl.Int64).alias("priority"),
         ).to_arrow()
 
-    return dedup.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(dedup, finish)

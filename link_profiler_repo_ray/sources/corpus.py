@@ -214,9 +214,10 @@ def corpus_dir(sf_dir: str, multiplier: int = 1) -> str:
 
     texts = docs.column("text").to_pylist()
     langs = docs.column("lang").to_pylist()
+    # no documents: one empty shard, so the corpus still has its schema
     ranges = [
         (start, min(start + ROWS_PER_FILE, n_docs)) for start in range(0, n_docs, ROWS_PER_FILE)
-    ]
+    ] or [(0, 0)]
 
     use_ray = False
     if len(ranges) > 1:

@@ -43,8 +43,8 @@ pipeline exactly.  With N documents, K = max(20, N // 25) keywords:
   difficulty        = 1 + (3k + 11i) % 100
   competition_level = [low medium high][(k + i) % 3]
 
-Generation is a distributed ``map_batches`` over the documents table
-(each batch expands its own keyword ids — no driver-side loop), and
+Generation is one ``ops.scan`` wave over the documents table (each
+chunk expands its own keyword ids — no driver-side loop), and
 every downstream rollup moves only keys + counters through one
 hash-partitioned exchange.  A real deployment swaps the generator
 stage for an API-client actor pool with the same output schema.
@@ -75,14 +75,6 @@ DEFAULT_PRIMARY = "h1.example.com"
 DEFAULT_COMPETITORS = ("h2.example.com", "h3.example.com")
 
 
-def _documents(sf_dir: str) -> rd.Dataset:
-    return ops.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
-
-
-def _n_docs(sf_dir: str) -> int:
-    return ops.parquet_num_rows(os.path.join(sf_dir, "documents.parquet"))
-
-
 def serp_results(sf_dir: str) -> rd.Dataset:
     """Simulated-SERP-API ingest: one row per (keyword, snapshot, rank).
 
@@ -90,7 +82,8 @@ def serp_results(sf_dir: str) -> rd.Dataset:
     .get_serp_results`` (serp_service.py:80-120) feeding the
     ``serp_results`` table — each documents batch expands the keyword
     ids it carries, fully vectorized in polars."""
-    n = _n_docs(sf_dir)
+    path = os.path.join(sf_dir, "documents.parquet")
+    n = ops.parquet_num_rows(path)
     h = max(5, n // 50)
     k = max(20, n // 25)
 
@@ -142,15 +135,15 @@ def serp_results(sf_dir: str) -> rd.Dataset:
             ).cast(pl.Datetime("us")).alias("crawl_ts"),
         ).to_arrow()
 
-    return _documents(sf_dir).map_batches(gen, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.scan(path, ["doc_id"], gen)
 
 
 def keyword_suggestions(sf_dir: str) -> rd.Dataset:
     """Simulated keyword-API ingest: (5 + k % 6) suggestions per seed
     keyword (``SimulatedKeywordAPIClient.get_keyword_suggestions``,
     keyword_service.py:80-120, → ``keyword_suggestions`` table)."""
-    n = _n_docs(sf_dir)
-    k = max(20, n // 25)
+    path = os.path.join(sf_dir, "documents.parquet")
+    k = max(20, ops.parquet_num_rows(path) // 25)
 
     def gen(batch: pa.Table) -> pa.Table:
         df = (
@@ -193,7 +186,7 @@ def keyword_suggestions(sf_dir: str) -> rd.Dataset:
             comp.alias("competition_level"),
         ).to_arrow()
 
-    return _documents(sf_dir).map_batches(gen, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.scan(path, ["doc_id"], gen)
 
 
 def serp_rank_latest(sf_dir: str) -> rd.Dataset:

@@ -72,21 +72,13 @@ def sitemap_urls_from_robots(robots_bodies: list[str]) -> list[list[str]]:
     return out
 
 
-def _documents(sf_dir: str) -> rd.Dataset:
-    return ops.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
-
-
-def _n_docs(sf_dir: str) -> int:
-    return ops.parquet_num_rows(os.path.join(sf_dir, "documents.parquet"))
-
-
 def host_sitemap_xml(sf_dir: str) -> rd.Dataset:
     """One deterministic ``<urlset>`` blob per host: columns
     (host, xml).  Entries are grouped host-complete via one hash
     exchange over thin (doc_id, host) rows — the XML strings are built
     inside the partition apply, vectorized."""
-    n = _n_docs(sf_dir)
-    h = max(5, n // 50)
+    path = os.path.join(sf_dir, "documents.parquet")
+    h = max(5, ops.parquet_num_rows(path) // 50)
 
     def tag(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
@@ -127,16 +119,15 @@ def host_sitemap_xml(sf_dir: str) -> rd.Dataset:
             )
         )
 
-    tagged = _documents(sf_dir).map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-    return hash_group_apply(tagged, ["host_id"], build)
+    return hash_group_apply(ops.scan(path, ["doc_id"], tag), ["host_id"], build)
 
 
 def sitemap_index_xml(sf_dir: str) -> rd.Dataset:
     """A ``<sitemapindex>`` blob listing every host's sitemap location
     (columns: xml).  Hosts are collapsed from thin (host_id) rows; the
     single-blob merge is a one-partition apply over ≤ #hosts rows."""
-    n = _n_docs(sf_dir)
-    h = max(5, n // 50)
+    path = os.path.join(sf_dir, "documents.parquet")
+    h = max(5, ops.parquet_num_rows(path) // 50)
 
     def tag(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
@@ -145,13 +136,13 @@ def sitemap_index_xml(sf_dir: str) -> rd.Dataset:
         )
         return df.select(hid.alias("host_id")).unique().to_arrow()
 
-    def build(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).unique().sort("host_id")
+    def build(df: pl.DataFrame) -> pl.DataFrame:
+        hids = df.get_column("host_id").unique().sort().to_list()
         entries = "".join(
             f"<sitemap><loc>https://h{hid}.example.com/sitemap.xml</loc></sitemap>"
-            for hid in df.get_column("host_id").to_list()
+            for hid in hids
         )
-        return pa.table(
+        return pl.DataFrame(
             {
                 "xml": [
                     '<?xml version="1.0" encoding="UTF-8"?>'
@@ -162,14 +153,10 @@ def sitemap_index_xml(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    # per-block unique host_ids (≤ h rows each) → one-block final build,
-    # the vocab_top_tokens single-small-output pattern
-    return (
-        _documents(sf_dir)
-        .map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(1)
-        .map_batches(build, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    # per-chunk unique host_ids (≤ h rows each) → one logical group, so
+    # one partition builds the single blob
+    return hash_group_apply(ops.scan(path, ["doc_id"], tag), ["g"], build,
+                            pre=lambda df: df.with_columns(pl.lit(0).alias("g")))
 
 
 def _xml_unescape(expr: pl.Expr) -> pl.Expr:
@@ -221,7 +208,7 @@ def parse_urlsets(blobs: rd.Dataset) -> rd.Dataset:
             .alias("priority"),
         ).to_arrow()
 
-    return blobs.map_batches(parse, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(blobs, parse)
 
 
 def parse_sitemap_index(blobs: rd.Dataset) -> rd.Dataset:
@@ -243,7 +230,7 @@ def parse_sitemap_index(blobs: rd.Dataset) -> rd.Dataset:
             ).alias("loc")
         ).to_arrow()
 
-    return blobs.map_batches(parse, batch_format="pyarrow", zero_copy_batch=True)
+    return ops.map_blocks(blobs, parse)
 
 
 def sitemap_parse(sf_dir: str, blobs: rd.Dataset | None = None) -> rd.Dataset:
@@ -281,6 +268,4 @@ def sitemap_seed_frontier(sf_dir: str, blobs: rd.Dataset | None = None) -> rd.Da
             "url", "host", band.cast(pl.Int64).alias("priority")
         ).to_arrow()
 
-    return sitemap_parse(sf_dir, blobs).map_batches(
-        shape, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return ops.map_blocks(sitemap_parse(sf_dir, blobs), shape)

@@ -27,6 +27,7 @@ import polars as pl
 import pyarrow as pa
 import ray.data as rd
 
+from .. import ops
 from ..ops import hash_group_apply
 
 __all__ = ["write_tar_shards", "read_tar_shards", "tar_shard_roundtrip"]
@@ -76,43 +77,45 @@ def write_tar_shards(
             {"path": pl.Series(paths, dtype=pl.String), "n_docs": pl.Series(counts, dtype=pl.Int64)}
         )
 
-    manifest = hash_group_apply(docs, ["shard"], write_group, pre=route)
-    manifest.materialize()
+    # each merge task writes its shards before the exchange returns
+    hash_group_apply(docs, ["shard"], write_group, pre=route)
     return out_dir
+
+
+def _parse_shards(*paths: str) -> pa.Table:
+    """The documents rows of the tar shards ``paths``, members regrouped
+    by basename stem, in stem order per shard."""
+    ids, texts, sources, langs = [], [], [], []
+    for path in paths:
+        by_stem: dict[str, dict] = {}
+        with tarfile.open(path, mode="r") as tf:
+            for m in tf.getmembers():
+                stem, ext = os.path.splitext(m.name)
+                payload = tf.extractfile(m).read()
+                by_stem.setdefault(stem, {})[ext] = payload
+        for stem in sorted(by_stem):
+            parts = by_stem[stem]
+            meta = json.loads(parts[".json"].decode())
+            ids.append(int(stem))
+            texts.append(parts[".txt"].decode("utf-8"))
+            sources.append(meta["source"])
+            langs.append(meta["lang"])
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, pa.int64()),
+            "text": pa.array(texts, pa.string()),
+            "source": pa.array(sources, pa.string()),
+            "lang": pa.array(langs, pa.string()),
+        }
+    )
 
 
 def read_tar_shards(shard_dir: str) -> rd.Dataset:
     """Read tar shards back into the documents shape — one task per
-    shard, members regrouped by basename stem."""
+    shard (one task on no shards, for the columns)."""
     files = sorted(glob.glob(os.path.join(shard_dir, "*.tar")))
-    ds = rd.from_items([{"path": f} for f in files])
-
-    def parse_file(batch: pa.Table) -> pa.Table:
-        ids, texts, sources, langs = [], [], [], []
-        for path in batch.column("path").to_pylist():
-            by_stem: dict[str, dict] = {}
-            with tarfile.open(path, mode="r") as tf:
-                for m in tf.getmembers():
-                    stem, ext = os.path.splitext(m.name)
-                    payload = tf.extractfile(m).read()
-                    by_stem.setdefault(stem, {})[ext] = payload
-            for stem in sorted(by_stem):
-                parts = by_stem[stem]
-                meta = json.loads(parts[".json"].decode())
-                ids.append(int(stem))
-                texts.append(parts[".txt"].decode("utf-8"))
-                sources.append(meta["source"])
-                langs.append(meta["lang"])
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "text": pa.array(texts, pa.string()),
-                "source": pa.array(sources, pa.string()),
-                "lang": pa.array(langs, pa.string()),
-            }
-        )
-
-    return ds.map_batches(parse_file, batch_format="pyarrow", zero_copy_batch=True)
+    return ops._dataset(ops._wave(
+        ops._map_block, [(_parse_shards, f) for f in files] or [(_parse_shards,)], 2))
 
 
 def tar_shard_roundtrip(sf_dir: str) -> rd.Dataset:
@@ -122,14 +125,13 @@ def tar_shard_roundtrip(sf_dir: str) -> rd.Dataset:
     parquet directly, proving the round trip lossless."""
     import hashlib
 
-    from ..pipelines.textdata import documents_dataset
-
     key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
     out_dir = os.path.join("/tmp/lpr_tarshards", key)
-    docs = documents_dataset(sf_dir, ["doc_id", "text", "source", "lang"])
+    docs = ops.scan(os.path.join(sf_dir, "documents.parquet"), ["doc_id", "text", "source", "lang"])
     write_tar_shards(docs, out_dir)
 
-    return read_tar_shards(out_dir).map_batches(
+    return ops.map_blocks(
+        read_tar_shards(out_dir),
         lambda t: pl.from_arrow(t)
         .select(
             "doc_id",
@@ -138,6 +140,4 @@ def tar_shard_roundtrip(sf_dir: str) -> rd.Dataset:
             "lang",
         )
         .to_arrow(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )

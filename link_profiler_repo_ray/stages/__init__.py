@@ -1,27 +1,19 @@
 from .stages import (
-    CanonicalizeStage,
-    ExtractTextStage,
     ExtractLinksStage,
     SeoStage,
-    QualityStage,
     AIScoreStage,
     AlertStage,
     CRAWL_ALERT_RULES,
     ALERT_SCHEMA,
     CMP_OPS,
-    CorpusReplayFetcher,
 )
 
 __all__ = [
-    "CanonicalizeStage",
-    "ExtractTextStage",
     "ExtractLinksStage",
     "SeoStage",
-    "QualityStage",
     "AIScoreStage",
     "AlertStage",
     "CRAWL_ALERT_RULES",
     "ALERT_SCHEMA",
     "CMP_OPS",
-    "CorpusReplayFetcher",
 ]

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 
-from ..functions import canonical as can
 from ..functions import htmlx
-from ..functions.quality import quality_table
 
 
 def _html_to_str(col: pa.ChunkedArray | pa.Array) -> list[str]:
@@ -25,45 +22,6 @@ def _html_to_str(col: pa.ChunkedArray | pa.Array) -> list[str]:
             v = bytes(v).decode("utf-8", errors="replace")
         out.append(v if v is not None else "")
     return out
-
-
-class CanonicalizeStage:
-    """M1: add canonical url, host, url_hash columns.
-
-    Input column: ``url``; rows with non-canonicalizable URLs are dropped.
-    """
-
-    def __init__(self, url_col: str = "url"):
-        self.url_col = url_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column(self.url_col).to_pylist()
-        canon = can.canonicalize_batch(urls)
-        keep = np.array([c is not None for c in canon], dtype=bool)
-        kept = [c for c in canon if c is not None]
-        batch = batch.filter(pa.array(keep))
-        batch = batch.set_column(
-            batch.schema.get_field_index(self.url_col), self.url_col, pa.array(kept, pa.string())
-        )
-        hosts = can.host_of_batch(kept)
-        batch = batch.append_column("host", pa.array(hosts, pa.string()))
-        batch = batch.append_column("url_hash", pa.array(can.url_hash64(kept), pa.uint64()))
-        return batch
-
-
-class ExtractTextStage:
-    """M5: html -> byte-identical extracted text (the BASELINE invariant)."""
-
-    def __init__(self, html_col: str = "html", out_col: str = "text"):
-        self.html_col = html_col
-        self.out_col = out_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = htmlx.extract_text_batch(batch.column(self.html_col).to_pylist())
-        arr = pa.array(texts, pa.large_string())
-        if self.out_col in batch.schema.names:
-            return batch.set_column(batch.schema.get_field_index(self.out_col), self.out_col, arr)
-        return batch.append_column(self.out_col, arr)
 
 
 class ExtractLinksStage:
@@ -118,20 +76,6 @@ class SeoStage:
             [m["structured_data_types"] for m in metrics], pa.list_(pa.string())
         )
         cols["seo_score"] = pa.array([m["seo_score"] for m in metrics], pa.float64())
-        return pa.table(cols)
-
-
-class QualityStage:
-    """M6: extracted text -> quality struct columns."""
-
-    def __init__(self, text_col: str = "text", keep_cols: tuple = ("url",)):
-        self.text_col = text_col
-        self.keep_cols = keep_cols
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        quality = quality_table(t or "" for t in batch.column(self.text_col).to_pylist())
-        cols = {c: batch.column(c) for c in self.keep_cols if c in batch.schema.names}
-        cols.update(zip(quality.column_names, quality.columns))
         return pa.table(cols)
 
 
@@ -287,53 +231,6 @@ class AlertStage:
         out = pl.concat(fired).to_arrow().cast(ALERT_SCHEMA)
         self.fired_total += out.num_rows
         return out
-
-
-class CorpusReplayFetcher:
-    """S1 substitute: fetch = lookup into the synthetic corpus (J3).
-
-    Each pool actor loads only its hash-assigned shard files of the
-    corpus in ``__init__`` when ``shard/num_shards`` are given (the
-    10^10-scale layout: fetch shards are hash-partitioned like the
-    corpus), or the full corpus when small.  A real-web deployment
-    swaps this class for an aiohttp-session actor with identical batch
-    signature (url in -> url, status, html, warc_ts out); reference:
-    crawlers/web_crawler.py:262-328.
-
-    Input batch: frontier rows with ``url``.  Output: url, status,
-    html, warc_ts (+ passthrough depth/priority if present).
-    """
-
-    def __init__(self, corpus_files: list[str]):
-        import pyarrow.parquet as pq
-
-        tables = [pq.read_table(f, columns=["url", "warc_ts", "html"]) for f in corpus_files]
-        t = pa.concat_tables(tables) if tables else None
-        self.index: dict[str, tuple] = {}
-        if t is not None:
-            urls = t.column("url").to_pylist()
-            tss = t.column("warc_ts").to_pylist()
-            htmls = t.column("html").to_pylist()
-            self.index = {u: (ts, h) for u, ts, h in zip(urls, tss, htmls)}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        status, htmls, tss = [], [], []
-        for u in urls:
-            hit = self.index.get(u)
-            if hit is None:
-                status.append(404)
-                tss.append(None)
-                htmls.append(None)
-            else:
-                status.append(200)
-                tss.append(hit[0])
-                htmls.append(hit[1])
-        out = {c: batch.column(c) for c in batch.schema.names}
-        out["status"] = pa.array(status, pa.int16())
-        out["warc_ts"] = pa.array(tss, pa.timestamp("us"))
-        out["html"] = pa.array(htmls, pa.binary())
-        return pa.table(out)
 
 
 class EncodeStage:
